@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .detmodel import MeasurementSetting, Z_ONE, Z_ZERO
-from .protocol import ScenarioConfig, projected_state
-from .qstate import DensityMatrix, Effect, ZeroProjectionError, partial_trace, project
+from .protocol import ScenarioConfig, _project_factor, projected_state
+from .qstate import DensityMatrix
 from .states import StateSpec
 
 
@@ -100,12 +100,12 @@ def damaged_state(
         raise ValueError(f"lost must lie in [0, {rho.n_qubits - 1}]")
     if lost + len(projectors) >= rho.n_qubits:
         raise ValueError("tracing and projecting would consume every qubit")
-    out = rho if lost == 0 else partial_trace(rho, range(lost))
-    for i, setting in enumerate(projectors):
-        weight, post = project(out, Effect(setting.projector_plus(), (0,)))
-        if post is None:
-            raise ZeroProjectionError(f"projector {i} has zero weight on the damaged state")
-        out = partial_trace(post, (0,))
+    # rho = F^T F^* with rows sqrt(lambda_j) v_j; splitting each row into the
+    # lost and surviving qubits traces the lost ones out.
+    eigenvalues, vectors = np.linalg.eigh(rho.matrix)
+    keep = eigenvalues > 0.0
+    factor = (vectors[:, keep] * np.sqrt(eigenvalues[keep])).T
+    _, out = _project_factor(factor.reshape(-1, 2 ** (rho.n_qubits - lost)), projectors)
     return out
 
 

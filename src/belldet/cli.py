@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, protocol
 from .bell import BellExpression, lhv_bound, optimize_settings, OptimizeOptions
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import ZeroProjectionError, expectation
+from .qstate import QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 text, code = _run_damaged(config, args)
             else:  # pragma: no cover - argparse restricts the choices
                 raise ConfigurationError(f"unknown command {args.command}")
-    except ConfigurationError as exc:
+    except (ConfigurationError, QubitCapacityError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ZeroProjectionError as exc:

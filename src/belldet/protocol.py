@@ -12,8 +12,8 @@ import numpy as np
 
 from .bell import BellExpression, BellForm, OptimizeOptions, optimize_settings, quantum_value
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
-from .qstate import DensityMatrix, Effect, ZeroProjectionError, partial_trace, project
-from .states import StateSpec, add_white_noise, make_state
+from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
+from .states import StateSpec, make_state
 
 RESIDUAL_TOL = 1e-9
 _BISECT_TOL = 1e-12
@@ -225,23 +225,46 @@ def projected_state(config: ScenarioConfig) -> tuple[list[float], DensityMatrix]
     combined projector) and the renormalized k-qubit state. White noise at
     the configured visibility is mixed in before any projection; lost
     qubits are traced out first.
+
+    Works on the amplitude vector, never on the N-qubit density matrix:
+    O(N 2^N) time and O(2^N) memory.
     """
     config.require_valid()
     psi = make_state(config.state)
-    rho = add_white_noise(psi, config.visibility)
-    if config.lost:
-        rho = partial_trace(rho, range(config.lost))
+    factor = psi.amplitudes.reshape(2**config.lost, -1)
+    return _project_factor(factor, config.resolved_projectors(), config.visibility)
+
+
+def _project_factor(
+    factor: np.ndarray, projectors: Sequence[MeasurementSetting], visibility: float = 1.0
+) -> tuple[list[float], DensityMatrix]:
+    """Project the leading qubits of v F^T F^* + (1 - v) I / 2^n one by one.
+
+    ``factor`` F has shape (rows, 2^n): the rows index whatever is traced
+    out (lost qubits, or a mixed state's eigenvectors), so F^T F^* is the
+    n-qubit state without noise. Each projector |m><m| contracts m^* into
+    F's leading qubit and drops it. The noise term is carried in closed
+    form: after i rank-one projections it has weight (1 - v) 2^-i and is
+    still maximally mixed. Returns the conditional weights and the
+    renormalized state on the n - len(projectors) qubits left.
+    """
+    v = float(visibility)
+    rows = factor.shape[0]
+    n_left = factor.shape[1].bit_length() - 1 - len(projectors)
+    weight = v * float(np.vdot(factor, factor).real) + (1.0 - v)
     p_list: list[float] = []
-    for setting in config.resolved_projectors():
-        effect = Effect(setting.projector_plus(), (0,))
-        weight, post = project(rho, effect)
-        if post is None:
-            raise ZeroProjectionError(
-                f"projector {setting} has zero weight after {len(p_list)} projections"
-            )
-        p_list.append(weight)
-        rho = partial_trace(post, (0,))
-    return p_list, rho
+    for i, setting in enumerate(projectors):
+        factor = np.tensordot(factor.reshape(rows, 2, -1), setting.ket().conj(), axes=([1], [0]))
+        new_weight = v * float(np.vdot(factor, factor).real) + (1.0 - v) * 2.0 ** -(i + 1)
+        p = new_weight / weight
+        if p < ZERO_WEIGHT_THRESHOLD:
+            raise ZeroProjectionError(f"projector {setting} has zero weight after {i} projections")
+        p_list.append(p)
+        weight = new_weight
+    dim = 2**n_left
+    noise = (1.0 - v) * 2.0 ** -len(projectors) / dim
+    matrix = v * (factor.T @ factor.conj()) + noise * np.eye(dim, dtype=complex)
+    return p_list, DensityMatrix(n_left, matrix / weight)
 
 
 def _resolve_settings(

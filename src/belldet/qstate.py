@@ -103,10 +103,6 @@ class DensityMatrix:
             raise ValueError(f"matrix is not PSD: lowest eigenvalue {low:.3e}")
         object.__setattr__(self, "matrix", _frozen(mat))
 
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
-
 
 @dataclass(frozen=True)
 class Effect:

@@ -78,9 +78,12 @@ def dicke(n: int, excitations: int) -> PureState:
     """Uniform superposition of all n-qubit basis states with the given weight."""
     if not 0 <= excitations <= n:
         raise ValueError(f"excitations must lie in [0, {n}]")
+    index = np.arange(2**n)
+    weight = np.zeros(2**n, dtype=np.int64)
+    for bit in range(n):
+        weight += (index >> bit) & 1
     amp = np.zeros(2**n, dtype=complex)
-    hit = [i for i in range(2**n) if bin(i).count("1") == excitations]
-    amp[hit] = 1.0 / math.sqrt(len(hit))
+    amp[weight == excitations] = 1.0 / math.sqrt(math.comb(n, excitations))
     return PureState(n, amp)
 
 

@@ -197,11 +197,48 @@ class TestExitCodes:
         assert code == EXIT_NOT_FOUND
         assert "zero" in err.lower()
 
+    def test_state_above_the_states_cap_exits_2(self, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+        doc["state"] = {"kind": "GHZ", "n": 17}
+        path = tmp_path / "ghz17.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--config", str(path), "--max-qubits", "20")
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:")
+
     def test_csv_only_for_sweep(self, capsys):
         code, _, err = run(
             capsys, "eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--output", "csv"
         )
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "state,pure_weight",
+    [
+        ({"kind": "GHZ", "n": 16}, 2.0**-14),
+        ({"kind": "Dicke", "n": 16, "excitations": 8}, 2.0 / math.comb(16, 8)),
+    ],
+    ids=["GHZ16", "Dicke16"],
+)
+def test_sixteen_qubits_run_at_the_default_cap(capsys, tmp_path, state, pure_weight):
+    v, eta_L, eta_H = 0.8, 0.9, 0.95
+    doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
+    doc.update(
+        state=state,
+        visibility=v,
+        eta_L=eta_L,
+        eta_H=eta_H,
+        settings=[[{"theta": 0.0}, {"theta": math.pi / 2}]] * 2,
+    )
+    path = tmp_path / "sixteen.json"
+    path.write_text(json.dumps(doc))
+    expected = v * pure_weight + (1.0 - v) * 2.0**-14
+    evaluated = run_json(capsys, "eval", "--config", str(path))
+    assert math.prod(evaluated["result"]["projection_probs"]) == pytest.approx(expected, rel=1e-9)
+    duration = run_json(capsys, "duration", "--config", str(path))
+    p_succ = duration["result"]["p_succ"]
+    assert p_succ / (eta_L**14 * eta_H**2) == pytest.approx(expected, rel=1e-9)
 
 
 def test_round_trip_bundled_configs():

@@ -5,6 +5,7 @@ import pytest
 
 from belldet import (
     Convention,
+    DensityMatrix,
     MeasurementSetting,
     ScenarioConfig,
     StateSpec,
@@ -13,6 +14,7 @@ from belldet import (
     composite_lhs,
     critical_eta_high,
     critical_visibility,
+    damaged_state,
     default_projectors,
     partial_pair,
     preset,
@@ -21,7 +23,7 @@ from belldet import (
     symmetric_critical_eta,
 )
 from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
-from belldet.qstate import embed_operator
+from belldet.qstate import Effect, embed_operator, partial_trace, project
 from belldet.states import make_state, add_white_noise
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
@@ -95,6 +97,73 @@ class TestProjectedState:
         p_list, rho = projected_state(config)
         assert p_list == pytest.approx([0.5], abs=1e-12)
         np.testing.assert_allclose(rho.matrix, bell_phi_plus().density().matrix, atol=1e-12)
+
+
+# States the dense reference can afford (N <= 8), each with every lost count k = 2 allows.
+_REFERENCE_STATES = (
+    StateSpec("GHZ", 3),
+    StateSpec("GHZ", 5),
+    StateSpec("GHZ", 8),
+    StateSpec("Dicke", 4, excitations=2),
+    StateSpec("Dicke", 6, excitations=3),
+    StateSpec("Dicke", 8, excitations=3),
+    StateSpec("W", 5),
+    StateSpec("W", 7),
+    StateSpec("Cluster4", 4),
+)
+_REFERENCE_CASES = [(spec, lost) for spec in _REFERENCE_STATES for lost in range(spec.n - 1)]
+
+
+def _dense_reference_chain(rho, lost, projectors):
+    """The projection chain spelled out with the public dense operations."""
+    if lost:
+        rho = partial_trace(rho, range(lost))
+    p_list = []
+    for setting in projectors:
+        weight, post = project(rho, Effect(setting.projector_plus(), (0,)))
+        p_list.append(weight)
+        rho = partial_trace(post, (0,))
+    return p_list, rho
+
+
+def _random_projectors(rng, count):
+    return tuple(
+        MeasurementSetting(rng.uniform(0.1, math.pi - 0.1), rng.uniform(0.1, 2 * math.pi - 0.1))
+        for _ in range(count)
+    )
+
+
+@pytest.mark.parametrize("visibility", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize(
+    "spec,lost",
+    _REFERENCE_CASES,
+    ids=[f"{spec.kind}{spec.n}-lost{lost}" for spec, lost in _REFERENCE_CASES],
+)
+def test_projection_matches_dense_reference(spec, lost, visibility):
+    rng = np.random.default_rng([spec.n, lost, int(100 * visibility)])
+    projectors = _random_projectors(rng, spec.n - 2 - lost)
+    config = ScenarioConfig(
+        state=spec, k=2, eta_L=0.1, eta_H=1.0, bell=preset("CHSH"),
+        projectors=projectors, visibility=visibility, lost=lost,
+    )
+    noisy = add_white_noise(make_state(spec), visibility)
+    p_ref, rho_ref = _dense_reference_chain(noisy, lost, projectors)
+    p_list, rho = projected_state(config)
+    np.testing.assert_allclose(p_list, p_ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rho.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
+    damaged = damaged_state(noisy, lost, projectors)
+    np.testing.assert_allclose(damaged.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lost", [0, 1, 2])
+def test_damaged_state_matches_dense_reference_on_a_complex_mixed_state(lost):
+    rng = np.random.default_rng(lost)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = DensityMatrix(4, g @ g.conj().T)
+    projectors = _random_projectors(rng, 3 - lost)
+    _, rho_ref = _dense_reference_chain(rho, lost, projectors)
+    damaged = damaged_state(rho, lost, projectors)
+    np.testing.assert_allclose(damaged.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
 
 
 class TestComposite:
