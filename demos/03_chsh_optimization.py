@@ -7,7 +7,7 @@ import belldet as bd
 chsh = bd.preset("CHSH")
 rho = bd.bell_phi_plus().density()
 
-print(f"classical bound by exhaustive strategy enumeration: {bd.lhv_bound(chsh)}")
+print(f"classical bound by best response over local strategies: {bd.lhv_bound(chsh)}")
 
 settings, value = bd.optimize_settings(chsh, rho, [1.0, 1.0])
 print(f"optimized quantum value at eta = 1: {value:.9f}  (2*sqrt(2) = {2*np.sqrt(2):.9f})")

@@ -1,5 +1,5 @@
 """Bell expressions: quantum values under dressed measurements and exact
-local-hidden-variable bounds by deterministic-strategy enumeration."""
+local-hidden-variable bounds by best response over deterministic strategies."""
 
 from __future__ import annotations
 
@@ -151,47 +151,41 @@ def _strategy_count(expr: BellExpression) -> int:
 
 
 def lhv_bound(expr: BellExpression) -> float:
-    """Exact maximum over all deterministic local strategies.
+    """Exact maximum over all deterministic local strategies, by best response.
 
     Correlation form assigns +/-1 per setting and party; probability form
     assigns one of {+, -, no-click}. The maximum over this finite set is
-    the classical bound of the local polytope.
+    the classical bound of the local polytope. The first n-1 parties'
+    joint strategies are enumerated as numpy vectors; the value is a sum
+    over the last party's settings, each with its own outcome, so the last
+    party takes its best outcome per setting in closed form.
     """
     if _strategy_count(expr) > STRATEGY_LIMIT:
         raise ValueError(
             f"enumeration would visit {_strategy_count(expr)} strategies, "
             f"limit is {STRATEGY_LIMIT}"
         )
-    s = expr.settings_per_party
+    n, s = expr.n_parties, expr.settings_per_party
+    # outcome_factor[label, o]: a term's factor from one party answering o.
     if expr.form == BellForm.CORRELATION:
-        party_strategies = list(itertools.product((1.0, -1.0), repeat=s))
-        best = -math.inf
-        for assignment in itertools.product(party_strategies, repeat=expr.n_parties):
-            value = 0.0
-            for term in expr.terms:
-                prod = term.weight
-                for i, j in enumerate(term.settings):
-                    prod *= assignment[i][j]
-                value += prod
-            best = max(best, value)
-        return best
-
-    party_strategies = list(itertools.product(_TRINARY_OUTCOMES, repeat=s))
-    best = -math.inf
-    for assignment in itertools.product(party_strategies, repeat=expr.n_parties):
-        value = 0.0
-        for term in expr.terms:
-            assert term.outcomes is not None
-            hit = True
-            for i, j in enumerate(term.settings):
-                label = term.outcomes[i]
-                if label != OUTCOME_ANY and assignment[i][j] != label:
-                    hit = False
-                    break
-            if hit:
-                value += term.weight
-        best = max(best, value)
-    return best
+        outcome_factor = np.array([[1.0, -1.0]])
+        labels = np.zeros((len(expr.terms), n), dtype=int)
+    else:  # labels "+", "-", "0" hit one outcome, "*" every outcome
+        outcome_factor = np.vstack([np.eye(3), np.ones(3)])
+        labels = np.array([[_VARIANT_INDEX[o] for o in t.outcomes] for t in expr.terms])
+    n_outcomes = outcome_factor.shape[1]
+    # One row per deterministic strategy of a party: an outcome index per setting.
+    table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
+    factors = outcome_factor[:, table]  # (label, strategy, setting)
+    # acc[j, o, r]: the terms' value at the last party's setting j when it
+    # answers o there and the other parties play joint strategy r.
+    acc = np.zeros((s, n_outcomes, len(table) ** (n - 1)))
+    for term, term_labels in zip(expr.terms, labels):
+        vec = np.array([term.weight])
+        for label, j in zip(term_labels[:-1], term.settings[:-1]):
+            vec = np.multiply.outer(vec, factors[label, :, j]).ravel()
+        acc[term.settings[-1]] += np.multiply.outer(outcome_factor[term_labels[-1]], vec)
+    return float(acc.max(axis=1).sum(axis=0).max())
 
 
 _VARIANT_INDEX = {OUTCOME_PLUS: 0, OUTCOME_MINUS: 1, OUTCOME_NONE: 2, OUTCOME_ANY: 3}

@@ -9,6 +9,7 @@ parse/validation error, 3 solver could not satisfy a precondition
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import analysis, protocol
 from .bell import BellExpression, lhv_bound, optimize_settings, OptimizeOptions
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import QubitCapacityError, ZeroProjectionError, expectation
+from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
 
 EXIT_OK = 0
@@ -60,6 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _qubit_cap(max_qubits: int) -> int:
+    """``--max-qubits``, lowered to the cap that ``states.make_state`` applies."""
+    return min(max_qubits, DEFAULT_MAX_QUBITS)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -75,10 +87,9 @@ def _parse_scenario(doc: dict, max_qubits: int) -> ScenarioConfig:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"config does not describe a valid scenario: {exc}") from exc
-    if config.n_qubits > max_qubits:
-        raise ConfigurationError(
-            f"state uses {config.n_qubits} qubits, above the cap {max_qubits}"
-        )
+    cap = _qubit_cap(max_qubits)
+    if config.n_qubits > cap:
+        raise ConfigurationError(f"state uses {config.n_qubits} qubits, above the cap {cap}")
     issues = config.validate()
     if issues:
         raise ConfigurationError("config violates invariants: " + "; ".join(issues))
@@ -214,13 +225,14 @@ def _run_validate(doc: dict, args) -> tuple[str, int]:
         violations.append(f"parse: {exc}")
         return _json_report({"raw": doc}, {"violations": violations}, {}), EXIT_OK
     violations.extend(config.validate())
-    if config.n_qubits > args.max_qubits:
-        violations.append(f"state.n: {config.n_qubits} qubits exceeds cap {args.max_qubits}")
+    cap = _qubit_cap(args.max_qubits)
+    if config.n_qubits > cap:
+        violations.append(f"state.n: {config.n_qubits} qubits exceeds cap {cap}")
     return _json_report(config.to_json_dict(), {"violations": violations}, {}), EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.output == "csv" and args.command != "sweep":
         print("csv output is only available for sweep", file=sys.stderr)
         return EXIT_CONFIG

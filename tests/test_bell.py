@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,16 @@ from belldet import (
     preset,
     quantum_value,
 )
-from belldet.bell import chsh_seed_angles, angles_to_settings
+from belldet.bell import (
+    OUTCOME_ANY,
+    STRATEGY_LIMIT,
+    _TRINARY_OUTCOMES,
+    _strategy_count,
+    angles_to_settings,
+    chsh_seed_angles,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -41,6 +52,69 @@ def random_settings(rng, n=2, s=2):
     return [
         [MeasurementSetting(rng.uniform(0, 2 * math.pi)) for _ in range(s)] for _ in range(n)
     ]
+
+
+def enumerated_lhv_bound(expr: BellExpression) -> float:
+    """Reference: the plain enumeration of every deterministic strategy of
+    all n parties, one Python loop over terms per strategy."""
+    if _strategy_count(expr) > STRATEGY_LIMIT:
+        raise ValueError(
+            f"enumeration would visit {_strategy_count(expr)} strategies, "
+            f"limit is {STRATEGY_LIMIT}"
+        )
+    s = expr.settings_per_party
+    if expr.form == BellForm.CORRELATION:
+        party_strategies = list(itertools.product((1.0, -1.0), repeat=s))
+        best = -math.inf
+        for assignment in itertools.product(party_strategies, repeat=expr.n_parties):
+            value = 0.0
+            for term in expr.terms:
+                prod = term.weight
+                for i, j in enumerate(term.settings):
+                    prod *= assignment[i][j]
+                value += prod
+            best = max(best, value)
+        return best
+
+    party_strategies = list(itertools.product(_TRINARY_OUTCOMES, repeat=s))
+    best = -math.inf
+    for assignment in itertools.product(party_strategies, repeat=expr.n_parties):
+        value = 0.0
+        for term in expr.terms:
+            assert term.outcomes is not None
+            hit = True
+            for i, j in enumerate(term.settings):
+                label = term.outcomes[i]
+                if label != OUTCOME_ANY and assignment[i][j] != label:
+                    hit = False
+                    break
+            if hit:
+                value += term.weight
+        best = max(best, value)
+    return best
+
+
+def random_expression(rng, form, n, s, n_terms):
+    terms = []
+    for _ in range(n_terms):
+        settings = tuple(int(j) for j in rng.integers(s, size=n))
+        weight = float(rng.normal())
+        outcomes = None
+        if form == BellForm.PROBABILITY:
+            outcomes = tuple(str(o) for o in rng.choice(list("+-0*"), size=n))
+        terms.append(BellTerm(settings, weight, outcomes))
+    return BellExpression(n, s, form, tuple(terms), 0.0)
+
+
+def mermin_expression(n):
+    """Mermin's n-party expression: the real part of prod_i (A_i + i B_i),
+    terms with an even number m of B settings (index 1), weighted (-1)^(m/2)."""
+    terms = []
+    for settings in itertools.product((0, 1), repeat=n):
+        m = sum(settings)
+        if m % 2 == 0:
+            terms.append(BellTerm(settings, float((-1) ** (m // 2))))
+    return BellExpression(n, 2, BellForm.CORRELATION, tuple(terms), 2.0 ** (n // 2))
 
 
 class TestPresets:
@@ -86,6 +160,58 @@ class TestLhvBound:
         for name in ("CHSH", "EBERHARD_CH"):
             expr = preset(name)
             assert abs(lhv_bound(expr) - expr.classical_bound) < 1e-9
+
+
+class TestBestResponse:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("form", list(BellForm))
+    def test_matches_the_enumeration_on_random_expressions(self, form, n, s):
+        rng = np.random.default_rng(1000 * n + 10 * s + (form == BellForm.PROBABILITY))
+        # the reference visits every strategy; fewer draws where that is slow
+        draws = 1 if _strategy_count(BellExpression(n, s, form, (), 0.0)) > 50_000 else 12
+        for _ in range(draws):
+            expr = random_expression(rng, form, n, s, int(rng.integers(1, 9)))
+            assert lhv_bound(expr) == pytest.approx(enumerated_lhv_bound(expr), abs=1e-12)
+
+    def test_random_probability_expressions_use_every_label(self):
+        rng = np.random.default_rng(7)
+        expr = random_expression(rng, BellForm.PROBABILITY, 4, 2, 12)
+        assert {o for t in expr.terms for o in t.outcomes} == {"+", "-", "0", "*"}
+        assert lhv_bound(expr) == pytest.approx(enumerated_lhv_bound(expr), abs=1e-12)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_bundled_expressions_match_the_enumeration_exactly(self, path):
+        doc = json.loads(path.read_text())
+        doc = doc.get("scenario", doc)
+        doc = doc.get("bell", doc)
+        expr = preset(doc["preset"]) if "preset" in doc else BellExpression.from_json_dict(doc)
+        assert lhv_bound(expr) == enumerated_lhv_bound(expr) == expr.classical_bound
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_mermin_bound(self, n):
+        assert lhv_bound(mermin_expression(n)) == 2.0 ** (n // 2)
+
+    @pytest.mark.parametrize("form", list(BellForm))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_terms_give_zero(self, form, n):
+        assert lhv_bound(BellExpression(n, 2, form, (), 0.0)) == 0.0
+
+    def test_single_party_correlation(self):
+        terms = (BellTerm((0,), 1.0), BellTerm((1,), -0.5), BellTerm((1,), 2.0))
+        assert lhv_bound(BellExpression(1, 2, BellForm.CORRELATION, terms, 0.0)) == 2.5
+
+    def test_single_party_probability(self):
+        terms = (
+            BellTerm((0,), -1.0, ("+",)),
+            BellTerm((0,), -1.0, ("-",)),
+            BellTerm((1,), 2.0, ("*",)),
+            BellTerm((1,), 1.0, ("-",)),
+            BellTerm((2,), 0.5, ("0",)),
+        )
+        # setting 0 answers no-click, setting 1 "-", setting 2 no-click
+        expr = BellExpression(1, 3, BellForm.PROBABILITY, terms, 0.0)
+        assert lhv_bound(expr) == 3.5
 
 
 class TestQuantumValue:

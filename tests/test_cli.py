@@ -151,6 +151,14 @@ class TestValidate:
         report = run_json(capsys, "validate", "--config", str(path))
         assert any("k" in v for v in report["result"]["violations"])
 
+    def test_state_above_the_states_cap_is_a_violation(self, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+        doc["state"] = {"kind": "GHZ", "n": 17}
+        path = tmp_path / "ghz17.json"
+        path.write_text(json.dumps(doc))
+        report = run_json(capsys, "validate", "--config", str(path), "--max-qubits", "20")
+        assert report["result"]["violations"] == ["state.n: 17 qubits exceeds cap 16"]
+
     def test_efficiency_out_of_range(self, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
         doc["eta_H"] = 1.2
@@ -256,6 +264,18 @@ def test_every_bundled_scenario_runs(capsys, name):
         capsys, "eval", "--config", str(CONFIG_DIR / name), "--restarts", "8"
     )
     assert "composite_lhs" in report["result"], name
+
+
+def test_each_call_reports_its_own_flags(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["settings"] = [[{"theta": 0.0}, {"theta": math.pi / 2}]] * 2
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    calls = [(["--seed", "3", "--restarts", "5"], 3, 5), ([], 0, 64), (["--seed", "9"], 9, 64)]
+    for flags, seed, restarts in calls:
+        report = run_json(capsys, "eval", "--config", str(path), *flags)
+        assert report["diagnostics"]["seed"] == seed
+        assert report["diagnostics"]["optimizer_restarts"] == restarts
 
 
 def test_seeded_runs_are_byte_identical(capsys):
