@@ -9,7 +9,6 @@ parse/validation error, 3 solver could not satisfy a precondition
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -59,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--restarts", type=int, default=64, help="optimizer restarts")
         cmd.add_argument("--max-qubits", type=int, default=16, dest="max_qubits")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use: parsing leaves it unchanged."""
-    return build_parser()
 
 
 def _qubit_cap(max_qubits: int) -> int:
@@ -232,7 +225,7 @@ def _run_validate(doc: dict, args) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.output == "csv" and args.command != "sweep":
         print("csv output is only available for sweep", file=sys.stderr)
         return EXIT_CONFIG
