@@ -26,6 +26,11 @@ _TRINARY_OUTCOMES = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE)
 
 STRATEGY_LIMIT = 1_000_000
 
+# Nelder-Mead stopping rules for every start of the settings optimizer.
+_XATOL = 1e-7
+_FATOL = 1e-12
+_MAXITER = 2000
+
 
 class BellForm(str, Enum):
     CORRELATION = "correlation"
@@ -341,9 +346,6 @@ class OptimizeOptions:
     restarts: int = 64
     seed: int = 0
     include_phi: bool = False
-    xatol: float = 1e-7
-    fatol: float = 1e-12
-    maxiter: int = 2000
     warm_starts: tuple = field(default_factory=tuple)
 
 
@@ -402,12 +404,7 @@ def optimize_settings(
             objective,
             x0,
             method="Nelder-Mead",
-            options={
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
-                "maxiter": opts.maxiter,
-                "maxfev": opts.maxiter,
-            },
+            options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAXITER, "maxfev": _MAXITER},
         )
         if -result.fun > best_val:
             best_x, best_val = result.x, -float(result.fun)

@@ -2,8 +2,9 @@
 
 Reports are JSON documents with top-level keys ``inputs``, ``result`` and
 ``diagnostics``; sweeps can emit CSV. Exit codes: 0 success, 2 config
-parse/validation error, 3 solver could not satisfy a precondition
-(no violation found, or a zero-weight projection).
+parse/validation error, 3 solver found no threshold (status "not_found":
+no violation; "not_converged": rounds ran out above the residual
+tolerance) or a zero-weight projection.
 """
 
 from __future__ import annotations

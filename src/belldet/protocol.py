@@ -4,11 +4,11 @@ state, and the critical-efficiency / critical-visibility solvers."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebroots, chebval
 
 from .bell import BellExpression, BellForm, OptimizeOptions, optimize_settings, quantum_value
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
@@ -16,8 +16,8 @@ from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
 from .states import StateSpec, make_state
 
 RESIDUAL_TOL = 1e-9
-_BISECT_TOL = 1e-12
 _MAX_ROUNDS = 20
+_ROOT_FLOOR = 1e-4  # roots below this fraction of the upper end count as none
 
 SettingsAssignment = list[list[MeasurementSetting]]
 
@@ -161,9 +161,12 @@ class ScenarioConfig:
 class SolveResult:
     """Outcome of a threshold solve.
 
-    ``status`` is "ok" or "not_found"; on success the residual (quantum
-    value minus classical bound at the returned threshold, optimized
-    settings) is below 1e-9.
+    ``status`` is "ok" when the residual (quantum value minus classical
+    bound at the returned threshold, optimized settings) is below
+    RESIDUAL_TOL = 1e-9; "not_found" when there is no violation to start
+    from or no sign change below the upper end; "not_converged" when the
+    rounds run out first, with the last root and its residual reported.
+    ``bracket`` is the final round's search interval (0, hi).
     """
 
     status: str
@@ -321,88 +324,108 @@ def composite_parts(
     return lhs, parts
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = _BISECT_TOL
-) -> tuple[float, int, tuple[float, float]]:
-    """Root of f on [lo, hi] with f(lo) < 0 <= f(hi), by bisection."""
-    bracket = (lo, hi)
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iterations, bracket
+def _not_found(reason: str, iterations: int = 0, **diagnostics) -> SolveResult:
+    return SolveResult("not_found", None, iterations, None, None, {"reason": reason, **diagnostics})
 
 
-def _scan_bracket_low(f: Callable[[float], float], hi: float) -> float | None:
-    """Find some eta below ``hi`` where the violation disappears."""
-    for factor in (0.75, 0.5, 0.3, 0.15, 0.05, 0.01, 1e-3, 1e-4):
-        lo = hi * factor
-        if f(lo) < 0.0:
-            return lo
+def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> float | None:
+    """Largest root of f in [1e-4 hi, hi) where f turns from negative to
+    non-negative, read off the exact degree-``degree`` interpolant of f
+    through Chebyshev nodes on [0, hi].
+
+    Roots below 1e-4 hi count as none: CHSH under FOLD and CH under TRINARY
+    vanish identically at eta = 0. An f already negative at hi, which a
+    caller's precondition admits within its tolerance, puts the root at hi.
+    """
+    coef = chebinterpolate(lambda ts: np.array([f(0.5 * hi * (t + 1.0)) for t in ts]), degree)
+    if chebval(1.0, coef) < 0.0:
+        return hi
+    roots = chebroots(coef)
+    roots = np.sort(roots[roots.imag == 0.0].real)
+    floor = 2.0 * _ROOT_FLOOR - 1.0
+    # From the top down: the first root in range with f < 0 just below it.
+    for i in reversed(range(len(roots))):
+        t = roots[i]
+        below = roots[i - 1] if i else t - 1.0
+        if floor <= t < 1.0 and chebval(0.5 * (below + t), coef) < 0.0:
+            return 0.5 * hi * (t + 1.0)
     return None
 
 
 def _solve_threshold(
     value_at: Callable[[float, SettingsAssignment], float],
-    optimize_at: Callable[[float, SettingsAssignment | None], tuple[SettingsAssignment, float]] | None,
-    start_settings: SettingsAssignment,
+    degree: int,
+    optimize_at: Callable[[float, SettingsAssignment], tuple[SettingsAssignment, float]],
+    settings: SettingsAssignment,
     bound: float,
-    residual_tol: float = RESIDUAL_TOL,
-    max_rounds: int = _MAX_ROUNDS,
-) -> SolveResult:
-    """Shared fixed-point engine for the threshold solvers.
+) -> tuple[SolveResult, SettingsAssignment]:
+    """The threshold engine behind every solver; returns the final settings too.
 
-    Alternates a bisection at fixed settings with a re-optimization at the
-    current root. Because optimizing can only raise the quantum value, each
-    round's root is an upper bound on the true threshold and the sequence
-    decreases monotonically; convergence is declared when the optimized
-    value at the root sits on the bound to within ``residual_tol``.
+    At fixed settings value_at(x, settings) is a polynomial of the given
+    degree in x, so each round takes the exact root of value_at - bound on
+    (0, hi] and re-optimizes the settings there. Optimizing can only raise
+    the value, so each root is an upper bound on the true threshold and the
+    roots decrease; the solve is "ok" once the optimized value at the root
+    sits on the bound to within RESIDUAL_TOL.
     """
-    settings = start_settings
     hi = 1.0
-    rounds = 0
-    total_bisect = 0
-    bracket: tuple[float, float] | None = None
-    root = hi
-    residual = math.inf
-    while rounds < max_rounds:
-        rounds += 1
-
-        def f(eta: float) -> float:
-            return value_at(eta, settings) - bound
-
-        lo = _scan_bracket_low(f, hi)
-        if lo is None:
-            return SolveResult(
-                status="not_found",
-                critical_value=None,
-                iterations=rounds,
-                bracket=None,
-                achieved_residual=None,
-                diagnostics={"reason": "no sign change found below the upper end"},
-            )
-        root, iters, bracket = _bisect(f, lo, hi)
-        total_bisect += iters
-        if optimize_at is None:
-            residual = abs(f(root))
-            break
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        bracket = (0.0, hi)
+        root = _upper_root(lambda x: value_at(x, settings) - bound, degree, hi)
+        if root is None:
+            return _not_found("no sign change found below the upper end", rounds), settings
         settings, q_root = optimize_at(root, settings)
-        residual = q_root - bound
-        if abs(residual) < residual_tol:
-            break
+        residual = abs(q_root - bound)
+        if residual < RESIDUAL_TOL:
+            return SolveResult("ok", root, rounds, bracket, residual), settings
         hi = root
-    return SolveResult(
-        status="ok",
-        critical_value=root,
-        iterations=rounds,
-        bracket=bracket,
-        achieved_residual=abs(residual),
-        diagnostics={"bisection_iterations": total_bisect},
+    reason = f"residual still at or above {RESIDUAL_TOL} after {_MAX_ROUNDS} rounds"
+    return SolveResult("not_converged", root, rounds, bracket, residual, {"reason": reason}), settings
+
+
+def _critical_eta(
+    expr: BellExpression,
+    state: DensityMatrix,
+    pins: Sequence[float | None],
+    convention: Convention,
+    restarts: int,
+    refine_restarts: int,
+    seed: int,
+    fixed: SettingsAssignment | None = None,
+    name: str = "eta",
+    **solved_diagnostics,
+) -> SolveResult:
+    """The pinned-eta path: parties pinned to None share the solved eta, so
+    Q(eta) has degree pins.count(None). ``fixed`` settings skip the optimizer."""
+
+    def etas(eta: float) -> list[float]:
+        return [eta if pin is None else validate_efficiency(pin) for pin in pins]
+
+    def value_at(eta: float, settings: SettingsAssignment) -> float:
+        return quantum_value(expr, state, settings, etas(eta), convention)
+
+    if fixed is None:
+        settings, q_one = optimize_settings(
+            expr, state, etas(1.0), convention, OptimizeOptions(restarts=restarts, seed=seed)
+        )
+
+        def optimize_at(eta: float, warm: SettingsAssignment):
+            opts = OptimizeOptions(restarts=refine_restarts, seed=seed + 1, warm_starts=(warm,))
+            return optimize_settings(expr, state, etas(eta), convention, opts)
+
+    else:
+        settings, q_one = fixed, value_at(1.0, fixed)
+
+        def optimize_at(eta: float, settings: SettingsAssignment):
+            return settings, value_at(eta, settings)
+
+    if q_one - expr.classical_bound <= 1e-11:
+        return _not_found(f"no violation at {name} = 1", value_at_one=q_one)
+    result, _ = _solve_threshold(
+        value_at, list(pins).count(None), optimize_at, settings, expr.classical_bound
     )
+    result.diagnostics.update(value_at_one=q_one, **solved_diagnostics)
+    return result
 
 
 def critical_eta_high(
@@ -418,46 +441,11 @@ def critical_eta_high(
     the config says AUTO. NOT_FOUND when there is no violation at eta_H = 1.
     """
     p_list, rho_prime = projected_state(config)
-    expr = config.bell
-    bound = expr.classical_bound
-    k = config.k
-    auto = config.settings is None
-
-    def value_at(eta: float, settings: SettingsAssignment) -> float:
-        return quantum_value(expr, rho_prime, settings, [eta] * k, config.convention)
-
-    if auto:
-        settings, q_one = optimize_settings(
-            expr, rho_prime, [1.0] * k, config.convention, OptimizeOptions(restarts=restarts, seed=seed)
-        )
-    else:
-        settings = [list(party) for party in config.settings]
-        q_one = value_at(1.0, settings)
-    if q_one - bound <= 1e-11:
-        return SolveResult(
-            status="not_found",
-            critical_value=None,
-            iterations=0,
-            bracket=None,
-            achieved_residual=None,
-            diagnostics={"reason": "no violation at eta_H = 1", "value_at_one": q_one},
-        )
-
-    optimize_at = None
-    if auto:
-
-        def optimize_at(eta: float, warm: SettingsAssignment | None):
-            opts = OptimizeOptions(
-                restarts=refine_restarts,
-                seed=seed + 1,
-                warm_starts=(warm,) if warm is not None else (),
-            )
-            return optimize_settings(expr, rho_prime, [eta] * k, config.convention, opts)
-
-    result = _solve_threshold(value_at, optimize_at, settings, bound)
-    result.diagnostics["value_at_one"] = q_one
-    result.diagnostics["projection_probs"] = p_list
-    return result
+    fixed = None if config.settings is None else [list(party) for party in config.settings]
+    return _critical_eta(
+        config.bell, rho_prime, [None] * config.k, config.convention, restarts,
+        refine_restarts, seed, fixed, "eta_H", projection_probs=p_list,
+    )
 
 
 def symmetric_critical_eta(
@@ -479,37 +467,7 @@ def symmetric_critical_eta(
     pins = list(eta_fixed) if eta_fixed is not None else [None] * n
     if len(pins) != n:
         raise ValueError(f"eta_fixed must list {n} entries")
-
-    def etas(eta: float) -> list[float]:
-        return [eta if pin is None else validate_efficiency(pin) for pin in pins]
-
-    def value_at(eta: float, settings: SettingsAssignment) -> float:
-        return quantum_value(expr, state, settings, etas(eta), convention)
-
-    settings, q_one = optimize_settings(
-        expr, state, etas(1.0), convention, OptimizeOptions(restarts=restarts, seed=seed)
-    )
-    if q_one - expr.classical_bound <= 1e-11:
-        return SolveResult(
-            status="not_found",
-            critical_value=None,
-            iterations=0,
-            bracket=None,
-            achieved_residual=None,
-            diagnostics={"reason": "no violation at eta = 1", "value_at_one": q_one},
-        )
-
-    def optimize_at(eta: float, warm: SettingsAssignment | None):
-        opts = OptimizeOptions(
-            restarts=refine_restarts,
-            seed=seed + 1,
-            warm_starts=(warm,) if warm is not None else (),
-        )
-        return optimize_settings(expr, state, etas(eta), convention, opts)
-
-    result = _solve_threshold(value_at, optimize_at, settings, expr.classical_bound)
-    result.diagnostics["value_at_one"] = q_one
-    return result
+    return _critical_eta(expr, state, pins, convention, restarts, refine_restarts, seed)
 
 
 def critical_visibility(
@@ -520,109 +478,65 @@ def critical_visibility(
 ) -> SolveResult:
     """Threshold visibility v* where the composite expression crosses zero.
 
-    At fixed settings the composite value is exactly affine in v (the
-    mixing enters linearly and the projection renormalization cancels), so
-    each round solves the affine root from the v=0 and v=1 endpoints, then
-    re-optimizes settings at the root until the fixed point. eta_H stays at
-    the configured value. Diagnostics carry the two closed-form readings of
-    the visibility/efficiency link; the root finder is the ground truth.
+    The state is projected once, at v = 1. White noise stays maximally
+    mixed under projection (the closed form ``_project_factor`` carries),
+    so at fixed settings the composite is exactly affine in v:
+    eta_L^m [v prod(p) (Q(rho') - L) + (1 - v) 2^-m (Q(I/d) - L)], with
+    rho' the noise-free projected state. The engine takes its root and
+    re-optimizes on the mixed state rho'(v) of the same formula. eta_H
+    stays at the configured value. Diagnostics carry the closed-form root
+    from the affine endpoints at the final settings.
     """
     config.require_valid()
-    expr = config.bell
-    bound = expr.classical_bound
-    k = config.k
-    auto = config.settings is None
-    etas = [config.eta_H] * k
+    p_list, rho_prime = projected_state(replace(config, visibility=1.0))
+    expr, bound, m = config.bell, config.bell.classical_bound, config.n_projections
+    etas = [config.eta_H] * config.k
+    p_prod = float(np.prod(p_list)) if p_list else 1.0
+    pure = rho_prime.matrix
+    noise = np.eye(len(pure), dtype=complex) / len(pure)
 
-    def parts_at(v: float, settings: SettingsAssignment) -> tuple[float, float, list[float]]:
-        p_list, rho_v = projected_state(replace(config, visibility=v))
-        q = quantum_value(expr, rho_v, settings, etas, config.convention)
-        lhs = config.eta_L**config.n_projections * float(np.prod(p_list)) * (q - bound)
-        return lhs, q, p_list
+    def q(rho: np.ndarray, settings: SettingsAssignment) -> float:
+        return quantum_value(expr, rho, settings, etas, config.convention)
 
-    p_pure, rho_pure = projected_state(replace(config, visibility=1.0))
-    if auto:
+    def endpoints(settings: SettingsAssignment) -> tuple[float, float]:
+        """composite / eta_L^m at v = 0 and at v = 1."""
+        return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(pure, settings) - bound)
+
+    def gap_at(v: float, settings: SettingsAssignment) -> float:
+        at_zero, at_one = endpoints(settings)
+        return (1.0 - v) * at_zero + v * at_one
+
+    def mixed(v: float) -> np.ndarray:
+        pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
+        return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
+
+    if config.settings is None:
         settings, q_pure = optimize_settings(
-            expr, rho_pure, etas, config.convention, OptimizeOptions(restarts=restarts, seed=seed)
+            expr, pure, etas, config.convention, OptimizeOptions(restarts=restarts, seed=seed)
         )
+
+        def optimize_at(v: float, warm: SettingsAssignment):
+            opts = OptimizeOptions(restarts=refine_restarts, seed=seed + 1, warm_starts=(warm,))
+            settings, q_v = optimize_settings(expr, mixed(v), etas, config.convention, opts)
+            return settings, q_v - bound
+
     else:
         settings = [list(party) for party in config.settings]
-        q_pure = quantum_value(expr, rho_pure, settings, etas, config.convention)
+        q_pure = q(pure, settings)
 
-    f_one, _, _ = parts_at(1.0, settings)
-    if f_one < -RESIDUAL_TOL:
-        return SolveResult(
-            status="not_found",
-            critical_value=None,
-            iterations=0,
-            bracket=None,
-            achieved_residual=None,
-            diagnostics={"reason": "no violation at v = 1", "composite_at_one": f_one},
-        )
+        def optimize_at(v: float, settings: SettingsAssignment):
+            return settings, q(mixed(v), settings) - bound
 
-    rounds = 0
-    v_root = 1.0
-    residual = math.inf
-    bracket = (0.0, 1.0)
-    while rounds < _MAX_ROUNDS:
-        rounds += 1
-        f0, _, _ = parts_at(0.0, settings)
-        f1, _, _ = parts_at(1.0, settings)
-        if abs(f1 - f0) < 1e-300:
-            return SolveResult(
-                status="not_found",
-                critical_value=None,
-                iterations=rounds,
-                bracket=None,
-                achieved_residual=None,
-                diagnostics={"reason": "composite does not depend on v"},
-            )
-        v_root = min(max(-f0 / (f1 - f0), 0.0), 1.0)
-        bracket = (0.0, 1.0)
-        if auto:
-            _, rho_v = projected_state(replace(config, visibility=v_root))
-            settings, q_v = optimize_settings(
-                expr,
-                rho_v,
-                etas,
-                config.convention,
-                OptimizeOptions(restarts=refine_restarts, seed=seed + rounds, warm_starts=(settings,)),
-            )
-        else:
-            _, q_v, _ = parts_at(v_root, settings)
-        residual = q_v - bound
-        if abs(residual) < RESIDUAL_TOL:
-            break
-
-    # Closed-form diagnostics for the visibility/efficiency link. The
-    # "noise_branch" reading evaluates the reference value on the projected
-    # maximally mixed state and is algebraically exact at fixed settings;
-    # the "literal" reading plugs the solved mixture itself in and
-    # degenerates near threshold. Neither is asserted anywhere.
-    m = config.n_projections
-    _, q_noise, _ = parts_at(0.0, settings)
-    q_pure_final = quantum_value(expr, rho_pure, settings, etas, config.convention)
-    p_prod = float(np.prod(p_pure)) if p_pure else 1.0
-    diagnostics: dict = {}
-    denom = q_noise - bound
-    if abs(denom) > 1e-300:
-        diagnostics["closed_form_noise_branch"] = 1.0 / (
-            1.0 - 2.0**m * p_prod * (q_pure_final - bound) / denom
-        )
-    _, q_mix, _ = parts_at(v_root, settings)
-    denom_lit = q_mix - bound
-    if abs(denom_lit) > 1e-300:
-        diagnostics["closed_form_literal"] = 1.0 / (
-            1.0
-            - 2.0**m * config.eta_L**m * p_prod * (q_pure_final - bound) / denom_lit
-        )
-    diagnostics["bell_value_pure"] = q_pure_final
-    diagnostics["bell_value_noise"] = q_noise
-    return SolveResult(
-        status="ok",
-        critical_value=v_root,
-        iterations=rounds,
-        bracket=bracket,
-        achieved_residual=abs(residual),
-        diagnostics=diagnostics,
-    )
+    composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
+    if composite_at_one < -RESIDUAL_TOL:
+        return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
+    at_zero, at_one = endpoints(settings)
+    if at_zero == at_one:
+        return _not_found("composite does not depend on v")
+    result, settings = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
+    at_zero, at_one = endpoints(settings)
+    if at_zero != 0.0:
+        result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
+    result.diagnostics["bell_value_pure"] = q(pure, settings)
+    result.diagnostics["bell_value_noise"] = q(noise, settings)
+    return result

@@ -195,6 +195,18 @@ class TestExitCodes:
         assert code == EXIT_NOT_FOUND
         assert json.loads(out)["result"]["status"] == "not_found"
 
+    def test_not_converged_exits_3(self, capsys, monkeypatch):
+        # the Eberhard threshold takes four rounds; one is not enough
+        monkeypatch.setattr("belldet.protocol._MAX_ROUNDS", 1)
+        code, out, _ = run(
+            capsys, "critical-eta", "--config", str(CONFIG_DIR / "eberhard_alpha005.json"),
+            "--restarts", "8",
+        )
+        result = json.loads(out)["result"]
+        assert code == EXIT_NOT_FOUND
+        assert result["status"] == "not_converged"
+        assert result["achieved_residual"] >= 1e-9
+
     def test_zero_projection_exits_3(self, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "dicke42.json").read_text())
         doc["state"] = {"kind": "Dicke", "n": 4, "excitations": 4}

@@ -1,0 +1,19 @@
+"""The demos that read solver fields run end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["03_chsh_optimization.py", "08_visibility_thresholds.py"])
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

@@ -1,8 +1,12 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from belldet import protocol
 from belldet import (
     Convention,
     DensityMatrix,
@@ -28,6 +32,7 @@ from belldet.states import make_state, add_white_noise
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
 TSIRELSON = 2.0 * math.sqrt(2.0)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ghz_chsh_config(n=4, **kwargs):
@@ -337,3 +342,152 @@ class TestDefaultProjectors:
         psi = np.zeros(4, dtype=complex)
         psi[1] = psi[2] = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
+
+
+class TestThresholdEngine:
+    def test_not_converged_when_rounds_run_out(self):
+        # each re-optimization lowers the root but never closes the residual
+        def value_at(x, n):
+            return x - 0.5 * 0.9**n
+
+        def optimize_at(x, n):
+            return n + 1, 1.0
+
+        result, settings = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
+        assert result.status == "not_converged"
+        assert not result.found
+        assert result.iterations == settings == protocol._MAX_ROUNDS
+        assert result.achieved_residual >= protocol.RESIDUAL_TOL
+        assert result.critical_value == pytest.approx(0.5 * 0.9 ** (protocol._MAX_ROUNDS - 1))
+
+    def test_root_below_the_floor_counts_as_none(self):
+        # f turns non-negative at 1e-6, below the floor of 1e-4 of the upper end
+        def value_at(x, settings):
+            return x - 1e-6
+
+        result, _ = protocol._solve_threshold(
+            value_at, 1, lambda x, s: (s, value_at(x, s)), None, 0.0
+        )
+        assert result.status == "not_found"
+
+
+def _random_settings(rng, n_parties):
+    return [
+        [MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(2)]
+        for _ in range(n_parties)
+    ]
+
+
+def _assert_polynomial_of_degree(q, degree, rng):
+    nodes = np.linspace(0.2, 1.0, degree + 1)
+    poly = np.polynomial.Polynomial.fit(nodes, [q(x) for x in nodes], degree)
+    for x in rng.uniform(0.0, 1.0, size=5):
+        assert q(x) == pytest.approx(poly(x), abs=1e-12)
+    assert abs(poly.convert().coef[-1]) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "name,convention,pins",
+    [
+        ("CHSH", Convention.FOLD, [None, None]),
+        ("EBERHARD_CH", Convention.TRINARY, [None, None]),
+        ("CHSH", Convention.FOLD, [0.9, None]),
+        ("EBERHARD_CH", Convention.TRINARY, [None, 0.8]),
+    ],
+)
+def test_quantum_value_is_a_polynomial_of_degree_free_parties(name, convention, pins):
+    rng = np.random.default_rng(len(name) + pins.count(None))
+    state = partial_pair(0.3).density()
+    settings = _random_settings(rng, 2)
+
+    def q(eta):
+        etas = [eta if pin is None else pin for pin in pins]
+        return quantum_value(preset(name), state, settings, etas, convention)
+
+    _assert_polynomial_of_degree(q, pins.count(None), rng)
+
+
+@pytest.mark.parametrize(
+    "name,convention", [("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY)]
+)
+def test_composite_is_affine_in_visibility(name, convention):
+    rng = np.random.default_rng(7)
+    settings = tuple(tuple(party) for party in _random_settings(rng, 2))
+    config = ghz_chsh_config(
+        eta_L=1.0, eta_H=0.9, bell=preset(name), convention=convention, settings=settings,
+        projectors=(MeasurementSetting(0.4, 0.3), X_PLUS),
+    )
+    vs = (0.2, 0.55, 0.9)
+    values = [composite_lhs(replace(config, visibility=v)) for v in vs]
+    slope_low = (values[1] - values[0]) / (vs[1] - vs[0])
+    slope_high = (values[2] - values[1]) / (vs[2] - vs[1])
+    assert slope_low == pytest.approx(slope_high, abs=1e-12)
+    assert abs(slope_low) > 1e-3
+
+
+# The bracket scan and bisection the threshold solvers used before the
+# polynomial root, kept verbatim as the reference for the engine's roots.
+_BISECT_TOL = 1e-12
+
+
+def _bisect(f, lo, hi, tol=_BISECT_TOL):
+    """Root of f on [lo, hi] with f(lo) < 0 <= f(hi), by bisection."""
+    bracket = (lo, hi)
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), iterations, bracket
+
+
+def _scan_bracket_low(f, hi):
+    """Find some eta below ``hi`` where the violation disappears."""
+    for factor in (0.75, 0.5, 0.3, 0.15, 0.05, 0.01, 1e-3, 1e-4):
+        lo = hi * factor
+        if f(lo) < 0.0:
+            return lo
+    return None
+
+
+_SCENARIO_FILES = sorted(
+    path.name for path in CONFIG_DIR.glob("*.json") if "state" in json.loads(path.read_text())
+)
+# Closed forms: every CHSH scenario leaves a maximally entangled pair; the
+# Eberhard value is the seed commit's, repeatable to 1e-12 across seeds.
+_EXPECTED_ETA = {"eberhard_alpha005.json": 0.6742959781982696, "dicke42_damaged.json": None}
+
+
+@pytest.mark.parametrize("filename", _SCENARIO_FILES)
+def test_critical_eta_matches_reference_bisection(filename, monkeypatch):
+    config = ScenarioConfig.from_json_dict(json.loads((CONFIG_DIR / filename).read_text()))
+    # the settings a round's root is taken at are the next optimization's warm start
+    warm = []
+    original = protocol.optimize_settings
+
+    def recording(*args, **kwargs):
+        warm.extend(args[4].warm_starts)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "optimize_settings", recording)
+    result = critical_eta_high(config, restarts=8)
+    expected = _EXPECTED_ETA.get(filename, ETA_CRIT)
+    if expected is None:
+        assert not result.found
+        assert result.diagnostics["value_at_one"] <= config.bell.classical_bound + 1e-11
+        return
+    assert result.found
+    assert result.critical_value == pytest.approx(expected, abs=1e-9)
+    settings = warm[-1] if config.settings is None else config.settings
+    _, rho = projected_state(config)
+
+    def f(eta):
+        value = quantum_value(config.bell, rho, settings, [eta] * config.k, config.convention)
+        return value - config.bell.classical_bound
+
+    hi = result.bracket[1]
+    root, _, _ = _bisect(f, _scan_bracket_low(f, hi), hi)
+    assert abs(root - result.critical_value) <= 1e-10
