@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .detmodel import Convention, ConventionError, MeasurementSetting, validate_efficiency
+from .detmodel import Convention, MeasurementSetting, validate_efficiency
+from .detmodel import _coefficients, _outcome_factors
 from .qstate import DensityMatrix
 
 OUTCOME_PLUS = "+"
@@ -20,9 +21,7 @@ OUTCOME_MINUS = "-"
 OUTCOME_NONE = "0"  # no click (trinary bookkeeping)
 OUTCOME_ANY = "*"  # marginalized party
 _OUTCOME_LABELS = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE, OUTCOME_ANY)
-
-# Deterministic strategies per trinary party and setting.
-_TRINARY_OUTCOMES = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE)
+_OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
 
@@ -35,6 +34,10 @@ _MAXITER = 2000
 class BellForm(str, Enum):
     CORRELATION = "correlation"
     PROBABILITY = "probability"
+
+
+# How each form books the outcomes of a deterministic local strategy.
+_LHV_CONVENTION = {BellForm.CORRELATION: Convention.FOLD, BellForm.PROBABILITY: Convention.TRINARY}
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,10 @@ class BellExpression:
             settings_per_party=int(doc["settings_per_party"]),
             form=form,
             terms=tuple(terms),
-            classical_bound=float(doc["classical_bound"]) if "classical_bound" in doc else 0.0,
+            classical_bound=float(doc.get("classical_bound", 0.0)),
         )
         if "classical_bound" not in doc:
-            expr = cls(
-                n_parties=expr.n_parties,
-                settings_per_party=expr.settings_per_party,
-                form=expr.form,
-                terms=expr.terms,
-                classical_bound=lhv_bound(expr),
-            )
+            expr = replace(expr, classical_bound=lhv_bound(expr))
         return expr
 
 
@@ -148,11 +145,15 @@ def preset(name: str) -> BellExpression:
     raise ValueError(f"unknown preset {name!r}")
 
 
+def _labels(term: BellTerm, n_parties: int) -> tuple[str, ...]:
+    """A term's outcome label per party; correlation terms measure "±"."""
+    return term.outcomes or (_OUTCOME_FOLDED,) * n_parties
+
+
 def _strategy_count(expr: BellExpression) -> int:
-    per_party = (len(_TRINARY_OUTCOMES) if expr.form == BellForm.PROBABILITY else 2) ** (
-        expr.settings_per_party
-    )
-    return per_party**expr.n_parties
+    # "*" has one factor per deterministic outcome of a party
+    n_outcomes = len(_outcome_factors(_LHV_CONVENTION[expr.form])[OUTCOME_ANY])
+    return (n_outcomes**expr.settings_per_party) ** expr.n_parties
 
 
 def lhv_bound(expr: BellExpression) -> float:
@@ -171,37 +172,31 @@ def lhv_bound(expr: BellExpression) -> float:
             f"limit is {STRATEGY_LIMIT}"
         )
     n, s = expr.n_parties, expr.settings_per_party
-    # outcome_factor[label, o]: a term's factor from one party answering o.
-    if expr.form == BellForm.CORRELATION:
-        outcome_factor = np.array([[1.0, -1.0]])
-        labels = np.zeros((len(expr.terms), n), dtype=int)
-    else:  # labels "+", "-", "0" hit one outcome, "*" every outcome
-        outcome_factor = np.vstack([np.eye(3), np.ones(3)])
-        labels = np.array([[_VARIANT_INDEX[o] for o in t.outcomes] for t in expr.terms])
-    n_outcomes = outcome_factor.shape[1]
+    # outcome_factor[label][o]: a term's factor from one party answering o.
+    outcome_factor = _outcome_factors(_LHV_CONVENTION[expr.form])
+    n_outcomes = len(outcome_factor[OUTCOME_ANY])
     # One row per deterministic strategy of a party: an outcome index per setting.
     table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
-    factors = outcome_factor[:, table]  # (label, strategy, setting)
+    factors = {label: f[table] for label, f in outcome_factor.items()}  # (strategy, setting)
     # acc[j, o, r]: the terms' value at the last party's setting j when it
     # answers o there and the other parties play joint strategy r.
     acc = np.zeros((s, n_outcomes, len(table) ** (n - 1)))
-    for term, term_labels in zip(expr.terms, labels):
+    for term in expr.terms:
+        labels = _labels(term, n)
         vec = np.array([term.weight])
-        for label, j in zip(term_labels[:-1], term.settings[:-1]):
-            vec = np.multiply.outer(vec, factors[label, :, j]).ravel()
-        acc[term.settings[-1]] += np.multiply.outer(outcome_factor[term_labels[-1]], vec)
+        for label, j in zip(labels[:-1], term.settings[:-1]):
+            vec = np.multiply.outer(vec, factors[label][:, j]).ravel()
+        acc[term.settings[-1]] += np.multiply.outer(outcome_factor[labels[-1]], vec)
     return float(acc.max(axis=1).sum(axis=0).max())
-
-
-_VARIANT_INDEX = {OUTCOME_PLUS: 0, OUTCOME_MINUS: 1, OUTCOME_NONE: 2, OUTCOME_ANY: 3}
 
 
 class _Evaluator:
     """Vectorized quantum-value kernel for a fixed expression and state.
 
-    Precomputes the term structure and an einsum path so that one
-    evaluation costs a handful of array operations; used directly by the
-    settings optimizer, where it runs tens of thousands of times.
+    Reads each term's dressed operators a Pi+ + b I from the detector
+    model once, so that one evaluation is a gather of the projectors by
+    setting, one affine map and one einsum; used directly by the settings
+    optimizer, where it runs tens of thousands of times.
     """
 
     def __init__(
@@ -211,11 +206,7 @@ class _Evaluator:
         etas: Sequence[float],
         convention: Convention,
     ) -> None:
-        if expr.form == BellForm.CORRELATION and convention != Convention.FOLD:
-            raise ConventionError("correlation-form expressions require the FOLD convention")
         n = expr.n_parties
-        self.expr = expr
-        self.convention = convention
         self.etas = np.array([validate_efficiency(e) for e in etas], dtype=float)
         if self.etas.shape != (n,):
             raise ValueError(f"expected {n} efficiencies, got {self.etas.shape}")
@@ -225,13 +216,14 @@ class _Evaluator:
             raise ValueError(f"state dimension {rho.shape} does not match {n} parties")
         self.rho_tensor = rho.reshape([2] * (2 * n))
         self.weights = np.array([t.weight for t in expr.terms], dtype=float)
-        self.term_settings = np.array([t.settings for t in expr.terms], dtype=int)
-        if expr.form == BellForm.PROBABILITY:
-            self.term_variants = np.array(
-                [[_VARIANT_INDEX[o] for o in t.outcomes] for t in expr.terms], dtype=int
-            )
-        else:
-            self.term_variants = None
+        self.term_settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
+        self.parties = np.arange(n)
+        # Correlation terms need the folded row, which only FOLD has
+        # (ConventionError otherwise).
+        labels = np.array([_labels(t, n) for t in expr.terms], dtype=str).reshape(-1, n)
+        a, b = _coefficients(convention, labels, self.etas)  # (terms, parties)
+        self.scale = a[..., None, None]
+        self.shift = b[..., None, None] * np.eye(2, dtype=complex)
         # Tr(rho kron_i M_i) = sum rho[r, c] prod_i M_i[c_i, r_i]
         rows = [chr(ord("a") + i) for i in range(n)]
         cols = [chr(ord("a") + n + i) for i in range(n)]
@@ -250,38 +242,9 @@ class _Evaluator:
         return kets[..., :, None] * kets[..., None, :].conj()  # (n, s, 2, 2)
 
     def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> float:
-        proj = self._projectors(thetas, phis)
-        eye = np.eye(2, dtype=complex)
-        eta = self.etas[:, None, None, None]
-        if self.expr.form == BellForm.CORRELATION:
-            table = 2.0 * eta * proj - eye  # (n, s, 2, 2)
-            ops = [table[i, self.term_settings[:, i]] for i in range(self.expr.n_parties)]
-        else:
-            if self.convention == Convention.TRINARY:
-                variants = np.stack(
-                    [
-                        eta * proj,
-                        eta * (eye - proj),
-                        (1.0 - eta) * np.broadcast_to(eye, proj.shape),
-                        np.broadcast_to(eye, proj.shape),
-                    ],
-                    axis=2,
-                )  # (n, s, 4, 2, 2)
-            else:
-                variants = np.stack(
-                    [
-                        eta * proj,
-                        eye - eta * proj,
-                        np.zeros_like(proj),
-                        np.broadcast_to(eye, proj.shape),
-                    ],
-                    axis=2,
-                )
-            ops = [
-                variants[i, self.term_settings[:, i], self.term_variants[:, i]]
-                for i in range(self.expr.n_parties)
-            ]
-        per_term = np.einsum(self.subscript, self.rho_tensor, *ops)
+        proj = self._projectors(thetas, phis)[self.parties, self.term_settings]
+        ops = self.scale * proj + self.shift  # (terms, parties, 2, 2)
+        per_term = np.einsum(self.subscript, self.rho_tensor, *ops.swapaxes(0, 1))
         return float(np.real(self.weights @ per_term))
 
 

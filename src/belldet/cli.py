@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, protocol
-from .bell import BellExpression, lhv_bound, optimize_settings, OptimizeOptions
+from .bell import BellExpression, lhv_bound
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
@@ -151,13 +151,7 @@ def _run_damaged(config: ScenarioConfig, args) -> tuple[str, int]:
     result: dict = {"projection_probs": p_list}
     if psi_plus is not None:
         result["psi_plus_overlap"] = expectation(rho, psi_plus)
-    settings, value = optimize_settings(
-        config.bell,
-        rho,
-        [config.eta_H] * config.k,
-        config.convention,
-        OptimizeOptions(restarts=args.restarts, seed=args.seed),
-    )
+    settings, value = protocol._resolve_settings(config, rho, args.restarts, args.seed)
     result["bell_value"] = value
     result["classical_bound"] = config.bell.classical_bound
     result["violated"] = bool(value > config.bell.classical_bound)

@@ -8,6 +8,9 @@ which one it uses:
 * TRINARY: a missed detection is a third outcome with probability 1 - eta,
   independent of the state. Used with probability-type (CH/Eberhard)
   inequalities, where only registered clicks enter the expression.
+
+Both are rows of one coefficient table, ``_DRESSING``; every dressed
+operator and LHV outcome factor in the package is read from it.
 """
 
 from __future__ import annotations
@@ -70,28 +73,69 @@ def validate_efficiency(eta: float) -> float:
     return value
 
 
+# One detector model: outcome label l of a detector with efficiency eta is
+# alpha eta Pi+ + (beta + gamma eta) I, with (alpha, beta, gamma) from the row
+# of the convention in use. "*" marginalizes a party; "±" is the folded
+# observable of correlation terms, which only FOLD defines.
+_DRESSING = {
+    Convention.FOLD: {
+        "+": (1, 0, 0), "-": (-1, 1, 0), "0": (0, 0, 0), "*": (0, 1, 0), "±": (2, -1, 0)
+    },
+    Convention.TRINARY: {
+        "+": (1, 0, 0), "-": (-1, 0, 1), "0": (0, 1, -1), "*": (0, 1, 0)
+    },
+}
+
+# Deterministic outcomes as points (eta, Pi+): "+" (1, 1), "-" (1, 0), no click
+# (0, 0). FOLD books a missed click as "-", so it has only the first two.
+_DETERMINISTIC = {Convention.FOLD: ((1, 1), (1, 0)), Convention.TRINARY: ((1, 1), (1, 0), (0, 0))}
+
+
+def _coefficients(convention: Convention, labels, etas) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) = (alpha eta, beta + gamma eta) per label, so that the dressed
+    operator is a Pi+ + b I; ``labels`` broadcasts against ``etas``."""
+    labels, table = np.asarray(labels), _DRESSING[convention]
+    try:
+        rows = np.array([table[label] for label in labels.flat], dtype=float)
+    except KeyError as exc:
+        raise ConventionError(f"no {convention.value} row for outcome {exc.args[0]!r}") from None
+    alpha, beta, gamma = rows.reshape(-1, 3).T.reshape((3,) + labels.shape)
+    return alpha * etas, beta + gamma * etas
+
+
+def _dressed(convention: Convention, labels, setting: MeasurementSetting, eta: float) -> np.ndarray:
+    """Dressed 2x2 operators for ``labels`` at one setting and efficiency."""
+    a, b = _coefficients(convention, labels, validate_efficiency(eta))
+    return np.multiply.outer(a, setting.projector_plus()) + np.multiply.outer(b, np.eye(2))
+
+
+def _outcome_factors(convention: Convention) -> dict[str, np.ndarray]:
+    """Each label's dressed value at every deterministic outcome of ``convention``."""
+    labels = list(_DRESSING[convention])
+    etas, clicks = np.array(_DETERMINISTIC[convention], dtype=float).T
+    a, b = _coefficients(convention, np.array(labels)[:, None], etas)
+    return dict(zip(labels, a * clicks + b))
+
+
 def dressed_effects(
     setting: MeasurementSetting, eta: float, target: int = 0
 ) -> tuple[Effect, Effect]:
-    """Efficiency-dressed outcome pair (eta Pi+, I - eta Pi+).
+    """Efficiency-dressed outcome pair (eta Pi+, I - eta Pi+), FOLD rows "+"/"-".
 
-    The pair sums to the identity exactly; at eta = 0 the "-" effect is the
+    The pair sums to the identity; at eta = 0 the "-" effect is the
     identity (a blind detector always reports "-").
     """
-    eta = validate_efficiency(eta)
-    plus = eta * setting.projector_plus()
-    minus = np.eye(2, dtype=complex) - plus
+    plus, minus = _dressed(Convention.FOLD, ["+", "-"], setting, eta)
     return Effect(plus, (target,)), Effect(minus, (target,))
 
 
 def dressed_observable(setting: MeasurementSetting, eta: float) -> np.ndarray:
-    """A(eta) = 2 eta Pi+ - I, the folded +/- observable.
+    """A(eta) = 2 eta Pi+ - I, the folded +/- observable (FOLD row "±").
 
     Eigenvalues are {2 eta - 1, -1}; at eta = 1 this is the ideal +/-1
     observable and the expectation is affine in eta for any fixed state.
     """
-    eta = validate_efficiency(eta)
-    return 2.0 * eta * setting.projector_plus() - np.eye(2, dtype=complex)
+    return _dressed(Convention.FOLD, "±", setting, eta)
 
 
 def click_probabilities(
@@ -102,10 +146,8 @@ def click_probabilities(
     p+ = eta Tr(rho Pi+), p- = eta Tr(rho Pi-), and the no-click branch
     p0 = 1 - eta is state independent; the three always sum to one.
     """
-    eta = validate_efficiency(eta)
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a single-qubit state, got shape {mat.shape}")
-    p_plus = eta * float(np.trace(mat @ setting.projector_plus()).real)
-    p_minus = eta * float(np.trace(mat @ setting.projector_minus()).real)
-    return p_plus, p_minus, 1.0 - eta
+    effects = _dressed(Convention.TRINARY, ["+", "-", "0"], setting, eta)
+    return tuple(float(p) for p in np.einsum("ij,lji->l", mat, effects).real)

@@ -10,7 +10,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebroots, chebval
 
-from .bell import BellExpression, BellForm, OptimizeOptions, optimize_settings, quantum_value
+from .bell import (
+    BellExpression, BellForm, OptimizeOptions, optimize_settings, preset, quantum_value
+)
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
 from .states import StateSpec, make_state
@@ -117,8 +119,6 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
-        from .bell import preset  # local import to keep module load cheap
-
         bell_doc = doc["bell"]
         if isinstance(bell_doc, dict) and "preset" in bell_doc:
             bell = preset(bell_doc["preset"])
@@ -273,13 +273,16 @@ def _project_factor(
 def _resolve_settings(
     config: ScenarioConfig,
     rho_prime: DensityMatrix,
-    etas: Sequence[float],
-    opts: OptimizeOptions,
+    restarts: int,
+    seed: int,
 ) -> tuple[SettingsAssignment, float]:
+    """The configured settings and their Bell value at eta_H, or optimized ones if AUTO."""
+    etas = [config.eta_H] * config.k
     if config.settings is not None:
         settings = [list(party) for party in config.settings]
         value = quantum_value(config.bell, rho_prime, settings, etas, config.convention)
         return settings, value
+    opts = OptimizeOptions(restarts=restarts, seed=seed)
     return optimize_settings(config.bell, rho_prime, etas, config.convention, opts)
 
 
@@ -308,10 +311,7 @@ def composite_parts(
     validate_efficiency(config.eta_L)
     validate_efficiency(config.eta_H)
     p_list, rho_prime = projected_state(config)
-    etas = [config.eta_H] * config.k
-    settings, q = _resolve_settings(
-        config, rho_prime, etas, OptimizeOptions(restarts=restarts, seed=seed)
-    )
+    settings, q = _resolve_settings(config, rho_prime, restarts, seed)
     p_prod = float(np.prod(p_list)) if p_list else 1.0
     lhs = config.eta_L**config.n_projections * p_prod * (q - config.bell.classical_bound)
     parts = {

@@ -24,7 +24,6 @@ from belldet import (
 from belldet.bell import (
     OUTCOME_ANY,
     STRATEGY_LIMIT,
-    _TRINARY_OUTCOMES,
     _strategy_count,
     angles_to_settings,
     chsh_seed_angles,
@@ -76,7 +75,7 @@ def enumerated_lhv_bound(expr: BellExpression) -> float:
             best = max(best, value)
         return best
 
-    party_strategies = list(itertools.product(_TRINARY_OUTCOMES, repeat=s))
+    party_strategies = list(itertools.product(("+", "-", "0"), repeat=s))
     best = -math.inf
     for assignment in itertools.product(party_strategies, repeat=expr.n_parties):
         value = 0.0
@@ -104,6 +103,40 @@ def random_expression(rng, form, n, s, n_terms):
             outcomes = tuple(str(o) for o in rng.choice(list("+-0*"), size=n))
         terms.append(BellTerm(settings, weight, outcomes))
     return BellExpression(n, s, form, tuple(terms), 0.0)
+
+
+def textbook_effects(setting, eta, convention):
+    """Each label's 2x2 effect for one detector, from the definitions in
+    detmodel's docstring: FOLD books a miss as "-", TRINARY as outcome "0"."""
+    plus = setting.projector_plus()
+    eye = np.eye(2)
+    if convention == Convention.FOLD:
+        effects = {"+": eta * plus, "-": eye - eta * plus, "0": np.zeros((2, 2))}
+    else:
+        effects = {"+": eta * plus, "-": eta * setting.projector_minus(), "0": (1 - eta) * eye}
+    effects["*"] = effects["+"] + effects["-"] + effects["0"]  # marginal: every outcome
+    effects["±"] = effects["+"] - effects["-"]  # correlation observable (FOLD only)
+    return effects
+
+
+def dense_quantum_value(expr, rho, settings, etas, convention):
+    """Reference: sum over terms of weight * Tr(rho kron_i E_i), one dense
+    2^n x 2^n operator per term."""
+    total = 0.0
+    for term in expr.terms:
+        labels = term.outcomes or ("±",) * expr.n_parties
+        op = np.eye(1)
+        for i, (j, label) in enumerate(zip(term.settings, labels)):
+            op = np.kron(op, textbook_effects(settings[i][j], etas[i], convention)[label])
+        total += term.weight * float(np.trace(rho @ op).real)
+    return total
+
+
+def random_mixed_state(rng, n):
+    dim = 2**n
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho).real
 
 
 def mermin_expression(n):
@@ -239,6 +272,11 @@ class TestQuantumValue:
         )
         assert value == pytest.approx(all_minus_point, abs=1e-12)
 
+    @pytest.mark.parametrize("form", list(BellForm))
+    def test_no_terms_give_zero(self, form):
+        expr = BellExpression(2, 2, form, (), 0.0)
+        assert quantum_value(expr, bell_phi_plus().density(), CHSH_SETTINGS, [1, 1]) == 0.0
+
     def test_correlation_form_requires_fold(self):
         with pytest.raises(ConventionError):
             quantum_value(
@@ -272,6 +310,33 @@ class TestQuantumValue:
             etas = [rng.uniform(), rng.uniform()]
             value = quantum_value(expr, rho, settings, etas, convention)
             assert value <= expr.classical_bound + 1e-9
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "form, convention",
+        [
+            (BellForm.CORRELATION, Convention.FOLD),
+            (BellForm.PROBABILITY, Convention.FOLD),
+            (BellForm.PROBABILITY, Convention.TRINARY),
+        ],
+    )
+    def test_matches_the_dense_textbook_value(self, form, convention, n, s):
+        rng = np.random.default_rng(100 * n + 10 * s + list(Convention).index(convention))
+        for _ in range(6):
+            expr = random_expression(rng, form, n, s, int(rng.integers(1, 9)))
+            rho = random_mixed_state(rng, n)
+            settings = [
+                [
+                    MeasurementSetting(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+                    for _ in range(s)
+                ]
+                for _ in range(n)
+            ]
+            etas = list(rng.uniform(size=n))
+            value = quantum_value(expr, rho, settings, etas, convention)
+            reference = dense_quantum_value(expr, rho, settings, etas, convention)
+            assert value == pytest.approx(reference, abs=1e-12)
 
     def test_separable_states_stay_local_on_chsh(self):
         rng = np.random.default_rng(23)

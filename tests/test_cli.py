@@ -87,6 +87,17 @@ def test_damaged_command(capsys):
     assert report["diagnostics"]["lost"] == 1
 
 
+def test_damaged_keeps_fixed_settings(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "dicke42_damaged.json").read_text())
+    doc["settings"] = [[{"theta": 0.0, "phi": 0.0}] * 2] * 2
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    evaluated = run_json(capsys, "eval", "--config", str(path), "--restarts", "8")
+    damaged = run_json(capsys, "damaged", "--config", str(path), "--restarts", "8")
+    assert damaged["result"]["bell_value"] == evaluated["result"]["bell_value"]
+    assert damaged["diagnostics"]["settings"] == doc["settings"]
+
+
 def test_visibility_command(capsys):
     report = run_json(
         capsys,

@@ -1,4 +1,4 @@
-"""The demos that read solver fields run end to end."""
+"""The demos that read solver fields or print the detector model run end to end."""
 
 import os
 import subprocess
@@ -10,7 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["03_chsh_optimization.py", "08_visibility_thresholds.py"])
+@pytest.mark.parametrize(
+    "demo", ["02_detector_model.py", "03_chsh_optimization.py", "08_visibility_thresholds.py"]
+)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
