@@ -145,6 +145,13 @@ def preset(name: str) -> BellExpression:
     raise ValueError(f"unknown preset {name!r}")
 
 
+def expression_from_json_dict(doc: dict) -> BellExpression:
+    """A config's Bell section: ``{"preset": name}`` or an inline expression."""
+    if isinstance(doc, dict) and "preset" in doc:
+        return preset(doc["preset"])
+    return BellExpression.from_json_dict(doc)
+
+
 def _labels(term: BellTerm, n_parties: int) -> tuple[str, ...]:
     """A term's outcome label per party; correlation terms measure "±"."""
     return term.outcomes or (_OUTCOME_FOLDED,) * n_parties

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, protocol
-from .bell import BellExpression, lhv_bound
+from .bell import expression_from_json_dict, lhv_bound
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
@@ -59,6 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--restarts", type=int, default=64, help="optimizer restarts")
         cmd.add_argument("--max-qubits", type=int, default=16, dest="max_qubits")
     return parser
+
+
+# Built once per process: parse_args returns a fresh Namespace on every call
+# and leaves the parser unchanged, so in-process callers share it.
+_PARSER = build_parser()
 
 
 def _qubit_cap(max_qubits: int) -> int:
@@ -131,7 +136,10 @@ def _run_eval(config: ScenarioConfig, args) -> tuple[str, int]:
 
 
 def _run_duration(config: ScenarioConfig, doc: dict, args) -> tuple[str, int]:
-    stats = analysis.trial_stats(config)
+    try:
+        stats = analysis.trial_stats(config)
+    except ValueError as exc:  # success probability needs every qubit present
+        raise ConfigurationError(str(exc)) from exc
     result = {
         "p_succ": stats.p_succ,
         "p_succ_standard": stats.p_succ_standard,
@@ -194,8 +202,11 @@ def _run_sweep(doc: dict, args) -> tuple[str, int]:
 
 
 def _run_lhv_bound(doc: dict) -> tuple[str, int]:
+    """The bound of a sweep's ``scenario.bell``, a scenario's ``bell`` or a bare expression."""
     try:
-        expr = BellExpression.from_json_dict(doc)
+        if "scenario" in doc:
+            doc = doc["scenario"]
+        expr = expression_from_json_dict(doc["bell"] if "bell" in doc else doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"config does not describe a Bell expression: {exc}") from exc
     bound = lhv_bound(expr)
@@ -220,7 +231,7 @@ def _run_validate(doc: dict, args) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.output == "csv" and args.command != "sweep":
         print("csv output is only available for sweep", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebroots, chebval
 
 from .bell import (
-    BellExpression, BellForm, OptimizeOptions, optimize_settings, preset, quantum_value
+    BellExpression, BellForm, OptimizeOptions, expression_from_json_dict, optimize_settings,
+    quantum_value,
 )
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
@@ -119,11 +120,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
-        bell_doc = doc["bell"]
-        if isinstance(bell_doc, dict) and "preset" in bell_doc:
-            bell = preset(bell_doc["preset"])
-        else:
-            bell = BellExpression.from_json_dict(bell_doc)
+        bell = expression_from_json_dict(doc["bell"])
         projectors_doc = doc.get("projectors", "default")
         if projectors_doc == "default" or projectors_doc is None:
             projectors = None

@@ -315,3 +315,66 @@ def test_seeded_runs_are_byte_identical(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr("belldet.cli.build_parser", fail)
+    path = CONFIG_DIR / "ghz4_duration.json"
+    for seed in ("5", "7"):
+        report = run_json(capsys, "duration", "--config", str(path), "--seed", seed)
+        assert report["diagnostics"]["seed"] == int(seed)
+
+
+def test_rejected_call_leaves_no_flags_behind(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--seed", "4", "--restarts", "3"])
+    assert excinfo.value.code == EXIT_CONFIG
+    capsys.readouterr()
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["settings"] = [[{"theta": 0.0}, {"theta": math.pi / 2}]] * 2
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    report = run_json(capsys, "eval", "--config", str(path), "--restarts", "5")
+    assert report["diagnostics"]["seed"] == 0
+    assert report["diagnostics"]["optimizer_restarts"] == 5
+
+
+MAIN_MESSAGES = (
+    "config error: ",
+    "zero-weight projection: ",
+    "degenerate scenario: ",
+    "csv output is only available for sweep",
+)
+
+
+@pytest.mark.parametrize("command", ["duration", "lhv-bound", "validate", "sweep"])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_bundled_configs_keep_the_exit_code_contract(capsys, name, command):
+    code, out, err = run(capsys, command, "--config", str(CONFIG_DIR / name))
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NOT_FOUND)
+    if code == EXIT_OK:
+        assert err == ""
+        assert set(json.loads(out)) == {"inputs", "result", "diagnostics"}
+    else:
+        assert out == ""
+        assert err.startswith(MAIN_MESSAGES) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name", ["dicke42_damaged.json", "cluster4_blind.json"])
+def test_duration_with_lost_qubits_is_a_config_error(capsys, name):
+    code, _, err = run(capsys, "duration", "--config", str(CONFIG_DIR / name))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "lost qubits" in err
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [("ghz4.json", 2.0), ("eberhard_alpha005.json", 0.0), ("fig2.json", 2.0)],
+)
+def test_lhv_bound_reads_the_bell_section_of_scenarios_and_sweeps(capsys, name, bound):
+    report = run_json(capsys, "lhv-bound", "--config", str(CONFIG_DIR / name))
+    assert report["result"]["lhv_bound"] == bound
+    assert report["diagnostics"] == {}
