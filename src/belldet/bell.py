@@ -7,10 +7,10 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detmodel import Convention, MeasurementSetting, validate_efficiency
 from .detmodel import _coefficients, _outcome_factors
@@ -25,10 +25,16 @@ _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
 
-# Nelder-Mead stopping rules for every start of the settings optimizer.
-_XATOL = 1e-7
-_FATOL = 1e-12
-_MAXITER = 2000
+# Stopping rules for every start of the settings optimizer: see-saw sweeps
+# until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
+# or the step is negligible. _HESSIAN_STEP is the central-difference step.
+_MAX_SWEEPS = 10
+_SWEEP_GAIN = 1e-15
+_MAX_NEWTON = 100
+_GRADIENT_TOL = 1e-13
+_STEP_TOL = 1e-10
+_HESSIAN_STEP = 1e-5
+_INITIAL_DAMPING = 1e-5
 
 
 class BellForm(str, Enum):
@@ -202,8 +208,8 @@ class _Evaluator:
 
     Reads each term's dressed operators a Pi+ + b I from the detector
     model once, so that one evaluation is a gather of the projectors by
-    setting, one affine map and one einsum; used directly by the settings
-    optimizer, where it runs tens of thousands of times.
+    setting, one affine map and one einsum. The settings optimizer also
+    reads each party's effective operators from it (``bloch_fields``).
     """
 
     def __init__(
@@ -238,6 +244,26 @@ class _Evaluator:
         for i in range(n):
             operands.append("t" + cols[i] + rows[i])
         self.subscript = ",".join(operands) + "->t"
+        self.operands = operands
+        self.settings_per_party = expr.settings_per_party
+
+    # The optimizer's extras, built on first use so that quantum_value does
+    # not pay for them.
+    @cached_property
+    def partial(self) -> list[str]:
+        """Party i's operand left out: G[t] with term t = Tr(G[t] M_ti)."""
+        rho, ops = self.operands[0], self.operands[1:]
+        return [
+            ",".join([rho, *ops[:i], *ops[i + 1 :]]) + f"->t{ops[i][2]}{ops[i][1]}"
+            for i in range(len(ops))
+        ]
+
+    @cached_property
+    def route(self) -> list[np.ndarray]:
+        """route[i][t, j] = w_t a_ti if term t uses party i's setting j."""
+        uses = self.term_settings[..., None] == np.arange(self.settings_per_party)
+        weighted = self.weights[:, None] * self.scale[..., 0, 0]  # w_t a_ti
+        return [uses[:, i] * weighted[:, i, None] for i in range(len(self.parties))]
 
     def _projectors(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
         half = 0.5 * np.asarray(thetas, dtype=float)
@@ -248,11 +274,27 @@ class _Evaluator:
         kets = np.stack([upper, lower], axis=-1)  # (n, s, 2)
         return kets[..., :, None] * kets[..., None, :].conj()  # (n, s, 2, 2)
 
-    def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> float:
+    def _operators(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
         proj = self._projectors(thetas, phis)[self.parties, self.term_settings]
-        ops = self.scale * proj + self.shift  # (terms, parties, 2, 2)
-        per_term = np.einsum(self.subscript, self.rho_tensor, *ops.swapaxes(0, 1))
+        return (self.scale * proj + self.shift).swapaxes(0, 1)  # (parties, terms, 2, 2)
+
+    def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> float:
+        per_term = np.einsum(self.subscript, self.rho_tensor, *self._operators(thetas, phis))
         return float(np.real(self.weights @ per_term))
+
+    def bloch_fields(self, thetas: np.ndarray, phis: np.ndarray | None, party: int) -> np.ndarray:
+        """c[j] = Tr(E_j sigma) for each of the party's settings j, shape (s, 3).
+
+        The value is affine in each projector Pi_ij = (I + n_ij . sigma) / 2:
+        with the other parties fixed it is Tr(E_j Pi_ij) summed over j plus a
+        constant, E_j the effective operator, so it depends on the Bloch
+        vector n_ij only through c[j] . n_ij / 2.
+        """
+        ops = self._operators(thetas, phis)
+        g = np.einsum(self.partial[party], self.rho_tensor, *ops[:party], *ops[party + 1 :])
+        eff = np.einsum("tj,trc->jrc", self.route[party], g)
+        off = eff[:, 0, 1] + eff[:, 1, 0].conj()  # Tr(E sigma_x) - i Tr(E sigma_y)
+        return np.stack([off.real, -off.imag, (eff[:, 0, 0] - eff[:, 1, 1]).real], axis=-1)
 
 
 def quantum_value(
@@ -311,7 +353,7 @@ def chsh_seed_angles(n_parties: int, settings_per_party: int) -> np.ndarray:
 
 @dataclass
 class OptimizeOptions:
-    """Knobs for the multistart simplex search over measurement angles."""
+    """Knobs for the multistart settings optimizer."""
 
     restarts: int = 64
     seed: int = 0
@@ -328,11 +370,16 @@ def optimize_settings(
 ) -> tuple[list[list[MeasurementSetting]], float]:
     """Maximize the quantum value over measurement angles.
 
-    Derivative-free simplex search from the CHSH seed, any warm starts, and
-    ``restarts`` random starts; the returned value is the best over every
-    start's own evaluation and convergence point, so it never falls below
-    the value at the seed. Angles stay in the real (x-z) Bloch plane unless
-    ``include_phi`` is set.
+    Every start (the CHSH seed, any warm starts and ``restarts`` random
+    starts) runs see-saw sweeps (Liang & Doherty, PRA 75, 042103 (2007)):
+    the value is affine in each projector, so each party in turn takes the
+    exact best projector for every setting given the others. Where the
+    optimum is ill-conditioned (Eberhard's CH optimum below eta = 1) the
+    sweeps crawl, so a damped Newton polish finishes every start; one sweep
+    after each trial step puts it back onto the crest of a curved ridge.
+    The returned value is the best over every start's own evaluation and
+    end point, so it never falls below the value at the seed. Angles stay
+    in the real (x-z) Bloch plane unless ``include_phi`` is set.
     """
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
@@ -341,13 +388,68 @@ def optimize_settings(
     n_theta = n * s
 
     def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Views of x as thetas and phis (n, s)."""
         thetas = x[:n_theta].reshape(n, s)
         phis = x[n_theta:].reshape(n, s) if opts.include_phi else None
         return thetas, phis
 
-    def objective(x: np.ndarray) -> float:
+    def value(x: np.ndarray) -> float:
+        return evaluator.value(*split(x))
+
+    def sweep(x: np.ndarray) -> None:
+        """Give each party in turn its best projectors given the others, in place."""
         thetas, phis = split(x)
-        return -evaluator.value(thetas, phis)
+        for i in range(n):
+            c = evaluator.bloch_fields(thetas, phis, i)
+            if phis is None:
+                c[:, 1] = 0.0
+            norm = np.linalg.norm(c, axis=1)
+            moves = norm > 0.0  # a setting no term reaches keeps its angles
+            cx, cy, cz = c[moves].T
+            if phis is None:
+                thetas[i, moves] = np.arctan2(cx, cz)
+            else:
+                thetas[i, moves] = np.arctan2(np.hypot(cx, cy), cz)
+                phis[i, moves] = np.arctan2(cy, cx)
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        """Exact d value / d angles: each Bloch field against dn/dtheta, dn/dphi."""
+        thetas, phis = split(x)
+        c = np.array([evaluator.bloch_fields(thetas, phis, i) for i in range(n)])
+        phi = np.zeros_like(thetas) if phis is None else phis
+        cos_p, sin_p = np.cos(phi), np.sin(phi)
+        in_plane = c[..., 0] * cos_p + c[..., 1] * sin_p
+        d_theta = 0.5 * (np.cos(thetas) * in_plane - np.sin(thetas) * c[..., 2])
+        if phis is None:
+            return d_theta.ravel()
+        d_phi = 0.5 * np.sin(thetas) * (c[..., 1] * cos_p - c[..., 0] * sin_p)
+        return np.concatenate([d_theta.ravel(), d_phi.ravel()])
+
+    def polish(x: np.ndarray, v: float) -> tuple[np.ndarray, float]:
+        """Levenberg-Marquardt steps on the exact gradient and a central-difference
+        Hessian of it, each accepted only when the value rises."""
+        eye = np.eye(len(x))
+        damping = _INITIAL_DAMPING
+        for _ in range(_MAX_NEWTON):
+            g = gradient(x)
+            if np.abs(g).max() <= _GRADIENT_TOL:
+                break
+            shifts = _HESSIAN_STEP * eye
+            hessian = np.array([gradient(x + d) - gradient(x - d) for d in shifts])
+            curvature = -0.25 / _HESSIAN_STEP * (hessian + hessian.T)
+            while True:
+                step = np.linalg.solve(curvature + damping * eye, g)
+                if np.abs(step).max() <= _STEP_TOL:
+                    return x, v
+                moved = x + step
+                sweep(moved)  # back onto the crest of a curved ridge
+                trial = value(moved)
+                if trial > v:
+                    x, v = moved, trial
+                    damping *= 0.1
+                    break
+                damping *= 10.0
+        return x, v
 
     starts: list[np.ndarray] = []
     seed_vec = chsh_seed_angles(n, s).reshape(-1)
@@ -367,17 +469,19 @@ def optimize_settings(
 
     best_x, best_val = None, -math.inf
     for x0 in starts:
-        start_val = -objective(x0)
+        start_val = value(x0)
         if start_val > best_val:
             best_x, best_val = x0, start_val
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": _XATOL, "fatol": _FATOL, "maxiter": _MAXITER, "maxfev": _MAXITER},
-        )
-        if -result.fun > best_val:
-            best_x, best_val = result.x, -float(result.fun)
+        x, v = x0.copy(), start_val
+        for _ in range(_MAX_SWEEPS):
+            sweep(x)
+            swept = value(x)
+            gain, v = swept - v, swept
+            if gain <= _SWEEP_GAIN:
+                break
+        x, v = polish(x, v)
+        if v > best_val:
+            best_x, best_val = x, v
     assert best_x is not None
     thetas, phis = split(np.asarray(best_x, dtype=float))
     return angles_to_settings(thetas, phis), float(best_val)

@@ -146,7 +146,11 @@ def _run_duration(config: ScenarioConfig, doc: dict, args) -> tuple[str, int]:
         "trial_ratio": stats.n_prime,
     }
     if "target_successes" in doc:
-        r = int(doc["target_successes"])
+        r = doc["target_successes"]
+        integral = isinstance(r, int) or (isinstance(r, float) and r.is_integer())
+        if isinstance(r, bool) or not integral or r < 1:
+            raise ConfigurationError(f"target_successes must be a positive integer, got {r!r}")
+        r = int(r)
         result["expected_trials"] = stats.expected_trials(r)
         result["expected_trials_standard"] = stats.expected_trials_standard(r)
     diagnostics = {"convention": config.convention.value, "seed": args.seed}

@@ -15,10 +15,12 @@ from belldet import (
     DensityMatrix,
     MeasurementSetting,
     OptimizeOptions,
+    ScenarioConfig,
     bell_phi_plus,
     lhv_bound,
     optimize_settings,
     preset,
+    projected_state,
     quantum_value,
 )
 from belldet.bell import (
@@ -347,6 +349,29 @@ class TestQuantumValue:
             assert value <= 2.0 + 1e-9
 
 
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def correlation_matrix(rho):
+    """T_ij = Tr(rho sigma_i (x) sigma_j)."""
+    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULI] for a in PAULI])
+
+
+# Optima found by the earlier Nelder-Mead optimizer (restarts=64, seed=0)
+# for the Eberhard CH expression on eberhard_alpha005.json's projected state:
+# below eta_H = 1 the optimum is ill-conditioned (Hessian eigenvalues from
+# -0.5 to -8e-6 at 0.997), where see-saw sweeps alone stop short.
+EBERHARD_OPTIMA = {
+    0.997: 0.002455000736694464,
+    0.9: 0.0015455652752546325,
+    0.7: 0.00013609325947626003,
+}
+
+
 class TestOptimizeSettings:
     def test_tsirelson_point(self):
         _, value = optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1, 1])
@@ -378,6 +403,34 @@ class TestOptimizeSettings:
                 preset("CHSH"), rho, [1, 1], options=OptimizeOptions(restarts=4)
             )
             assert best >= seed_value - 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_qubit_optimum_is_the_horodecki_value(self, seed):
+        """At eta = 1 the CHSH maximum over all settings is 2 sqrt(m1 + m2),
+        m1, m2 the two largest eigenvalues of T^T T (Horodecki, Horodecki &
+        Horodecki, Phys. Lett. A 200, 340 (1995)); in the x-z plane it is
+        2 ||T_xz||_F, the Frobenius norm of T's x-z block."""
+        rho = random_mixed_state(np.random.default_rng(seed), 2)
+        t = correlation_matrix(rho)
+        eig = np.linalg.eigvalsh(t.T @ t)
+        _, full = optimize_settings(
+            preset("CHSH"), rho, [1, 1], options=OptimizeOptions(restarts=8, include_phi=True)
+        )
+        assert full == pytest.approx(2.0 * math.sqrt(eig[-1] + eig[-2]), abs=1e-9)
+        _, plane = optimize_settings(
+            preset("CHSH"), rho, [1, 1], options=OptimizeOptions(restarts=8)
+        )
+        assert plane == pytest.approx(2.0 * np.linalg.norm(t[np.ix_((0, 2), (0, 2))]), abs=1e-9)
+
+    @pytest.mark.parametrize("eta", sorted(EBERHARD_OPTIMA))
+    def test_ill_conditioned_ch_optimum_keeps_its_value(self, eta):
+        doc = json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
+        config = ScenarioConfig.from_json_dict(doc)
+        _, rho = projected_state(config)
+        _, value = optimize_settings(
+            config.bell, rho, [eta, eta], config.convention, OptimizeOptions(restarts=64)
+        )
+        assert value == pytest.approx(EBERHARD_OPTIMA[eta], abs=1e-12)
 
 
 class TestJsonRoundTrip:

@@ -237,6 +237,17 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:")
 
+    @pytest.mark.parametrize("target", [0, "many"])
+    def test_bad_target_successes_exits_2(self, capsys, tmp_path, target):
+        doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
+        doc["target_successes"] = target
+        path = tmp_path / "bad_target.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "duration", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error:") and "target_successes" in err
+
     def test_csv_only_for_sweep(self, capsys):
         code, _, err = run(
             capsys, "eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--output", "csv"
