@@ -27,13 +27,12 @@ STRATEGY_LIMIT = 1_000_000
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
-# or the step is negligible. _HESSIAN_STEP is the central-difference step.
+# or the step is negligible.
 _MAX_SWEEPS = 10
 _SWEEP_GAIN = 1e-15
 _MAX_NEWTON = 100
 _GRADIENT_TOL = 1e-13
 _STEP_TOL = 1e-10
-_HESSIAN_STEP = 1e-5
 _INITIAL_DAMPING = 1e-5
 
 
@@ -208,8 +207,11 @@ class _Evaluator:
 
     Reads each term's dressed operators a Pi+ + b I from the detector
     model once, so that one evaluation is a gather of the projectors by
-    setting, one affine map and one einsum. The settings optimizer also
-    reads each party's effective operators from it (``bloch_fields``).
+    setting, one affine map and one einsum. Angles carry a leading start
+    axis: thetas and phis of shape (S, n, s) evaluate S independent
+    settings at once, and every result keeps that axis first. The settings
+    optimizer also reads each party's effective operators from it
+    (``bloch_fields``) and the exact angle derivatives (``derivatives``).
     """
 
     def __init__(
@@ -237,64 +239,138 @@ class _Evaluator:
         a, b = _coefficients(convention, labels, self.etas)  # (terms, parties)
         self.scale = a[..., None, None]
         self.shift = b[..., None, None] * np.eye(2, dtype=complex)
-        # Tr(rho kron_i M_i) = sum rho[r, c] prod_i M_i[c_i, r_i]
-        rows = [chr(ord("a") + i) for i in range(n)]
-        cols = [chr(ord("a") + n + i) for i in range(n)]
-        operands = ["".join(rows) + "".join(cols)]
-        for i in range(n):
-            operands.append("t" + cols[i] + rows[i])
-        self.subscript = ",".join(operands) + "->t"
-        self.operands = operands
         self.settings_per_party = expr.settings_per_party
+        # Term t's projector of party i, in the flattened (party, setting) axis.
+        self.gather = self.parties * expr.settings_per_party + self.term_settings
+        # Tr(rho kron_i M_i) = sum rho[r, c] prod_i M_i[c_i, r_i]. Every axis
+        # has its own letter: party i's row is the i-th lower-case letter and
+        # its column the i-th upper-case one; Z and z are the start and term
+        # axes, so up to 25 parties never share a label.
+        self.rows = "abcdefghijklmnopqrstuvwxy"[:n]
+        self.cols = self.rows.upper()
+        self.subscript = self._subscript(())
 
-    # The optimizer's extras, built on first use so that quantum_value does
-    # not pay for them.
-    @cached_property
-    def partial(self) -> list[str]:
-        """Party i's operand left out: G[t] with term t = Tr(G[t] M_ti)."""
-        rho, ops = self.operands[0], self.operands[1:]
-        return [
-            ",".join([rho, *ops[:i], *ops[i + 1 :]]) + f"->t{ops[i][2]}{ops[i][1]}"
-            for i in range(len(ops))
-        ]
+    def _subscript(self, left_out: Sequence[int]) -> str:
+        """rho against every party's operators except ``left_out``'s, whose
+        row and column axes stay open in the result."""
+        ops = ["Zz" + c + r for i, (r, c) in enumerate(zip(self.rows, self.cols))
+               if i not in left_out]
+        open_axes = "".join(self.rows[i] + self.cols[i] for i in left_out)
+        return ",".join([self.rows + self.cols, *ops]) + "->Zz" + open_axes
+
+    def _partial(self, ops: np.ndarray, left_out: Sequence[int]) -> np.ndarray:
+        """G (S, T, r_i, c_i, r_k, c_k, ...): term t's value at start s is
+        Tr(G[s, t] kron_{i in left_out} M_ti), given ops (parties, S, T, 2, 2)."""
+        n = len(ops)
+        if len(left_out) == n:  # no operator left to carry the start and term axes
+            g = self.rho_tensor.transpose([axis for i in left_out for axis in (i, n + i)])
+            return np.broadcast_to(g, ops.shape[1:3] + g.shape)
+        kept = [op for i, op in enumerate(ops) if i not in left_out]
+        return np.einsum(self._subscript(left_out), self.rho_tensor, *kept)
 
     @cached_property
-    def route(self) -> list[np.ndarray]:
-        """route[i][t, j] = w_t a_ti if term t uses party i's setting j."""
+    def route(self) -> np.ndarray:
+        """route[t, i, j] = a_ti if term t uses party i's setting j, else 0.
+        Built on first use so that quantum_value does not pay for it."""
         uses = self.term_settings[..., None] == np.arange(self.settings_per_party)
-        weighted = self.weights[:, None] * self.scale[..., 0, 0]  # w_t a_ti
-        return [uses[:, i] * weighted[:, i, None] for i in range(len(self.parties))]
+        return uses * self.scale[..., 0, 0, None]
 
     def _projectors(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-        half = 0.5 * np.asarray(thetas, dtype=float)
-        upper = np.cos(half).astype(complex)
-        lower = np.sin(half).astype(complex)
-        if phis is not None:
-            lower = lower * np.exp(1j * np.asarray(phis, dtype=float))
-        kets = np.stack([upper, lower], axis=-1)  # (n, s, 2)
-        return kets[..., :, None] * kets[..., None, :].conj()  # (n, s, 2, 2)
+        half = 0.5 * thetas
+        kets = np.empty(half.shape + (2,), dtype=complex)  # (S, n, s, 2)
+        kets[..., 0] = np.cos(half)
+        kets[..., 1] = np.sin(half)
+        if phis is None:
+            return kets[..., :, None] * kets[..., None, :]
+        kets[..., 1] *= np.exp(1j * phis)
+        return kets[..., :, None] * kets[..., None, :].conj()  # (S, n, s, 2, 2)
 
     def _operators(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-        proj = self._projectors(thetas, phis)[self.parties, self.term_settings]
-        return (self.scale * proj + self.shift).swapaxes(0, 1)  # (parties, terms, 2, 2)
+        starts, n, s = thetas.shape
+        proj = self._projectors(thetas, phis).reshape(starts, n * s, 2, 2)
+        dressed = self.scale * np.take(proj, self.gather, axis=1) + self.shift
+        return dressed.transpose(2, 0, 1, 3, 4)  # (parties, S, terms, 2, 2)
 
-    def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> float:
+    def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
+        """The expression's value at each start, shape (S,)."""
         per_term = np.einsum(self.subscript, self.rho_tensor, *self._operators(thetas, phis))
-        return float(np.real(self.weights @ per_term))
+        return np.real(per_term @ self.weights)
 
     def bloch_fields(self, thetas: np.ndarray, phis: np.ndarray | None, party: int) -> np.ndarray:
-        """c[j] = Tr(E_j sigma) for each of the party's settings j, shape (s, 3).
+        """c[:, j] = Tr(E_j sigma) for each of the party's settings j, shape (S, s, 3).
 
         The value is affine in each projector Pi_ij = (I + n_ij . sigma) / 2:
         with the other parties fixed it is Tr(E_j Pi_ij) summed over j plus a
         constant, E_j the effective operator, so it depends on the Bloch
         vector n_ij only through c[j] . n_ij / 2.
         """
+        return self._fields(self._operators(thetas, phis), party)
+
+    def _fields(self, ops: np.ndarray, party: int) -> np.ndarray:
+        g = self._partial(ops, (party,))
+        traces = g.reshape(g.shape[:2] + (4,)) @ _SIGMA.T  # Tr(G sigma), (S, T, 3)
+        return np.einsum("t,tj,stx->sjx", self.weights, self.route[:, party], traces).real
+
+    def derivatives(
+        self, thetas: np.ndarray, phis: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gradient (S, D) and Hessian (S, D, D) of the value in the
+        angles, ordered as the thetas (n, s) followed by the phis (n, s) when
+        ``phis`` is given (D = n s or 2 n s).
+
+        The value is multilinear in the Bloch vectors n_ij, with
+        d value / d n_ij = c_ij / 2 and no second derivative within one
+        party (each term uses one setting per party). So the within-party
+        blocks are c_ij / 2 against n_ij's second derivatives in its angles,
+        and each cross-party block comes from one two-party partial
+        contraction, routed from terms to the two parties' settings.
+        """
+        n, s = len(self.parties), self.settings_per_party
         ops = self._operators(thetas, phis)
-        g = np.einsum(self.partial[party], self.rho_tensor, *ops[:party], *ops[party + 1 :])
-        eff = np.einsum("tj,trc->jrc", self.route[party], g)
-        off = eff[:, 0, 1] + eff[:, 1, 0].conj()  # Tr(E sigma_x) - i Tr(E sigma_y)
-        return np.stack([off.real, -off.imag, (eff[:, 0, 0] - eff[:, 1, 1]).real], axis=-1)
+        c = np.stack([self._fields(ops, i) for i in range(n)], axis=1)  # (S, n, s, 3)
+        jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
+        gradient = 0.5 * np.einsum("sijx,sijxa->saij", c, jac)
+        within = 0.5 * np.einsum("sijx,sijxab->sijab", c, curl)
+        # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
+        hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
+        for i, k in itertools.combinations(range(n), 2):
+            g = self._partial(ops, (i, k))
+            traces = g.reshape(g.shape[:2] + (16,)) @ _SIGMA_PAIR.T  # Tr(G sigma_x sigma_y)
+            # d2 value / d n_ij d n_kl = sum_t w_t a_ti a_tk Tr(G sigma (x) sigma) / 4
+            factors = self.weights, self.route[:, i], self.route[:, k]
+            bloch = 0.25 * np.einsum("t,tj,tl,stz->sjlz", *factors, traces).real
+            bloch = bloch.reshape(bloch.shape[:3] + (3, 3))
+            block = np.einsum("sjxa,sjlxy,slyb->sajbl", jac[:, i], bloch, jac[:, k])
+            hessian[:, :, i, :, :, k] = block
+            hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
+        dim = gradient[0].size
+        return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
+
+
+# Tr(E sigma_x) = E.ravel() @ _SIGMA[x] for a 2x2 E; _SIGMA_PAIR does the
+# same for sigma_x (x) sigma_y on a (2, 2, 2, 2) operator, x and y row-major.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_SIGMA = _PAULI.transpose(0, 2, 1).reshape(3, 4)
+_SIGMA_PAIR = np.kron(_SIGMA, _SIGMA)
+
+
+def _bloch_derivatives(
+    thetas: np.ndarray, phis: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of n = (sin t cos p, sin t sin p, cos t)
+    in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
+    phi = np.zeros_like(thetas) if phis is None else phis
+    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phi), np.sin(phi)
+    zero = np.zeros_like(ct)
+    d_t = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_tt = -np.stack([st * cp, st * sp, ct], axis=-1)
+    if phis is None:
+        return d_t[..., None], d_tt[..., None, None]
+    d_p = np.stack([-st * sp, st * cp, zero], axis=-1)
+    d_tp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
+    d_pp = np.stack([-st * cp, -st * sp, zero], axis=-1)
+    second = np.stack([np.stack([d_tt, d_tp], -1), np.stack([d_tp, d_pp], -1)], -1)
+    return np.stack([d_t, d_p], axis=-1), second
 
 
 def quantum_value(
@@ -316,7 +392,7 @@ def quantum_value(
         raise ValueError(f"every party needs {expr.settings_per_party} settings")
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     thetas, phis = settings_to_angles(settings)
-    return _Evaluator(expr, mat, etas, convention).value(thetas, phis)
+    return float(_Evaluator(expr, mat, etas, convention).value(thetas[None], phis[None])[0])
 
 
 def angles_to_settings(
@@ -375,11 +451,14 @@ def optimize_settings(
     the value is affine in each projector, so each party in turn takes the
     exact best projector for every setting given the others. Where the
     optimum is ill-conditioned (Eberhard's CH optimum below eta = 1) the
-    sweeps crawl, so a damped Newton polish finishes every start; one sweep
-    after each trial step puts it back onto the crest of a curved ridge.
-    The returned value is the best over every start's own evaluation and
-    end point, so it never falls below the value at the seed. Angles stay
-    in the real (x-z) Bloch plane unless ``include_phi`` is set.
+    sweeps crawl, so a damped Newton polish on the exact Hessian finishes
+    every start; one sweep after each trial step puts it back onto the
+    crest of a curved ridge. All starts advance together along a leading
+    start axis, each with its own stopping rules, damping and step count,
+    so a start ends exactly where it would alone. The returned value is the
+    first maximum over every start's own evaluation and end point, in start
+    order, so it never falls below the value at the seed. Angles stay in
+    the real (x-z) Bloch plane unless ``include_phi`` is set.
     """
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
@@ -388,13 +467,10 @@ def optimize_settings(
     n_theta = n * s
 
     def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Views of x as thetas and phis (n, s)."""
-        thetas = x[:n_theta].reshape(n, s)
-        phis = x[n_theta:].reshape(n, s) if opts.include_phi else None
+        """Views of starts x (S, D) as thetas and phis (S, n, s)."""
+        thetas = x[:, :n_theta].reshape(-1, n, s)
+        phis = x[:, n_theta:].reshape(-1, n, s) if opts.include_phi else None
         return thetas, phis
-
-    def value(x: np.ndarray) -> float:
-        return evaluator.value(*split(x))
 
     def sweep(x: np.ndarray) -> None:
         """Give each party in turn its best projectors given the others, in place."""
@@ -402,60 +478,18 @@ def optimize_settings(
         for i in range(n):
             c = evaluator.bloch_fields(thetas, phis, i)
             if phis is None:
-                c[:, 1] = 0.0
-            norm = np.linalg.norm(c, axis=1)
-            moves = norm > 0.0  # a setting no term reaches keeps its angles
-            cx, cy, cz = c[moves].T
+                c[..., 1] = 0.0
+            moves = np.linalg.norm(c, axis=-1) > 0.0  # a setting no term reaches keeps its angles
+            cx, cy, cz = c.transpose(2, 0, 1)
             if phis is None:
-                thetas[i, moves] = np.arctan2(cx, cz)
+                thetas[:, i] = np.where(moves, np.arctan2(cx, cz), thetas[:, i])
             else:
-                thetas[i, moves] = np.arctan2(np.hypot(cx, cy), cz)
-                phis[i, moves] = np.arctan2(cy, cx)
+                thetas[:, i] = np.where(moves, np.arctan2(np.hypot(cx, cy), cz), thetas[:, i])
+                phis[:, i] = np.where(moves, np.arctan2(cy, cx), phis[:, i])
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        """Exact d value / d angles: each Bloch field against dn/dtheta, dn/dphi."""
-        thetas, phis = split(x)
-        c = np.array([evaluator.bloch_fields(thetas, phis, i) for i in range(n)])
-        phi = np.zeros_like(thetas) if phis is None else phis
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        in_plane = c[..., 0] * cos_p + c[..., 1] * sin_p
-        d_theta = 0.5 * (np.cos(thetas) * in_plane - np.sin(thetas) * c[..., 2])
-        if phis is None:
-            return d_theta.ravel()
-        d_phi = 0.5 * np.sin(thetas) * (c[..., 1] * cos_p - c[..., 0] * sin_p)
-        return np.concatenate([d_theta.ravel(), d_phi.ravel()])
-
-    def polish(x: np.ndarray, v: float) -> tuple[np.ndarray, float]:
-        """Levenberg-Marquardt steps on the exact gradient and a central-difference
-        Hessian of it, each accepted only when the value rises."""
-        eye = np.eye(len(x))
-        damping = _INITIAL_DAMPING
-        for _ in range(_MAX_NEWTON):
-            g = gradient(x)
-            if np.abs(g).max() <= _GRADIENT_TOL:
-                break
-            shifts = _HESSIAN_STEP * eye
-            hessian = np.array([gradient(x + d) - gradient(x - d) for d in shifts])
-            curvature = -0.25 / _HESSIAN_STEP * (hessian + hessian.T)
-            while True:
-                step = np.linalg.solve(curvature + damping * eye, g)
-                if np.abs(step).max() <= _STEP_TOL:
-                    return x, v
-                moved = x + step
-                sweep(moved)  # back onto the crest of a curved ridge
-                trial = value(moved)
-                if trial > v:
-                    x, v = moved, trial
-                    damping *= 0.1
-                    break
-                damping *= 10.0
-        return x, v
-
-    starts: list[np.ndarray] = []
-    seed_vec = chsh_seed_angles(n, s).reshape(-1)
+    starts = [chsh_seed_angles(n, s).reshape(-1)]
     if opts.include_phi:
-        seed_vec = np.concatenate([seed_vec, np.zeros(n_theta)])
-    starts.append(seed_vec)
+        starts[0] = np.concatenate([starts[0], np.zeros(n_theta)])
     for warm in opts.warm_starts:
         thetas, phis = settings_to_angles(warm)
         vec = thetas.reshape(-1)
@@ -466,22 +500,56 @@ def optimize_settings(
     dim = n_theta * (2 if opts.include_phi else 1)
     for _ in range(opts.restarts):
         starts.append(rng.uniform(0.0, 2.0 * math.pi, size=dim))
+    x0 = np.array(starts)
+    start_vals = evaluator.value(*split(x0))
 
-    best_x, best_val = None, -math.inf
-    for x0 in starts:
-        start_val = value(x0)
-        if start_val > best_val:
-            best_x, best_val = x0, start_val
-        x, v = x0.copy(), start_val
-        for _ in range(_MAX_SWEEPS):
-            sweep(x)
-            swept = value(x)
-            gain, v = swept - v, swept
-            if gain <= _SWEEP_GAIN:
-                break
-        x, v = polish(x, v)
-        if v > best_val:
-            best_x, best_val = x, v
-    assert best_x is not None
-    thetas, phis = split(np.asarray(best_x, dtype=float))
-    return angles_to_settings(thetas, phis), float(best_val)
+    # See-saw: a start freezes once a sweep gains at most _SWEEP_GAIN.
+    x, v = x0.copy(), start_vals.copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(_MAX_SWEEPS):
+        rows = np.flatnonzero(active)
+        moved = x[rows]
+        sweep(moved)
+        swept = evaluator.value(*split(moved))
+        active[rows] = swept - v[rows] > _SWEEP_GAIN
+        x[rows], v[rows] = moved, swept
+        if not active.any():
+            break
+
+    # Levenberg-Marquardt polish on the exact gradient and Hessian, each step
+    # accepted only when the value rises; a start's derivatives are rebuilt
+    # only after it accepted a step.
+    damping = np.full(len(x), _INITIAL_DAMPING)
+    newton_steps = np.zeros(len(x), dtype=int)
+    gradient, curvature = np.zeros_like(x), np.zeros((len(x), dim, dim))
+    active = np.ones(len(x), dtype=bool)
+    fresh = active.copy()
+    while active.any():
+        rows = np.flatnonzero(fresh)
+        if rows.size:
+            g, hessian = evaluator.derivatives(*split(x[rows]))
+            gradient[rows], curvature[rows] = g, -hessian
+            newton_steps[rows] += 1
+            active[rows] = np.abs(g).max(axis=1) > _GRADIENT_TOL
+        rows = np.flatnonzero(active)
+        lhs = curvature[rows] + damping[rows, None, None] * np.eye(dim)
+        step = np.linalg.solve(lhs, gradient[rows][..., None])[..., 0]
+        moving = np.abs(step).max(axis=1) > _STEP_TOL
+        active[rows[~moving]] = False
+        rows, moved = rows[moving], x[rows[moving]] + step[moving]
+        sweep(moved)  # back onto the crest of a curved ridge
+        trial = evaluator.value(*split(moved))
+        rises = trial > v[rows]
+        up, down = rows[rises], rows[~rises]
+        x[up], v[up] = moved[rises], trial[rises]
+        damping[up] *= 0.1
+        damping[down] *= 10.0
+        active[up] = newton_steps[up] < _MAX_NEWTON
+        fresh[:] = False
+        fresh[up] = active[up]
+
+    # Start 0, end 0, start 1, end 1, ...: the order a start-by-start run meets them.
+    values = np.stack([start_vals, v], axis=1).ravel()
+    best = int(np.argmax(values))
+    thetas, phis = split(np.stack([x0, x], axis=1).reshape(-1, dim)[best : best + 1])
+    return angles_to_settings(thetas[0], None if phis is None else phis[0]), float(values[best])

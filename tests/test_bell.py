@@ -23,9 +23,11 @@ from belldet import (
     projected_state,
     quantum_value,
 )
+from belldet import bell
 from belldet.bell import (
     OUTCOME_ANY,
     STRATEGY_LIMIT,
+    _Evaluator,
     _strategy_count,
     angles_to_settings,
     chsh_seed_angles,
@@ -340,6 +342,19 @@ class TestQuantumValue:
             reference = dense_quantum_value(expr, rho, settings, etas, convention)
             assert value == pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_many_parties_keep_every_axis_apart(self, n):
+        """GHZ_n with Z on every party and X on the first: <Z^n> is 1 for
+        even n and 0 for odd n, and <X Z^(n-1)> is 0. With ten or more
+        parties a column axis once shared the term axis's einsum label."""
+        ket = np.zeros(2**n)
+        ket[0] = ket[-1] = math.sqrt(0.5)
+        terms = (BellTerm((0,) * n, 1.0), BellTerm((1,) + (0,) * (n - 1), 0.5))
+        expr = BellExpression(n, 2, BellForm.CORRELATION, terms, 1.0)
+        settings = [[MeasurementSetting(0.0), MeasurementSetting(math.pi / 2)]] * n
+        value = quantum_value(expr, np.outer(ket, ket), settings, [1.0] * n)
+        assert value == pytest.approx(1.0 if n % 2 == 0 else 0.0, abs=1e-12)
+
     def test_separable_states_stay_local_on_chsh(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -422,6 +437,16 @@ class TestOptimizeSettings:
         )
         assert plane == pytest.approx(2.0 * np.linalg.norm(t[np.ix_((0, 2), (0, 2))]), abs=1e-9)
 
+    def test_single_party_optimum_is_the_bloch_length(self):
+        """One party at eta = 1: each folded setting reaches |r|, the
+        length of the state's Bloch vector, whatever the sign of its weight."""
+        rho = random_mixed_state(np.random.default_rng(8), 1)
+        bloch = [np.trace(rho @ sigma).real for sigma in PAULI]
+        terms = (BellTerm((0,), 1.0), BellTerm((1,), -0.5))
+        expr = BellExpression(1, 2, BellForm.CORRELATION, terms, 1.5)
+        _, value = optimize_settings(expr, rho, [1.0], options=OptimizeOptions(include_phi=True))
+        assert value == pytest.approx(1.5 * np.linalg.norm(bloch), abs=1e-12)
+
     @pytest.mark.parametrize("eta", sorted(EBERHARD_OPTIMA))
     def test_ill_conditioned_ch_optimum_keeps_its_value(self, eta):
         doc = json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
@@ -452,3 +477,134 @@ class TestJsonRoundTrip:
         doc["terms"][0]["outcomes"] = ["+", "?"]
         with pytest.raises(ValueError):
             BellExpression.from_json_dict(doc)
+
+
+def angle_split(evaluator, include_phi):
+    """Views of angle rows x (S, D) as the evaluator's thetas and phis."""
+    n, s = len(evaluator.parties), evaluator.settings_per_party
+
+    def split(x):
+        phis = x[:, n * s :].reshape(-1, n, s) if include_phi else None
+        return x[:, : n * s].reshape(-1, n, s), phis
+
+    return split
+
+
+THREE_PARTY_CORRELATION = BellExpression(
+    3,
+    2,
+    BellForm.CORRELATION,
+    (
+        BellTerm((0, 0, 0), 1.0),
+        BellTerm((1, 1, 0), -0.7),
+        BellTerm((0, 1, 1), 0.4),
+        BellTerm((1, 0, 1), 1.3),
+    ),
+    2.0,
+)
+THREE_PARTY_PROBABILITY = BellExpression(
+    3,
+    2,
+    BellForm.PROBABILITY,
+    (
+        BellTerm((0, 1, 0), 1.0, ("+", "-", "0")),
+        BellTerm((1, 1, 0), -0.5, ("*", "+", "-")),
+        BellTerm((1, 0, 1), 0.8, ("0", "*", "+")),
+    ),
+    0.0,
+)
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize(
+        "expr, convention, include_phi",
+        [
+            (preset("CHSH"), Convention.FOLD, False),
+            (preset("EBERHARD_CH"), Convention.TRINARY, False),
+            (preset("EBERHARD_CH"), Convention.TRINARY, True),
+            (THREE_PARTY_CORRELATION, Convention.FOLD, True),
+            (THREE_PARTY_PROBABILITY, Convention.TRINARY, True),
+        ],
+    )
+    def test_hessian_matches_central_second_differences(self, expr, convention, include_phi):
+        rng = np.random.default_rng(5)
+        n, s = expr.n_parties, expr.settings_per_party
+        evaluator = _Evaluator(expr, random_mixed_state(rng, n), rng.uniform(0.6, 1.0, n), convention)
+        split = angle_split(evaluator, include_phi)
+        dim = n * s * (2 if include_phi else 1)
+        h = 1e-4
+        for _ in range(2):
+            x = rng.uniform(0.0, 2.0 * math.pi, size=dim)
+            gradient, hessian = evaluator.derivatives(*split(x[None]))
+            shifts = h * np.eye(dim)
+            corners = [
+                x + sa * shifts[a] + sb * shifts[b]
+                for a in range(dim)
+                for b in range(dim)
+                for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            ]
+            v = evaluator.value(*split(np.array(corners))).reshape(dim, dim, 4)
+            reference = (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / (4.0 * h * h)
+            np.testing.assert_allclose(hessian[0], reference, rtol=0, atol=1e-6)
+            sides = evaluator.value(*split(np.concatenate([x + shifts, x - shifts])))
+            slope = (sides[:dim] - sides[dim:]) / (2.0 * h)
+            np.testing.assert_allclose(gradient[0], slope, rtol=0, atol=1e-6)
+
+
+def eberhard_state():
+    doc = json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
+    config = ScenarioConfig.from_json_dict(doc)
+    return config.bell, projected_state(config)[1], config.convention
+
+
+class TestBatchedStarts:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["chsh_phase", "eberhard"])
+    @pytest.mark.parametrize("caps", [None, (2, 3)])
+    def test_batch_is_the_best_of_each_start_alone(self, case, seed, caps, monkeypatch):
+        """Every start runs as it would alone: the batched result is the
+        best of single-start runs warm-started from each random draw. With
+        the sweep and Newton caps cut short, every start stops mid-way, so
+        its end value depends on its own damping, step count and freezing."""
+        if caps is not None:
+            monkeypatch.setattr(bell, "_MAX_SWEEPS", caps[0])
+            monkeypatch.setattr(bell, "_MAX_NEWTON", caps[1])
+        if case == "eberhard":
+            (expr, rho, convention), etas, include_phi = eberhard_state(), [0.9, 0.9], False
+        else:
+            expr, convention, include_phi = preset("CHSH"), Convention.FOLD, True
+            rho, etas = random_mixed_state(np.random.default_rng(100 + seed), 2), [0.95, 0.9]
+        restarts = 6
+        n_theta = expr.n_parties * expr.settings_per_party
+        rng = np.random.default_rng(seed)
+        draws = [rng.uniform(0.0, 2.0 * math.pi, size=n_theta * (2 if include_phi else 1))
+                 for _ in range(restarts)]
+        alone = []
+        for x in draws:
+            thetas = x[:n_theta].reshape(expr.n_parties, -1)
+            phis = x[n_theta:].reshape(expr.n_parties, -1) if include_phi else None
+            opts = OptimizeOptions(
+                restarts=0, include_phi=include_phi, warm_starts=(angles_to_settings(thetas, phis),)
+            )
+            alone.append(optimize_settings(expr, rho, etas, convention, opts)[1])
+        opts = OptimizeOptions(restarts=restarts, seed=seed, include_phi=include_phi)
+        _, batched = optimize_settings(expr, rho, etas, convention, opts)
+        assert batched == pytest.approx(max(alone), abs=1e-12)
+
+    def test_einsum_calls_do_not_grow_with_the_starts(self, monkeypatch):
+        """The starts share every contraction: 16x the starts may cost at
+        most 1.5x the einsum calls (a start-by-start loop costs about 14x)."""
+        einsum, calls = np.einsum, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(bell.np, "einsum", counting)
+        counts = []
+        for restarts in (4, 64):
+            calls.clear()
+            opts = OptimizeOptions(restarts=restarts, seed=3)
+            optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1.0, 1.0], options=opts)
+            counts.append(len(calls))
+        assert counts[1] <= 1.5 * counts[0]
