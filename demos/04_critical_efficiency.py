@@ -35,5 +35,5 @@ print()
 print("the low efficiencies never flip the sign of the composite expression:")
 for eta_L in (1e-3, 1e-2, 1e-1, 1.0):
     config = bd.ScenarioConfig(bd.StateSpec("GHZ", 4), 2, eta_L, 0.9, chsh)
-    lhs = bd.composite_lhs(config, restarts=16)
+    lhs = bd.composite_parts(config, restarts=16)[0]
     print(f"  eta_L = {eta_L:7.0e}: composite = {lhs:.3e} (violation: {lhs > 0})")

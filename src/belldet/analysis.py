@@ -48,13 +48,18 @@ def success_probability(config: ScenarioConfig) -> tuple[float, float]:
     every detector clicks and each projecting party lands on "+"; the
     standard all-efficient test succeeds with eta_H^N.
     """
-    if config.lost:
-        raise ValueError("success probability is defined for scenarios without lost qubits")
+    require_no_lost(config)
     p_list, _ = projected_state(config)
     n_low = config.n_projections
     p_succ = float(np.prod(p_list)) * config.eta_L**n_low * config.eta_H**config.k
     p_standard = config.eta_H**config.n_qubits
     return p_succ, p_standard
+
+
+def require_no_lost(config: ScenarioConfig) -> None:
+    """Trial counts need every qubit present: a lost qubit raises ValueError."""
+    if config.lost:
+        raise ValueError("success probability is defined for scenarios without lost qubits")
 
 
 def trial_ratio(config: ScenarioConfig) -> float:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detmodel import Convention, MeasurementSetting, validate_efficiency
+from .detmodel import Convention, MeasurementSetting, json_int, validate_efficiency
 from .detmodel import _coefficients, _outcome_factors
 from .qstate import DensityMatrix
 
@@ -108,14 +108,14 @@ class BellExpression:
             outcomes = item.get("outcomes")
             terms.append(
                 BellTerm(
-                    settings=tuple(int(j) for j in item["settings"]),
+                    settings=tuple(json_int(j, "term settings") for j in item["settings"]),
                     weight=float(item["weight"]),
                     outcomes=None if outcomes is None else tuple(str(o) for o in outcomes),
                 )
             )
         expr = cls(
-            n_parties=int(doc["n_parties"]),
-            settings_per_party=int(doc["settings_per_party"]),
+            n_parties=json_int(doc["n_parties"], "n_parties"),
+            settings_per_party=json_int(doc["settings_per_party"], "settings_per_party"),
             form=form,
             terms=tuple(terms),
             classical_bound=float(doc.get("classical_bound", 0.0)),

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, protocol
 from .bell import expression_from_json_dict, lhv_bound
+from .detmodel import json_int
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
@@ -27,6 +28,9 @@ from .states import bell_psi_plus
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_FOUND = 3
+
+# A sweep grid with more rows than this is a config error, rejected before any row is built.
+MAX_SWEEP_ROWS = 100_000
 
 COMMANDS = (
     "eval",
@@ -146,11 +150,10 @@ def _run_duration(config: ScenarioConfig, doc: dict, args) -> tuple[str, int]:
         "trial_ratio": stats.n_prime,
     }
     if "target_successes" in doc:
-        r = doc["target_successes"]
-        integral = isinstance(r, int) or (isinstance(r, float) and r.is_integer())
-        if isinstance(r, bool) or not integral or r < 1:
-            raise ConfigurationError(f"target_successes must be a positive integer, got {r!r}")
-        r = int(r)
+        try:
+            r = json_int(doc["target_successes"], "target_successes", minimum=1)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         result["expected_trials"] = stats.expected_trials(r)
         result["expected_trials_standard"] = stats.expected_trials_standard(r)
     diagnostics = {"convention": config.convention.value, "seed": args.seed}
@@ -163,7 +166,10 @@ def _run_damaged(config: ScenarioConfig, args) -> tuple[str, int]:
     result: dict = {"projection_probs": p_list}
     if psi_plus is not None:
         result["psi_plus_overlap"] = expectation(rho, psi_plus)
-    settings, value = protocol._resolve_settings(config, rho, args.restarts, args.seed)
+    settings, value = protocol.resolve_settings(
+        config.bell, rho, [config.eta_H] * config.k, config.convention, config.settings,
+        args.restarts, args.seed,
+    )
     result["bell_value"] = value
     result["classical_bound"] = config.bell.classical_bound
     result["violated"] = bool(value > config.bell.classical_bound)
@@ -172,7 +178,7 @@ def _run_damaged(config: ScenarioConfig, args) -> tuple[str, int]:
         "optimizer_restarts": args.restarts,
         "seed": args.seed,
         "lost": config.lost,
-        "settings": [[{"theta": s.theta, "phi": s.phi} for s in party] for party in settings],
+        "settings": [[s.to_json_dict() for s in party] for party in settings],
     }
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
 
@@ -186,11 +192,17 @@ def _run_sweep(doc: dict, args) -> tuple[str, int]:
         start, stop, step = float(grid["start"]), float(grid["stop"]), float(grid["step"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {exc}') from exc
-    if step <= 0.0 or stop < start:
+    if not (step > 0.0 and stop >= start):
         raise ConfigurationError("grid must satisfy step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    ratios = [round(start + i * step, 12) for i in range(count)]
+    half_steps = (stop - start) / step + 0.5
+    if not half_steps < MAX_SWEEP_ROWS:  # also catches inf and nan
+        raise ConfigurationError(f"grid has more than {MAX_SWEEP_ROWS} rows")
+    try:
+        analysis.require_no_lost(config)
+    except ValueError as exc:  # the trial ratio needs every qubit present
+        raise ConfigurationError(str(exc)) from exc
     p_list, _ = protocol.projected_state(config)
+    ratios = [round(start + i * step, 12) for i in range(int(math.floor(half_steps)) + 1)]
     p_prod = float(np.prod(p_list))
     exponent = config.n_projections
     rows = [(float(r), float(p_prod**-1 * r**-exponent)) for r in ratios if r > 0.0]

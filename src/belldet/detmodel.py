@@ -58,11 +58,33 @@ class MeasurementSetting:
     def projector_minus(self) -> np.ndarray:
         return np.eye(2, dtype=complex) - self.projector_plus()
 
+    def to_json_dict(self) -> dict:
+        return {"theta": self.theta, "phi": self.phi}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "MeasurementSetting":
+        """``{"theta": ..., "phi": ...}``; a missing phi is 0."""
+        return cls(float(doc["theta"]), float(doc.get("phi", 0.0)))
+
 
 # Recurring projector choices: |+><+|, |0><0| and |1><1|.
 X_PLUS = MeasurementSetting(theta=math.pi / 2.0)
 Z_ZERO = MeasurementSetting(theta=0.0)
 Z_ONE = MeasurementSetting(theta=math.pi)
+
+
+def json_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer field of a config: a JSON integer or an integral float.
+
+    Bools, fractions and strings raise instead of being truncated, as does
+    a value below ``minimum``.
+    """
+    number = int(value) if type(value) is float and value.is_integer() else value
+    # type(), not isinstance(): bool subclasses int.
+    if type(number) is int and (minimum is None or number >= minimum):
+        return number
+    at_least = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 def validate_efficiency(eta: float) -> float:

@@ -14,13 +14,16 @@ from .bell import (
     BellExpression, BellForm, OptimizeOptions, expression_from_json_dict, optimize_settings,
     quantum_value,
 )
-from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
+from .detmodel import (
+    Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_int, validate_efficiency,
+)
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
 from .states import StateSpec, make_state
 
 RESIDUAL_TOL = 1e-9
 _MAX_ROUNDS = 20
 _ROOT_FLOOR = 1e-4  # roots below this fraction of the upper end count as none
+_REFINE_RESTARTS = 16  # random starts of each re-optimization, besides the warm start
 
 SettingsAssignment = list[list[MeasurementSetting]]
 
@@ -103,14 +106,10 @@ class ScenarioConfig:
             "eta_L": self.eta_L,
             "eta_H": self.eta_H,
             "bell": self.bell.to_json_dict(),
-            "projectors": [
-                {"theta": p.theta, "phi": p.phi} for p in self.projectors
-            ]
+            "projectors": [p.to_json_dict() for p in self.projectors]
             if self.projectors is not None
             else "default",
-            "settings": [
-                [{"theta": s.theta, "phi": s.phi} for s in party] for party in self.settings
-            ]
+            "settings": [[s.to_json_dict() for s in party] for party in self.settings]
             if self.settings is not None
             else "auto",
             "visibility": self.visibility,
@@ -125,24 +124,17 @@ class ScenarioConfig:
         if projectors_doc == "default" or projectors_doc is None:
             projectors = None
         else:
-            projectors = tuple(
-                MeasurementSetting(float(p["theta"]), float(p.get("phi", 0.0)))
-                for p in projectors_doc
-            )
+            projectors = tuple(MeasurementSetting.from_json_dict(p) for p in projectors_doc)
         settings_doc = doc.get("settings", "auto")
         if settings_doc == "auto" or settings_doc is None:
             settings = None
         else:
             settings = tuple(
-                tuple(
-                    MeasurementSetting(float(s["theta"]), float(s.get("phi", 0.0)))
-                    for s in party
-                )
-                for party in settings_doc
+                tuple(MeasurementSetting.from_json_dict(s) for s in party) for party in settings_doc
             )
         return cls(
             state=StateSpec.from_json_dict(doc["state"]),
-            k=int(doc["k"]),
+            k=json_int(doc["k"], "k"),
             eta_L=float(doc["eta_L"]),
             eta_H=float(doc["eta_H"]),
             bell=bell,
@@ -150,7 +142,7 @@ class ScenarioConfig:
             settings=settings,
             visibility=float(doc.get("visibility", 1.0)),
             convention=Convention(doc.get("convention", "fold")),
-            lost=int(doc.get("lost", 0)),
+            lost=json_int(doc.get("lost", 0), "lost"),
         )
 
 
@@ -267,36 +259,29 @@ def _project_factor(
     return p_list, DensityMatrix(n_left, matrix / weight)
 
 
-def _resolve_settings(
-    config: ScenarioConfig,
-    rho_prime: DensityMatrix,
+def resolve_settings(
+    expr: BellExpression,
+    rho: DensityMatrix | np.ndarray,
+    etas: Sequence[float],
+    convention: Convention,
+    fixed: Sequence[Sequence[MeasurementSetting]] | None,
     restarts: int,
     seed: int,
+    warm: SettingsAssignment | None = None,
 ) -> tuple[SettingsAssignment, float]:
-    """The configured settings and their Bell value at eta_H, or optimized ones if AUTO."""
-    etas = [config.eta_H] * config.k
-    if config.settings is not None:
-        settings = [list(party) for party in config.settings]
-        value = quantum_value(config.bell, rho_prime, settings, etas, config.convention)
-        return settings, value
-    opts = OptimizeOptions(restarts=restarts, seed=seed)
-    return optimize_settings(config.bell, rho_prime, etas, config.convention, opts)
+    """The settings to evaluate and their Bell value at ``etas``.
 
-
-def composite_lhs(
-    config: ScenarioConfig,
-    restarts: int = 64,
-    seed: int = 0,
-) -> float:
-    """Left side of the composite expression.
-
-    eta_L^(number of projecting parties) * prod(p_i) * (Q - L), where Q is
-    the Bell value on the projected state at eta_H-dressed settings. A
-    positive value certifies a violation; the eta_L factor never changes
-    the sign, which is why the low efficiencies only need to be nonzero.
+    ``fixed`` settings come back as they are, with their quantum value;
+    None (AUTO) runs the optimizer from ``restarts`` random starts, plus
+    ``warm`` when given. Every choice between configured and optimized
+    settings goes through here.
     """
-    value, _ = composite_parts(config, restarts=restarts, seed=seed)
-    return value
+    if fixed is not None:
+        settings = [list(party) for party in fixed]
+        return settings, quantum_value(expr, rho, settings, etas, convention)
+    warm_starts = () if warm is None else (warm,)
+    opts = OptimizeOptions(restarts=restarts, seed=seed, warm_starts=warm_starts)
+    return optimize_settings(expr, rho, etas, convention, opts)
 
 
 def composite_parts(
@@ -304,19 +289,28 @@ def composite_parts(
     restarts: int = 64,
     seed: int = 0,
 ) -> tuple[float, dict]:
-    """composite_lhs plus the pieces it is built from, for reports."""
-    validate_efficiency(config.eta_L)
-    validate_efficiency(config.eta_H)
+    """Left side of the composite expression, and the pieces it is built from.
+
+    The value is eta_L^(number of projecting parties) * prod(p_i) * (Q - L),
+    where Q is the Bell value on the projected state at eta_H-dressed
+    settings. A positive value certifies a violation; the eta_L factor never
+    changes the sign, which is why the low efficiencies only need to be
+    nonzero. The dict carries the probabilities, Q, L, the eta_L exponent
+    and the settings, for reports.
+    """
     p_list, rho_prime = projected_state(config)
-    settings, q = _resolve_settings(config, rho_prime, restarts, seed)
-    p_prod = float(np.prod(p_list)) if p_list else 1.0
+    settings, q = resolve_settings(
+        config.bell, rho_prime, [config.eta_H] * config.k, config.convention, config.settings,
+        restarts, seed,
+    )
+    p_prod = float(np.prod(p_list))
     lhs = config.eta_L**config.n_projections * p_prod * (q - config.bell.classical_bound)
     parts = {
         "projection_probs": p_list,
         "bell_value": q,
         "classical_bound": config.bell.classical_bound,
         "eta_L_exponent": config.n_projections,
-        "settings": [[{"theta": s.theta, "phi": s.phi} for s in party] for party in settings],
+        "settings": [[s.to_json_dict() for s in party] for party in settings],
     }
     return lhs, parts
 
@@ -386,9 +380,8 @@ def _critical_eta(
     pins: Sequence[float | None],
     convention: Convention,
     restarts: int,
-    refine_restarts: int,
     seed: int,
-    fixed: SettingsAssignment | None = None,
+    fixed: Sequence[Sequence[MeasurementSetting]] | None = None,
     name: str = "eta",
     **solved_diagnostics,
 ) -> SolveResult:
@@ -401,21 +394,12 @@ def _critical_eta(
     def value_at(eta: float, settings: SettingsAssignment) -> float:
         return quantum_value(expr, state, settings, etas(eta), convention)
 
-    if fixed is None:
-        settings, q_one = optimize_settings(
-            expr, state, etas(1.0), convention, OptimizeOptions(restarts=restarts, seed=seed)
+    def optimize_at(eta: float, warm: SettingsAssignment):
+        return resolve_settings(
+            expr, state, etas(eta), convention, fixed, _REFINE_RESTARTS, seed + 1, warm
         )
 
-        def optimize_at(eta: float, warm: SettingsAssignment):
-            opts = OptimizeOptions(restarts=refine_restarts, seed=seed + 1, warm_starts=(warm,))
-            return optimize_settings(expr, state, etas(eta), convention, opts)
-
-    else:
-        settings, q_one = fixed, value_at(1.0, fixed)
-
-        def optimize_at(eta: float, settings: SettingsAssignment):
-            return settings, value_at(eta, settings)
-
+    settings, q_one = resolve_settings(expr, state, etas(1.0), convention, fixed, restarts, seed)
     if q_one - expr.classical_bound <= 1e-11:
         return _not_found(f"no violation at {name} = 1", value_at_one=q_one)
     result, _ = _solve_threshold(
@@ -428,7 +412,6 @@ def _critical_eta(
 def critical_eta_high(
     config: ScenarioConfig,
     restarts: int = 64,
-    refine_restarts: int = 16,
     seed: int = 0,
 ) -> SolveResult:
     """Smallest eta_H at which the composite expression still violates.
@@ -438,10 +421,9 @@ def critical_eta_high(
     the config says AUTO. NOT_FOUND when there is no violation at eta_H = 1.
     """
     p_list, rho_prime = projected_state(config)
-    fixed = None if config.settings is None else [list(party) for party in config.settings]
     return _critical_eta(
-        config.bell, rho_prime, [None] * config.k, config.convention, restarts,
-        refine_restarts, seed, fixed, "eta_H", projection_probs=p_list,
+        config.bell, rho_prime, [None] * config.k, config.convention, restarts, seed,
+        config.settings, "eta_H", projection_probs=p_list,
     )
 
 
@@ -451,7 +433,6 @@ def symmetric_critical_eta(
     eta_fixed: Sequence[float | None] | None = None,
     convention: Convention = Convention.FOLD,
     restarts: int = 64,
-    refine_restarts: int = 16,
     seed: int = 0,
 ) -> SolveResult:
     """Critical efficiency when all free parties share one eta.
@@ -464,13 +445,12 @@ def symmetric_critical_eta(
     pins = list(eta_fixed) if eta_fixed is not None else [None] * n
     if len(pins) != n:
         raise ValueError(f"eta_fixed must list {n} entries")
-    return _critical_eta(expr, state, pins, convention, restarts, refine_restarts, seed)
+    return _critical_eta(expr, state, pins, convention, restarts, seed)
 
 
 def critical_visibility(
     config: ScenarioConfig,
     restarts: int = 64,
-    refine_restarts: int = 16,
     seed: int = 0,
 ) -> SolveResult:
     """Threshold visibility v* where the composite expression crosses zero.
@@ -488,7 +468,7 @@ def critical_visibility(
     p_list, rho_prime = projected_state(replace(config, visibility=1.0))
     expr, bound, m = config.bell, config.bell.classical_bound, config.n_projections
     etas = [config.eta_H] * config.k
-    p_prod = float(np.prod(p_list)) if p_list else 1.0
+    p_prod = float(np.prod(p_list))
     pure = rho_prime.matrix
     noise = np.eye(len(pure), dtype=complex) / len(pure)
 
@@ -507,23 +487,16 @@ def critical_visibility(
         pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
         return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
 
-    if config.settings is None:
-        settings, q_pure = optimize_settings(
-            expr, pure, etas, config.convention, OptimizeOptions(restarts=restarts, seed=seed)
+    def optimize_at(v: float, warm: SettingsAssignment):
+        settings, q_v = resolve_settings(
+            expr, mixed(v), etas, config.convention, config.settings, _REFINE_RESTARTS, seed + 1,
+            warm,
         )
+        return settings, q_v - bound
 
-        def optimize_at(v: float, warm: SettingsAssignment):
-            opts = OptimizeOptions(restarts=refine_restarts, seed=seed + 1, warm_starts=(warm,))
-            settings, q_v = optimize_settings(expr, mixed(v), etas, config.convention, opts)
-            return settings, q_v - bound
-
-    else:
-        settings = [list(party) for party in config.settings]
-        q_pure = q(pure, settings)
-
-        def optimize_at(v: float, settings: SettingsAssignment):
-            return settings, q(mixed(v), settings) - bound
-
+    settings, q_pure = resolve_settings(
+        expr, pure, etas, config.convention, config.settings, restarts, seed
+    )
     composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
     if composite_at_one < -RESIDUAL_TOL:
         return _not_found("no violation at v = 1", composite_at_one=composite_at_one)

@@ -2,7 +2,7 @@
 
 Index convention: qubit 0 is the most significant bit of the basis index,
 so for three qubits ``|q0 q1 q2>`` lives at index ``4*q0 + 2*q1 + q2``.
-Kronecker products therefore compose left to right: ``tensor(a, b)`` puts
+Kronecker products therefore compose left to right: ``np.kron(a, b)`` puts
 a's qubits first.
 
 All values are immutable after construction and every operation is a pure
@@ -153,14 +153,6 @@ def basis_state(bits: str | Sequence[int]) -> PureState:
     amp = np.zeros(2**n, dtype=complex)
     amp[index] = 1.0
     return PureState(n, amp)
-
-
-def tensor(a: PureState, b: PureState, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
-    """Kronecker product of two pure states, a's qubits first."""
-    n = a.n_qubits + b.n_qubits
-    if n > max_qubits:
-        raise QubitCapacityError(f"tensor would produce {n} qubits, cap is {max_qubits}")
-    return PureState(n, np.kron(a.amplitudes, b.amplitudes))
 
 
 def embed_operator(

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detmodel import json_int
 from .qstate import DEFAULT_MAX_QUBITS, DensityMatrix, PureState, QubitCapacityError
 
 STATE_KINDS = ("GHZ", "Dicke", "W", "Cluster4", "BellPhiPlus", "BellPsiPlus", "PartialPair")
@@ -48,13 +49,12 @@ class StateSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StateSpec":
         kind = doc["kind"]
-        n = int(doc.get("n", _FIXED_N.get(kind, 0)))
         excitations = doc.get("excitations")
         alpha = doc.get("alpha")
         return cls(
             kind=kind,
-            n=n,
-            excitations=None if excitations is None else int(excitations),
+            n=json_int(doc.get("n", _FIXED_N.get(kind, 0)), "n"),
+            excitations=None if excitations is None else json_int(excitations, "excitations"),
             alpha=None if alpha is None else float(alpha),
         )
 
@@ -120,10 +120,10 @@ def partial_pair(alpha: float) -> PureState:
     return PureState(2, np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)]))
 
 
-def make_state(spec: StateSpec, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
-    """Build the state described by ``spec``."""
-    if spec.n > max_qubits:
-        raise QubitCapacityError(f"state needs {spec.n} qubits, cap is {max_qubits}")
+def make_state(spec: StateSpec) -> PureState:
+    """Build the state described by ``spec``, at most DEFAULT_MAX_QUBITS qubits."""
+    if spec.n > DEFAULT_MAX_QUBITS:
+        raise QubitCapacityError(f"state needs {spec.n} qubits, cap is {DEFAULT_MAX_QUBITS}")
     if spec.kind == "GHZ":
         return ghz(spec.n)
     if spec.kind == "Dicke":

@@ -25,7 +25,7 @@ from belldet import (
     StateSpec,
     bell_phi_plus,
     bell_psi_plus,
-    composite_lhs,
+    composite_parts,
     critical_eta_high,
     critical_visibility,
     damaged_state,
@@ -129,7 +129,7 @@ def test_criterion_3_eta_L_irrelevance():
     signs = []
     for eta_L in (1e-3, 1e-2, 1e-1, 1.0):
         config = chsh_scenario(StateSpec("GHZ", 4), eta_L=eta_L, eta_H=0.9)
-        signs.append(math.copysign(1.0, composite_lhs(config, restarts=16)))
+        signs.append(math.copysign(1.0, composite_parts(config, restarts=16)[0]))
     ok = all(sign > 0 for sign in signs)
     report(3, ok, f"composite sign positive for eta_L in 1e-3..1, signs {signs}")
     assert ok, signs
@@ -337,11 +337,11 @@ def test_criterion_8_visibility_consistency():
 
     # brute bisection oracle over v, re-optimizing settings at each midpoint
     lo, hi = 0.0, 1.0
-    assert composite_lhs(replace(ghz_config, visibility=hi), restarts=16) > 0.0
-    assert composite_lhs(replace(ghz_config, visibility=lo), restarts=16) < 0.0
+    assert composite_parts(replace(ghz_config, visibility=hi), restarts=16)[0] > 0.0
+    assert composite_parts(replace(ghz_config, visibility=lo), restarts=16)[0] < 0.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if composite_lhs(replace(ghz_config, visibility=mid), restarts=8) < 0.0:
+        if composite_parts(replace(ghz_config, visibility=mid), restarts=8)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -389,9 +389,7 @@ def test_criterion_9_external_expression_plumbing():
     )
     four_doc = json.loads(json.dumps(four_party.to_json_dict()))
     loaded = BellExpression.from_json_dict(four_doc)
-    run = symmetric_critical_eta(
-        loaded, make_state(StateSpec("GHZ", 4)).density(), restarts=4, refine_restarts=4
-    )
+    run = symmetric_critical_eta(loaded, make_state(StateSpec("GHZ", 4)).density(), restarts=4)
     plumbing_ok = run.status in ("ok", "not_found")
     if run.found:
         plumbing_ok = plumbing_ok and run.achieved_residual < 1e-9

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from belldet import ScenarioConfig
-from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, main
+from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_CONFIGS = [
@@ -237,7 +237,7 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:")
 
-    @pytest.mark.parametrize("target", [0, "many"])
+    @pytest.mark.parametrize("target", [0, "many", 2.5, True])
     def test_bad_target_successes_exits_2(self, capsys, tmp_path, target):
         doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
         doc["target_successes"] = target
@@ -389,3 +389,100 @@ def test_lhv_bound_reads_the_bell_section_of_scenarios_and_sweeps(capsys, name, 
     report = run_json(capsys, "lhv-bound", "--config", str(CONFIG_DIR / name))
     assert report["result"]["lhv_bound"] == bound
     assert report["diagnostics"] == {}
+
+
+def _inline_chsh(doc):
+    doc["bell"] = json.loads((CONFIG_DIR / "chsh.json").read_text())
+    return doc["bell"]
+
+
+# (config, edit, field): each edit puts a bool or a non-integral number where
+# the parser once truncated it with int().
+NON_INTEGRAL_FIELDS = [
+    ("ghz4.json", lambda doc: doc.update(k=2.7), "k"),
+    ("ghz4.json", lambda doc: doc.update(lost=True), "lost"),
+    ("ghz4.json", lambda doc: doc["state"].update(n=4.9), "n"),
+    ("dicke42.json", lambda doc: doc["state"].update(excitations=1.5), "excitations"),
+    ("ghz4.json", lambda doc: _inline_chsh(doc).update(n_parties=2.9), "n_parties"),
+    ("ghz4.json", lambda doc: _inline_chsh(doc).update(settings_per_party=False),
+     "settings_per_party"),
+    ("ghz4.json", lambda doc: _inline_chsh(doc)["terms"][1].update(settings=[0, 1.6]),
+     "term settings"),
+]
+
+
+class TestIntegerFields:
+    @staticmethod
+    def write(tmp_path, name, edit):
+        doc = json.loads((CONFIG_DIR / name).read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "name,edit,field", NON_INTEGRAL_FIELDS, ids=[field for _, _, field in NON_INTEGRAL_FIELDS]
+    )
+    def test_non_integral_value_is_a_config_error(self, capsys, tmp_path, name, edit, field):
+        path = self.write(tmp_path, name, edit)
+        for command in ("eval", "critical-eta", "duration"):
+            code, out, err = run(capsys, command, "--config", path)
+            assert (code, out) == (EXIT_CONFIG, ""), (command, err)
+            assert err.startswith("config error:") and f"{field} must be an integer" in err
+        report = run_json(capsys, "validate", "--config", path)
+        [violation] = report["result"]["violations"]
+        assert violation.startswith("parse:") and field in violation
+
+    def test_integral_floats_still_parse(self, capsys, tmp_path):
+        def edit(doc):
+            doc.update(k=2.0, lost=0.0)
+            doc["state"].update(n=4.0)
+            _inline_chsh(doc).update(n_parties=2.0, settings_per_party=2.0)
+
+        report = run_json(capsys, "validate", "--config", self.write(tmp_path, "ghz4.json", edit))
+        assert report["result"]["violations"] == []
+        assert (report["inputs"]["k"], report["inputs"]["state"]["n"]) == (2, 4)
+
+
+def test_sweep_with_lost_qubits_is_the_duration_config_error(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    doc["scenario"]["lost"] = 1
+    sweep_path, scenario_path = tmp_path / "sweep.json", tmp_path / "scenario.json"
+    sweep_path.write_text(json.dumps(doc))
+    scenario_path.write_text(json.dumps(doc["scenario"]))
+    code, out, err = run(capsys, "sweep", "--config", str(sweep_path), "--output", "csv")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and "lost qubits" in err
+    assert run(capsys, "duration", "--config", str(scenario_path)) == (EXIT_CONFIG, "", err)
+
+
+@pytest.mark.parametrize(
+    "grid,rows",
+    [
+        ({"start": 0.0, "stop": 1.0, "step": 1.0 / (MAX_SWEEP_ROWS - 1)}, MAX_SWEEP_ROWS),
+        ({"start": 0.0, "stop": 1.0, "step": 1.0 / MAX_SWEEP_ROWS}, MAX_SWEEP_ROWS + 1),
+        ({"start": 0.0, "stop": 1.0, "step": 1e-9}, 10**9 + 1),
+        ({"start": 0.0, "stop": 1.0, "step": 5e-324}, None),
+    ],
+)
+def test_sweep_row_limit_is_checked_before_any_row(capsys, tmp_path, monkeypatch, grid, rows):
+    class RowsBuilt(Exception):
+        pass
+
+    def build_rows(config):
+        raise RowsBuilt
+
+    # The sweep projects the state before it builds any row, so raising there
+    # proves that no row was built.
+    monkeypatch.setattr("belldet.protocol.projected_state", build_rows)
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    doc["grid"] = grid
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    if rows == MAX_SWEEP_ROWS:
+        with pytest.raises(RowsBuilt):
+            main(["sweep", "--config", str(path)])
+    else:
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: grid has more than {MAX_SWEEP_ROWS} rows\n"

@@ -15,7 +15,7 @@ from belldet import (
     StateSpec,
     ZeroProjectionError,
     bell_phi_plus,
-    composite_lhs,
+    composite_parts,
     critical_eta_high,
     critical_visibility,
     damaged_state,
@@ -173,15 +173,15 @@ def test_damaged_state_matches_dense_reference_on_a_complex_mixed_state(lost):
 
 class TestComposite:
     def test_ghz4_reference_value(self):
-        lhs = composite_lhs(ghz_chsh_config())
+        lhs = composite_parts(ghz_chsh_config())[0]
         assert lhs == pytest.approx(0.01 * 0.25 * (TSIRELSON - 2.0), abs=1e-9)
 
     def test_zero_at_threshold(self):
-        lhs = composite_lhs(ghz_chsh_config(eta_H=ETA_CRIT))
+        lhs = composite_parts(ghz_chsh_config(eta_H=ETA_CRIT))[0]
         assert abs(lhs) < 1e-9
 
     def test_maximally_mixed_never_violates(self):
-        lhs = composite_lhs(ghz_chsh_config(visibility=0.0))
+        lhs = composite_parts(ghz_chsh_config(visibility=0.0))[0]
         assert lhs <= 0.0
 
     def test_eta_L_cannot_flip_the_sign(self):
@@ -189,7 +189,7 @@ class TestComposite:
         signs = []
         for eta_L in (1e-3, 1e-1, 1.0):
             config = ghz_chsh_config(eta_L=eta_L, eta_H=0.9)
-            signs.append(math.copysign(1.0, composite_lhs(config, restarts=12)))
+            signs.append(math.copysign(1.0, composite_parts(config, restarts=12)[0]))
         assert len(set(signs)) == 1 and signs[0] > 0
 
 
@@ -202,7 +202,7 @@ class TestCriticalEta:
 
     def test_threshold_consistency_with_composite(self):
         result = critical_eta_high(ghz_chsh_config(), restarts=24)
-        lhs = composite_lhs(ghz_chsh_config(eta_H=result.critical_value), restarts=24)
+        lhs = composite_parts(ghz_chsh_config(eta_H=result.critical_value), restarts=24)[0]
         assert abs(lhs) < 1e-8
 
     def test_not_found_without_violation(self):
@@ -287,6 +287,39 @@ class TestCriticalVisibility:
         )
         result = critical_visibility(config, restarts=12)
         assert not result.found
+
+
+# Tsirelson's settings for Phi+ under CHSH: A = Z, X and B = (Z +- X)/sqrt(2).
+TSIRELSON_SETTINGS = (
+    (MeasurementSetting(0.0), MeasurementSetting(math.pi / 2)),
+    (MeasurementSetting(math.pi / 4), MeasurementSetting(-math.pi / 4)),
+)
+
+
+@pytest.mark.parametrize("eta_H", [1.0, 0.9])
+def test_fixed_settings_never_reach_the_optimizer(monkeypatch, eta_H):
+    def optimizer(*args, **kwargs):
+        raise AssertionError("fixed settings were optimized")
+
+    monkeypatch.setattr(protocol, "optimize_settings", optimizer)
+    config = ScenarioConfig(
+        state=StateSpec("BellPhiPlus", 2), k=2, eta_L=0.5, eta_H=eta_H, bell=preset("CHSH"),
+        settings=TSIRELSON_SETTINGS,
+    )
+    # Under FOLD, CHSH(eta) = 2 sqrt(2) eta^2 + 2 (1 - eta)^2 on Phi+ and
+    # 2 (1 - eta)^2 on the maximally mixed state.
+    lhs, parts = protocol.composite_parts(config)
+    chsh = 2.0 * math.sqrt(2.0) * eta_H**2 + 2.0 * (1.0 - eta_H) ** 2
+    assert lhs == pytest.approx(chsh - 2.0, abs=1e-12)
+    assert parts["settings"] == [[s.to_json_dict() for s in party] for party in TSIRELSON_SETTINGS]
+    threshold = critical_eta_high(config)
+    assert threshold.found
+    assert threshold.critical_value == pytest.approx(ETA_CRIT, abs=1e-12)
+    visibility = critical_visibility(config)
+    assert visibility.found
+    assert visibility.critical_value == pytest.approx(
+        (2.0 - eta_H) / (math.sqrt(2.0) * eta_H), abs=1e-12
+    )
 
 
 class TestConfigValidation:
@@ -418,7 +451,7 @@ def test_composite_is_affine_in_visibility(name, convention):
         projectors=(MeasurementSetting(0.4, 0.3), X_PLUS),
     )
     vs = (0.2, 0.55, 0.9)
-    values = [composite_lhs(replace(config, visibility=v)) for v in vs]
+    values = [composite_parts(replace(config, visibility=v))[0] for v in vs]
     slope_low = (values[1] - values[0]) / (vs[1] - vs[0])
     slope_high = (values[2] - values[1]) / (vs[2] - vs[1])
     assert slope_low == pytest.approx(slope_high, abs=1e-12)

@@ -7,18 +7,16 @@ from belldet import (
     DensityMatrix,
     Effect,
     PureState,
-    QubitCapacityError,
     basis_state,
     bell_phi_plus,
     cluster4,
-    embed_operator,
     expectation,
     ghz,
     partial_trace,
     project,
-    tensor,
 )
 from belldet.detmodel import MeasurementSetting, X_PLUS
+from belldet.qstate import embed_operator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -29,30 +27,6 @@ def random_density(n_qubits, rng):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = raw @ raw.conj().T
     return DensityMatrix(n_qubits, mat / np.trace(mat))
-
-
-class TestTensor:
-    def test_basis_case(self):
-        out = tensor(basis_state("0"), basis_state("1"))
-        expected = np.zeros(4)
-        expected[1] = 1.0
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
-
-    def test_product_symmetry_plus_plus(self):
-        plus = PureState(1, np.array([1.0, 1.0]) / math.sqrt(2))
-        out = tensor(plus, plus)
-        np.testing.assert_allclose(out.amplitudes, np.full(4, 0.5), atol=1e-15)
-
-    def test_bell_with_zero(self):
-        # hand Kronecker expansion: amplitudes 1/sqrt(2) at |000> and |110>
-        out = tensor(bell_phi_plus(), basis_state("0"))
-        expected = np.zeros(8)
-        expected[0b000] = expected[0b110] = 1.0 / math.sqrt(2)
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
-
-    def test_capacity_error(self):
-        with pytest.raises(QubitCapacityError):
-            tensor(ghz(3), ghz(3), max_qubits=5)
 
 
 class TestPartialTrace:

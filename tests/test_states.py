@@ -6,7 +6,6 @@ import pytest
 from belldet import (
     Effect,
     StateSpec,
-    add_white_noise,
     basis_state,
     bell_phi_plus,
     bell_psi_plus,
@@ -21,6 +20,7 @@ from belldet import (
     w_state,
 )
 from belldet.detmodel import X_PLUS
+from belldet.states import add_white_noise
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
