@@ -14,7 +14,7 @@ import numpy as np
 
 from .detmodel import Convention, MeasurementSetting, json_int, validate_efficiency
 from .detmodel import _coefficients, _outcome_factors
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, pauli_tensor
 
 OUTCOME_PLUS = "+"
 OUTCOME_MINUS = "-"
@@ -205,9 +205,11 @@ def lhv_bound(expr: BellExpression) -> float:
 class _Evaluator:
     """Vectorized quantum-value kernel for a fixed expression and state.
 
-    Reads each term's dressed operators a Pi+ + b I from the detector
-    model once, so that one evaluation is a gather of the projectors by
-    setting, one affine map and one einsum. Angles carry a leading start
+    Works in the real Pauli basis: the state is its tensor T (see
+    ``qstate.pauli_tensor``), and party i's dressed operator a Pi+ + b I in
+    term t, Pi+ = (I + n . sigma) / 2, is the 4-vector (b + a/2, (a/2) n),
+    with (a, b) read from the detector model once. A term's value is T
+    contracted with its parties' vectors. Angles carry a leading start
     axis: thetas and phis of shape (S, n, s) evaluate S independent
     settings at once, and every result keeps that axis first. The settings
     optimizer also reads each party's effective operators from it
@@ -217,99 +219,77 @@ class _Evaluator:
     def __init__(
         self,
         expr: BellExpression,
-        rho: np.ndarray,
+        rho: DensityMatrix | np.ndarray,
         etas: Sequence[float],
         convention: Convention,
     ) -> None:
         n = expr.n_parties
-        self.etas = np.array([validate_efficiency(e) for e in etas], dtype=float)
-        if self.etas.shape != (n,):
-            raise ValueError(f"expected {n} efficiencies, got {self.etas.shape}")
-        dim = 2**n
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (dim, dim):
-            raise ValueError(f"state dimension {rho.shape} does not match {n} parties")
-        self.rho_tensor = rho.reshape([2] * (2 * n))
+        etas = np.array([validate_efficiency(e) for e in etas], dtype=float)
+        if etas.shape != (n,):
+            raise ValueError(f"expected {n} efficiencies, got {etas.shape}")
+        is_state = isinstance(rho, DensityMatrix)
+        matrix = rho.matrix if is_state else np.asarray(rho, dtype=complex)
+        if matrix.shape != (2**n, 2**n):
+            raise ValueError(f"state dimension {matrix.shape} does not match {n} parties")
+        self.tensor = rho.pauli_tensor if is_state else pauli_tensor(matrix)
         self.weights = np.array([t.weight for t in expr.terms], dtype=float)
         self.term_settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
         self.parties = np.arange(n)
         # Correlation terms need the folded row, which only FOLD has
         # (ConventionError otherwise).
         labels = np.array([_labels(t, n) for t in expr.terms], dtype=str).reshape(-1, n)
-        a, b = _coefficients(convention, labels, self.etas)  # (terms, parties)
-        self.scale = a[..., None, None]
-        self.shift = b[..., None, None] * np.eye(2, dtype=complex)
+        a, b = _coefficients(convention, labels, etas)  # (terms, parties)
+        self.scale, self.identity_part = a, b + 0.5 * a
         self.settings_per_party = expr.settings_per_party
-        # Term t's projector of party i, in the flattened (party, setting) axis.
+        # Term t's Bloch vector of party i, in the flattened (party, setting) axis.
         self.gather = self.parties * expr.settings_per_party + self.term_settings
-        # Tr(rho kron_i M_i) = sum rho[r, c] prod_i M_i[c_i, r_i]. Every axis
-        # has its own letter: party i's row is the i-th lower-case letter and
-        # its column the i-th upper-case one; Z and z are the start and term
-        # axes, so up to 25 parties never share a label.
-        self.rows = "abcdefghijklmnopqrstuvwxy"[:n]
-        self.cols = self.rows.upper()
-        self.subscript = self._subscript(())
+        # Party i's Pauli axis is letter i, Z and z the start and term axes; the
+        # parties in a key keep their axes open. Up to 25 parties fit.
+        letters = "abcdefghijklmnopqrstuvwxy"[:n]
+        self.subscripts = {}
+        for left_out in [(), *((i,) for i in range(n)), *itertools.combinations(range(n), 2)]:
+            ops = ["Zz" + letter for i, letter in enumerate(letters) if i not in left_out]
+            open_axes = "".join(letters[i] for i in left_out)
+            self.subscripts[left_out] = ",".join([letters, *ops]) + "->Zz" + open_axes
 
-    def _subscript(self, left_out: Sequence[int]) -> str:
-        """rho against every party's operators except ``left_out``'s, whose
-        row and column axes stay open in the result."""
-        ops = ["Zz" + c + r for i, (r, c) in enumerate(zip(self.rows, self.cols))
-               if i not in left_out]
-        open_axes = "".join(self.rows[i] + self.cols[i] for i in left_out)
-        return ",".join([self.rows + self.cols, *ops]) + "->Zz" + open_axes
-
-    def _partial(self, ops: np.ndarray, left_out: Sequence[int]) -> np.ndarray:
-        """G (S, T, r_i, c_i, r_k, c_k, ...): term t's value at start s is
-        Tr(G[s, t] kron_{i in left_out} M_ti), given ops (parties, S, T, 2, 2)."""
-        n = len(ops)
-        if len(left_out) == n:  # no operator left to carry the start and term axes
-            g = self.rho_tensor.transpose([axis for i in left_out for axis in (i, n + i)])
-            return np.broadcast_to(g, ops.shape[1:3] + g.shape)
+    def _partial(self, ops: np.ndarray, left_out: tuple[int, ...]) -> np.ndarray:
+        """G (S, T, mu_i, mu_k, ...): T contracted with every party's
+        operators except ``left_out``'s, given ops (parties, S, T, 4)."""
+        if len(left_out) == len(ops):  # no operator left to carry the start and term axes
+            return np.broadcast_to(self.tensor, ops.shape[1:3] + self.tensor.shape)
         kept = [op for i, op in enumerate(ops) if i not in left_out]
-        return np.einsum(self._subscript(left_out), self.rho_tensor, *kept)
+        return np.einsum(self.subscripts[left_out], self.tensor, *kept)
 
     @cached_property
     def route(self) -> np.ndarray:
         """route[t, i, j] = a_ti if term t uses party i's setting j, else 0.
         Built on first use so that quantum_value does not pay for it."""
         uses = self.term_settings[..., None] == np.arange(self.settings_per_party)
-        return uses * self.scale[..., 0, 0, None]
+        return uses * self.scale[..., None]
 
-    def _projectors(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-        half = 0.5 * thetas
-        kets = np.empty(half.shape + (2,), dtype=complex)  # (S, n, s, 2)
-        kets[..., 0] = np.cos(half)
-        kets[..., 1] = np.sin(half)
-        if phis is None:
-            return kets[..., :, None] * kets[..., None, :]
-        kets[..., 1] *= np.exp(1j * phis)
-        return kets[..., :, None] * kets[..., None, :].conj()  # (S, n, s, 2, 2)
-
-    def _operators(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+    def operators(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+        """m (parties, S, terms, 4): each term's dressed operator of each party."""
         starts, n, s = thetas.shape
-        proj = self._projectors(thetas, phis).reshape(starts, n * s, 2, 2)
-        dressed = self.scale * np.take(proj, self.gather, axis=1) + self.shift
-        return dressed.transpose(2, 0, 1, 3, 4)  # (parties, S, terms, 2, 2)
+        ops = np.empty((starts,) + self.gather.shape + (4,))  # (S, terms, parties, 4)
+        ops[..., 0] = self.identity_part
+        bloch = np.take(_bloch_vectors(thetas, phis).reshape(starts, n * s, 3), self.gather, axis=1)
+        np.multiply(0.5 * self.scale[..., None], bloch, out=ops[..., 1:])
+        return ops.transpose(2, 0, 1, 3)
 
     def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
         """The expression's value at each start, shape (S,)."""
-        per_term = np.einsum(self.subscript, self.rho_tensor, *self._operators(thetas, phis))
-        return np.real(per_term @ self.weights)
+        return self._partial(self.operators(thetas, phis), ()) @ self.weights
 
-    def bloch_fields(self, thetas: np.ndarray, phis: np.ndarray | None, party: int) -> np.ndarray:
-        """c[:, j] = Tr(E_j sigma) for each of the party's settings j, shape (S, s, 3).
+    def bloch_fields(self, ops: np.ndarray, party: int) -> np.ndarray:
+        """c[:, j] = Tr(E_j sigma) per setting j of the party, (S, s, 3), from ``operators``.
 
         The value is affine in each projector Pi_ij = (I + n_ij . sigma) / 2:
         with the other parties fixed it is Tr(E_j Pi_ij) summed over j plus a
         constant, E_j the effective operator, so it depends on the Bloch
         vector n_ij only through c[j] . n_ij / 2.
         """
-        return self._fields(self._operators(thetas, phis), party)
-
-    def _fields(self, ops: np.ndarray, party: int) -> np.ndarray:
-        g = self._partial(ops, (party,))
-        traces = g.reshape(g.shape[:2] + (4,)) @ _SIGMA.T  # Tr(G sigma), (S, T, 3)
-        return np.einsum("t,tj,stx->sjx", self.weights, self.route[:, party], traces).real
+        traces = self._partial(ops, (party,))[..., 1:]  # Tr(G sigma), (S, T, 3)
+        return np.einsum("t,tj,stx->sjx", self.weights, self.route[:, party], traces)
 
     def derivatives(
         self, thetas: np.ndarray, phis: np.ndarray | None
@@ -326,20 +306,18 @@ class _Evaluator:
         contraction, routed from terms to the two parties' settings.
         """
         n, s = len(self.parties), self.settings_per_party
-        ops = self._operators(thetas, phis)
-        c = np.stack([self._fields(ops, i) for i in range(n)], axis=1)  # (S, n, s, 3)
+        ops = self.operators(thetas, phis)
+        c = np.stack([self.bloch_fields(ops, i) for i in range(n)], axis=1)  # (S, n, s, 3)
         jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
         gradient = 0.5 * np.einsum("sijx,sijxa->saij", c, jac)
         within = 0.5 * np.einsum("sijx,sijxab->sijab", c, curl)
         # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
         hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
         for i, k in itertools.combinations(range(n), 2):
-            g = self._partial(ops, (i, k))
-            traces = g.reshape(g.shape[:2] + (16,)) @ _SIGMA_PAIR.T  # Tr(G sigma_x sigma_y)
+            traces = self._partial(ops, (i, k))[..., 1:, 1:]  # Tr(G sigma_x (x) sigma_y)
             # d2 value / d n_ij d n_kl = sum_t w_t a_ti a_tk Tr(G sigma (x) sigma) / 4
             factors = self.weights, self.route[:, i], self.route[:, k]
-            bloch = 0.25 * np.einsum("t,tj,tl,stz->sjlz", *factors, traces).real
-            bloch = bloch.reshape(bloch.shape[:3] + (3, 3))
+            bloch = 0.25 * np.einsum("t,tj,tl,stxy->sjlxy", *factors, traces)
             block = np.einsum("sjxa,sjlxy,slyb->sajbl", jac[:, i], bloch, jac[:, k])
             hessian[:, :, i, :, :, k] = block
             hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
@@ -347,11 +325,15 @@ class _Evaluator:
         return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
 
 
-# Tr(E sigma_x) = E.ravel() @ _SIGMA[x] for a 2x2 E; _SIGMA_PAIR does the
-# same for sigma_x (x) sigma_y on a (2, 2, 2, 2) operator, x and y row-major.
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_SIGMA = _PAULI.transpose(0, 2, 1).reshape(3, 4)
-_SIGMA_PAIR = np.kron(_SIGMA, _SIGMA)
+def _bloch_vectors(thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+    """n = (sin t cos p, sin t sin p, cos t), shape (..., 3); p = 0 without phis."""
+    bloch = np.zeros(thetas.shape + (3,))
+    sin_t = np.sin(thetas, out=bloch[..., 0])
+    if phis is not None:
+        np.multiply(sin_t, np.sin(phis), out=bloch[..., 1])
+        sin_t *= np.cos(phis)
+    np.cos(thetas, out=bloch[..., 2])
+    return bloch
 
 
 def _bloch_derivatives(
@@ -390,9 +372,8 @@ def quantum_value(
         raise ValueError(f"expected settings for {expr.n_parties} parties, got {len(settings)}")
     if any(len(party) != expr.settings_per_party for party in settings):
         raise ValueError(f"every party needs {expr.settings_per_party} settings")
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     thetas, phis = settings_to_angles(settings)
-    return float(_Evaluator(expr, mat, etas, convention).value(thetas[None], phis[None])[0])
+    return float(_Evaluator(expr, rho, etas, convention).value(thetas[None], phis[None])[0])
 
 
 def angles_to_settings(
@@ -419,12 +400,8 @@ def settings_to_angles(
 def chsh_seed_angles(n_parties: int, settings_per_party: int) -> np.ndarray:
     """Known-good start: {0, pi/2} for the leading parties and
     {pi/4, -pi/4} for the last, the ideal CHSH geometry."""
-    thetas = np.zeros((n_parties, settings_per_party), dtype=float)
-    for i in range(n_parties):
-        base = [0.0, math.pi / 2.0] if i < n_parties - 1 else [math.pi / 4.0, -math.pi / 4.0]
-        for j in range(settings_per_party):
-            thetas[i, j] = base[j % 2]
-    return thetas
+    base = [[0.0, math.pi / 2.0]] * (n_parties - 1) + [[math.pi / 4.0, -math.pi / 4.0]]
+    return np.array(base)[:, np.arange(settings_per_party) % 2]
 
 
 @dataclass
@@ -462,8 +439,7 @@ def optimize_settings(
     """
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    evaluator = _Evaluator(expr, mat, etas, convention)
+    evaluator = _Evaluator(expr, rho, etas, convention)
     n_theta = n * s
 
     def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -476,10 +452,10 @@ def optimize_settings(
         """Give each party in turn its best projectors given the others, in place."""
         thetas, phis = split(x)
         for i in range(n):
-            c = evaluator.bloch_fields(thetas, phis, i)
+            c = evaluator.bloch_fields(evaluator.operators(thetas, phis), i)
             if phis is None:
                 c[..., 1] = 0.0
-            moves = np.linalg.norm(c, axis=-1) > 0.0  # a setting no term reaches keeps its angles
+            moves = c.any(axis=-1)  # a setting no term reaches keeps its angles
             cx, cy, cz = c.transpose(2, 0, 1)
             if phis is None:
                 thetas[:, i] = np.where(moves, np.arctan2(cx, cz), thetas[:, i])
@@ -487,19 +463,13 @@ def optimize_settings(
                 thetas[:, i] = np.where(moves, np.arctan2(np.hypot(cx, cy), cz), thetas[:, i])
                 phis[:, i] = np.where(moves, np.arctan2(cy, cx), phis[:, i])
 
-    starts = [chsh_seed_angles(n, s).reshape(-1)]
-    if opts.include_phi:
-        starts[0] = np.concatenate([starts[0], np.zeros(n_theta)])
-    for warm in opts.warm_starts:
-        thetas, phis = settings_to_angles(warm)
-        vec = thetas.reshape(-1)
-        if opts.include_phi:
-            vec = np.concatenate([vec, phis.reshape(-1)])
-        starts.append(vec)
-    rng = np.random.default_rng(opts.seed)
     dim = n_theta * (2 if opts.include_phi else 1)
-    for _ in range(opts.restarts):
-        starts.append(rng.uniform(0.0, 2.0 * math.pi, size=dim))
+    seed = chsh_seed_angles(n, s)
+    given = [(seed, np.zeros_like(seed)), *map(settings_to_angles, opts.warm_starts)]
+    # The seed, the warm starts, then the random starts; phis follow thetas only if searched.
+    starts = [np.concatenate([t.ravel(), p.ravel()])[:dim] for t, p in given]
+    rng = np.random.default_rng(opts.seed)
+    starts += [rng.uniform(0.0, 2.0 * math.pi, size=dim) for _ in range(opts.restarts)]
     x0 = np.array(starts)
     start_vals = evaluator.value(*split(x0))
 

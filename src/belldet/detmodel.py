@@ -64,7 +64,7 @@ class MeasurementSetting:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementSetting":
         """``{"theta": ..., "phi": ...}``; a missing phi is 0."""
-        return cls(float(doc["theta"]), float(doc.get("phi", 0.0)))
+        return cls(json_float(doc["theta"], "theta"), json_float(doc.get("phi", 0.0), "phi"))
 
 
 # Recurring projector choices: |+><+|, |0><0| and |1><1|.
@@ -85,6 +85,13 @@ def json_int(value, name: str, minimum: int | None = None) -> int:
         return number
     at_least = "" if minimum is None else f" >= {minimum}"
     raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def json_float(value, name: str) -> float:
+    """A real-valued field of a config: a JSON number; bools and strings raise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):  # bool subclasses int
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def validate_efficiency(eta: float) -> float:

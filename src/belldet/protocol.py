@@ -8,15 +8,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate, chebroots, chebval
+from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
 from .bell import (
     BellExpression, BellForm, OptimizeOptions, expression_from_json_dict, optimize_settings,
     quantum_value,
 )
-from .detmodel import (
-    Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_int, validate_efficiency,
-)
+from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int
+from .detmodel import validate_efficiency
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
 from .states import StateSpec, make_state
 
@@ -135,12 +134,12 @@ class ScenarioConfig:
         return cls(
             state=StateSpec.from_json_dict(doc["state"]),
             k=json_int(doc["k"], "k"),
-            eta_L=float(doc["eta_L"]),
-            eta_H=float(doc["eta_H"]),
+            eta_L=json_float(doc["eta_L"], "eta_L"),
+            eta_H=json_float(doc["eta_H"], "eta_H"),
             bell=bell,
             projectors=projectors,
             settings=settings,
-            visibility=float(doc.get("visibility", 1.0)),
+            visibility=json_float(doc.get("visibility", 1.0), "visibility"),
             convention=Convention(doc.get("convention", "fold")),
             lost=json_int(doc.get("lost", 0), "lost"),
         )
@@ -152,10 +151,11 @@ class SolveResult:
 
     ``status`` is "ok" when the residual (quantum value minus classical
     bound at the returned threshold, optimized settings) is below
-    RESIDUAL_TOL = 1e-9; "not_found" when there is no violation to start
-    from or no sign change below the upper end; "not_converged" when the
-    rounds run out first, with the last root and its residual reported.
-    ``bracket`` is the final round's search interval (0, hi).
+    RESIDUAL_TOL = 1e-9 and below RESIDUAL_TOL times the slope there (so
+    the threshold is within about 1e-9 too); "not_found" when there is no
+    violation to start from or no sign change below the upper end;
+    "not_converged" when the rounds run out first, with the last root and
+    its residual reported. ``bracket`` is the last round's interval (0, hi).
     """
 
     status: str
@@ -319,18 +319,19 @@ def _not_found(reason: str, iterations: int = 0, **diagnostics) -> SolveResult:
     return SolveResult("not_found", None, iterations, None, None, {"reason": reason, **diagnostics})
 
 
-def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> float | None:
+def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> tuple[float, float] | None:
     """Largest root of f in [1e-4 hi, hi) where f turns from negative to
     non-negative, read off the exact degree-``degree`` interpolant of f
-    through Chebyshev nodes on [0, hi].
+    through Chebyshev nodes on [0, hi], with the interpolant's slope there.
 
     Roots below 1e-4 hi count as none: CHSH under FOLD and CH under TRINARY
     vanish identically at eta = 0. An f already negative at hi, which a
     caller's precondition admits within its tolerance, puts the root at hi.
     """
     coef = chebinterpolate(lambda ts: np.array([f(0.5 * hi * (t + 1.0)) for t in ts]), degree)
+    slope = chebder(coef) * (2.0 / hi)  # df/dx as a series in t
     if chebval(1.0, coef) < 0.0:
-        return hi
+        return hi, chebval(1.0, slope)
     roots = chebroots(coef)
     roots = np.sort(roots[roots.imag == 0.0].real)
     floor = 2.0 * _ROOT_FLOOR - 1.0
@@ -339,7 +340,7 @@ def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> float | 
         t = roots[i]
         below = roots[i - 1] if i else t - 1.0
         if floor <= t < 1.0 and chebval(0.5 * (below + t), coef) < 0.0:
-            return 0.5 * hi * (t + 1.0)
+            return 0.5 * hi * (t + 1.0), chebval(t, slope)
     return None
 
 
@@ -357,20 +358,22 @@ def _solve_threshold(
     (0, hi] and re-optimizes the settings there. Optimizing can only raise
     the value, so each root is an upper bound on the true threshold and the
     roots decrease; the solve is "ok" once the optimized value at the root
-    sits on the bound to within RESIDUAL_TOL.
+    sits on the bound to within RESIDUAL_TOL times min(1, slope there), so
+    that a shallow crossing too leaves the root within RESIDUAL_TOL.
     """
     hi = 1.0
     for rounds in range(1, _MAX_ROUNDS + 1):
         bracket = (0.0, hi)
-        root = _upper_root(lambda x: value_at(x, settings) - bound, degree, hi)
-        if root is None:
+        found = _upper_root(lambda x: value_at(x, settings) - bound, degree, hi)
+        if found is None:
             return _not_found("no sign change found below the upper end", rounds), settings
+        root, slope = found
         settings, q_root = optimize_at(root, settings)
         residual = abs(q_root - bound)
-        if residual < RESIDUAL_TOL:
+        if residual < RESIDUAL_TOL * min(1.0, abs(slope)):
             return SolveResult("ok", root, rounds, bracket, residual), settings
         hi = root
-    reason = f"residual still at or above {RESIDUAL_TOL} after {_MAX_ROUNDS} rounds"
+    reason = f"residual still above {RESIDUAL_TOL} x min(1, slope) after {_MAX_ROUNDS} rounds"
     return SolveResult("not_converged", root, rounds, bracket, residual, {"reason": reason}), settings
 
 
@@ -472,12 +475,12 @@ def critical_visibility(
     pure = rho_prime.matrix
     noise = np.eye(len(pure), dtype=complex) / len(pure)
 
-    def q(rho: np.ndarray, settings: SettingsAssignment) -> float:
+    def q(rho: DensityMatrix | np.ndarray, settings: SettingsAssignment) -> float:
         return quantum_value(expr, rho, settings, etas, config.convention)
 
     def endpoints(settings: SettingsAssignment) -> tuple[float, float]:
         """composite / eta_L^m at v = 0 and at v = 1."""
-        return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(pure, settings) - bound)
+        return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(rho_prime, settings) - bound)
 
     def gap_at(v: float, settings: SettingsAssignment) -> float:
         at_zero, at_one = endpoints(settings)
@@ -495,7 +498,7 @@ def critical_visibility(
         return settings, q_v - bound
 
     settings, q_pure = resolve_settings(
-        expr, pure, etas, config.convention, config.settings, restarts, seed
+        expr, rho_prime, etas, config.convention, config.settings, restarts, seed
     )
     composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
     if composite_at_one < -RESIDUAL_TOL:
@@ -507,6 +510,6 @@ def critical_visibility(
     at_zero, at_one = endpoints(settings)
     if at_zero != 0.0:
         result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
-    result.diagnostics["bell_value_pure"] = q(pure, settings)
+    result.diagnostics["bell_value_pure"] = q(rho_prime, settings)
     result.diagnostics["bell_value_noise"] = q(noise, settings)
     return result

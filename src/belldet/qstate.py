@@ -12,6 +12,7 @@ function, so independent evaluations can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -102,6 +103,25 @@ class DensityMatrix:
         if low < -_PSD_TOL:
             raise ValueError(f"matrix is not PSD: lowest eigenvalue {low:.3e}")
         object.__setattr__(self, "matrix", _frozen(mat))
+
+    @cached_property
+    def pauli_tensor(self) -> np.ndarray:
+        """``pauli_tensor(self.matrix)``, computed once per state."""
+        return pauli_tensor(self.matrix)
+
+
+# sigma_mu for mu = I, X, Y, Z.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def pauli_tensor(matrix: np.ndarray) -> np.ndarray:
+    """T[mu_1, ..., mu_n] = Tr(rho sigma_mu_1 (x) ... (x) sigma_mu_n), the real
+    coordinates of rho = 2^-n sum_mu T_mu sigma_mu (Horodecki's T for n = 2)."""
+    n = len(matrix).bit_length() - 1
+    t = matrix.reshape([2] * (2 * n))
+    for left in range(n, 0, -1):  # trace the leading qubit against each sigma; mu goes last
+        t = np.tensordot(t, _PAULI, axes=([0, left], [2, 1]))
+    return np.ascontiguousarray(t.real)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detmodel import json_int
+from .detmodel import json_float, json_int
 from .qstate import DEFAULT_MAX_QUBITS, DensityMatrix, PureState, QubitCapacityError
 
 STATE_KINDS = ("GHZ", "Dicke", "W", "Cluster4", "BellPhiPlus", "BellPsiPlus", "PartialPair")
@@ -55,7 +55,7 @@ class StateSpec:
             kind=kind,
             n=json_int(doc.get("n", _FIXED_N.get(kind, 0)), "n"),
             excitations=None if excitations is None else json_int(excitations, "excitations"),
-            alpha=None if alpha is None else float(alpha),
+            alpha=None if alpha is None else json_float(alpha, "alpha"),
         )
 
     def to_json_dict(self) -> dict:

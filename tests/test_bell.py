@@ -458,6 +458,26 @@ class TestOptimizeSettings:
         assert value == pytest.approx(EBERHARD_OPTIMA[eta], abs=1e-12)
 
 
+class TestStateInput:
+    """A DensityMatrix carries its Pauli tensor; a raw matrix gets one on the
+    fly. Both inputs must give the same numbers."""
+
+    def test_quantum_value_is_the_same_on_the_state_and_its_matrix(self):
+        rng = np.random.default_rng(12)
+        for convention, name in ((Convention.FOLD, "CHSH"), (Convention.TRINARY, "EBERHARD_CH")):
+            rho = DensityMatrix(2, random_mixed_state(rng, 2))
+            settings = random_settings(rng)
+            on_state = quantum_value(preset(name), rho, settings, [0.9, 0.8], convention)
+            on_matrix = quantum_value(preset(name), rho.matrix, settings, [0.9, 0.8], convention)
+            assert on_matrix == on_state
+
+    def test_optimize_settings_is_the_same_on_the_state_and_its_matrix(self):
+        expr, rho, convention = eberhard_state()
+        opts = OptimizeOptions(restarts=6, seed=4, include_phi=True)
+        on_state = optimize_settings(expr, rho, [0.9, 0.9], convention, opts)
+        assert optimize_settings(expr, rho.matrix, [0.9, 0.9], convention, opts) == on_state
+
+
 class TestJsonRoundTrip:
     def test_correlation_round_trip(self):
         chsh = preset("CHSH")

@@ -444,6 +444,32 @@ class TestIntegerFields:
         assert (report["inputs"]["k"], report["inputs"]["state"]["n"]) == (2, 4)
 
 
+# (config, edit, field): each edit puts a bool or a numeric string into a
+# real-valued field, where the parser once read it with float().
+NON_NUMERIC_FIELDS = [
+    ("ghz4.json", lambda doc: doc.update(eta_L=True), "eta_L"),
+    ("ghz4.json", lambda doc: doc.update(eta_H="0.9"), "eta_H"),
+    ("ghz4.json", lambda doc: doc.update(visibility="0.9"), "visibility"),
+    ("ghz4.json", lambda doc: doc.update(projectors=[{"theta": True}, {"theta": 1.0}]), "theta"),
+    ("eberhard_alpha005.json", lambda doc: doc["projectors"][0].update(phi="0.5"), "phi"),
+    ("ghz4.json", lambda doc: doc.update(state={"kind": "PartialPair", "alpha": False}), "alpha"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,edit,field", NON_NUMERIC_FIELDS, ids=[field for _, _, field in NON_NUMERIC_FIELDS]
+)
+def test_non_numeric_real_field_is_a_config_error(capsys, tmp_path, name, edit, field):
+    path = TestIntegerFields.write(tmp_path, name, edit)
+    for command in ("eval", "critical-eta", "duration"):
+        code, out, err = run(capsys, command, "--config", path)
+        assert (code, out) == (EXIT_CONFIG, ""), (command, err)
+        assert err.startswith("config error:") and f"{field} must be a number" in err
+    report = run_json(capsys, "validate", "--config", path)
+    [violation] = report["result"]["violations"]
+    assert violation.startswith("parse:") and field in violation
+
+
 def test_sweep_with_lost_qubits_is_the_duration_config_error(capsys, tmp_path):
     doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
     doc["scenario"]["lost"] = 1

@@ -393,6 +393,25 @@ class TestThresholdEngine:
         assert result.achieved_residual >= protocol.RESIDUAL_TOL
         assert result.critical_value == pytest.approx(0.5 * 0.9 ** (protocol._MAX_ROUNDS - 1))
 
+    def test_ok_bounds_the_threshold_error_on_a_shallow_crossing(self):
+        # Eberhard's gap rises about 5e-3 per unit eta: a root 1e-7 above the
+        # threshold leaves an optimized residual of 5e-10, under RESIDUAL_TOL.
+        # The settings stand for the root of their own fixed-settings line.
+        slope, threshold = 5e-3, 0.6742959781982696
+
+        def value_at(x, root):
+            return slope * (x - root)
+
+        def optimize_at(x, root):
+            return threshold, slope * (x - threshold)
+
+        result, settings = protocol._solve_threshold(
+            value_at, 1, optimize_at, threshold + 1e-7, 0.0
+        )
+        assert result.status == "ok"
+        assert result.critical_value == pytest.approx(threshold, abs=1e-9)
+        assert result.iterations == 2 and settings == threshold
+
     def test_root_below_the_floor_counts_as_none(self):
         # f turns non-negative at 1e-6, below the floor of 1e-4 of the upper end
         def value_at(x, settings):
@@ -524,3 +543,15 @@ def test_critical_eta_matches_reference_bisection(filename, monkeypatch):
     hi = result.bracket[1]
     root, _, _ = _bisect(f, _scan_bracket_low(f, hi), hi)
     assert abs(root - result.critical_value) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eberhard_critical_eta_holds_for_every_seed(seed):
+    """An "ok" threshold is within 1e-9 whichever random starts the
+    optimizer draws, not only for the default seed."""
+    config = ScenarioConfig.from_json_dict(
+        json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
+    )
+    result = critical_eta_high(config, restarts=8, seed=seed)
+    assert result.found
+    assert result.critical_value == pytest.approx(_EXPECTED_ETA["eberhard_alpha005.json"], abs=1e-9)

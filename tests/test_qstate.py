@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +18,11 @@ from belldet import (
     project,
 )
 from belldet.detmodel import MeasurementSetting, X_PLUS
-from belldet.qstate import embed_operator
+from belldet.qstate import embed_operator, pauli_tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def random_density(n_qubits, rng):
@@ -135,6 +138,27 @@ class TestExpectation:
         lhs = expectation(reduced, observable)
         rhs = expectation(rho, embed_operator(observable, [2], 3))
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestPauliTensor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reconstructs_the_state(self, n):
+        """rho = 2^-n sum_mu T_mu sigma_mu, T real with T_0...0 = Tr(rho) = 1."""
+        rho = random_density(n, np.random.default_rng(40 + n))
+        tensor = rho.pauli_tensor
+        assert tensor.dtype == np.float64 and tensor.shape == (4,) * n
+        assert tensor[(0,) * n] == pytest.approx(1.0, abs=1e-12)
+        paulis = (np.eye(2), SX, SY, SZ)
+        rebuilt = sum(
+            tensor[mu] * functools.reduce(np.kron, [paulis[m] for m in mu])
+            for mu in itertools.product(range(4), repeat=n)
+        )
+        np.testing.assert_allclose(rebuilt / 2**n, rho.matrix, rtol=0, atol=1e-12)
+
+    def test_cached_on_the_state_and_equal_to_the_raw_matrix_tensor(self):
+        rho = random_density(3, np.random.default_rng(9))
+        assert rho.pauli_tensor is rho.pauli_tensor
+        np.testing.assert_array_equal(rho.pauli_tensor, pauli_tensor(rho.matrix))
 
 
 class TestValidation:
