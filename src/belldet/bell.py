@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detmodel import Convention, MeasurementSetting, json_int, validate_efficiency
+from .detmodel import Convention, MeasurementSetting, json_float, json_int, validate_efficiency
 from .detmodel import _coefficients, _outcome_factors
 from .qstate import DensityMatrix, pauli_tensor
 
@@ -109,7 +109,7 @@ class BellExpression:
             terms.append(
                 BellTerm(
                     settings=tuple(json_int(j, "term settings") for j in item["settings"]),
-                    weight=float(item["weight"]),
+                    weight=json_float(item["weight"], "weight"),
                     outcomes=None if outcomes is None else tuple(str(o) for o in outcomes),
                 )
             )
@@ -118,7 +118,7 @@ class BellExpression:
             settings_per_party=json_int(doc["settings_per_party"], "settings_per_party"),
             form=form,
             terms=tuple(terms),
-            classical_bound=float(doc.get("classical_bound", 0.0)),
+            classical_bound=json_float(doc.get("classical_bound", 0.0), "classical_bound"),
         )
         if "classical_bound" not in doc:
             expr = replace(expr, classical_bound=lhv_bound(expr))

@@ -3,7 +3,7 @@
 Reports are JSON documents with top-level keys ``inputs``, ``result`` and
 ``diagnostics``; sweeps can emit CSV. Exit codes: 0 success, 2 config
 parse/validation error, 3 solver found no threshold (status "not_found":
-no violation; "not_converged": rounds ran out above the residual
+no violation; "not_converged": the residual stayed above its
 tolerance) or a zero-weight projection.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, protocol
 from .bell import expression_from_json_dict, lhv_bound
-from .detmodel import json_int
+from .detmodel import json_float, json_int
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
 from .states import bell_psi_plus
@@ -48,6 +48,13 @@ class ConfigurationError(Exception):
     pass
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of ``--seed`` and ``--restarts``: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="belldet",
@@ -59,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
         cmd.add_argument("--output", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=0, help="optimizer seed")
-        cmd.add_argument("--restarts", type=int, default=64, help="optimizer restarts")
+        cmd.add_argument("--seed", type=non_negative_int, default=0, help="optimizer seed")
+        cmd.add_argument("--restarts", type=non_negative_int, default=64, help="optimizer restarts")
         cmd.add_argument("--max-qubits", type=int, default=16, dest="max_qubits")
     return parser
 
@@ -189,7 +196,7 @@ def _run_sweep(doc: dict, args) -> tuple[str, int]:
     config = _parse_scenario(doc["scenario"], args.max_qubits)
     grid = doc["grid"]
     try:
-        start, stop, step = float(grid["start"]), float(grid["stop"]), float(grid["step"])
+        start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {exc}') from exc
     if not (step > 0.0 and stop >= start):

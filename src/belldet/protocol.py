@@ -5,6 +5,7 @@ state, and the critical-efficiency / critical-visibility solvers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,8 +155,10 @@ class SolveResult:
     RESIDUAL_TOL = 1e-9 and below RESIDUAL_TOL times the slope there (so
     the threshold is within about 1e-9 too); "not_found" when there is no
     violation to start from or no sign change below the upper end;
-    "not_converged" when the rounds run out first, with the last root and
-    its residual reported. ``bracket`` is the last round's interval (0, hi).
+    "not_converged" when the residual stays above that, with the last root
+    and its residual reported. ``iterations`` counts the threshold engine's
+    rounds and ``bracket`` is the last round's interval (0, hi); the
+    closed-form visibility solve reports one round on (0, 1).
     """
 
     status: str
@@ -325,8 +328,9 @@ def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> tuple[fl
     through Chebyshev nodes on [0, hi], with the interpolant's slope there.
 
     Roots below 1e-4 hi count as none: CHSH under FOLD and CH under TRINARY
-    vanish identically at eta = 0. An f already negative at hi, which a
-    caller's precondition admits within its tolerance, puts the root at hi.
+    vanish identically at eta = 0. An f already negative at hi puts the
+    root at hi: ``critical_visibility`` accepts a composite down to
+    -RESIDUAL_TOL at v = 1, so its gap may start just below zero there.
     """
     coef = chebinterpolate(lambda ts: np.array([f(0.5 * hi * (t + 1.0)) for t in ts]), degree)
     slope = chebder(coef) * (2.0 / hi)  # df/dx as a series in t
@@ -351,7 +355,7 @@ def _solve_threshold(
     settings: SettingsAssignment,
     bound: float,
 ) -> tuple[SolveResult, SettingsAssignment]:
-    """The threshold engine behind every solver; returns the final settings too.
+    """The threshold engine behind the eta solvers; returns the final settings too.
 
     At fixed settings value_at(x, settings) is a polynomial of the given
     degree in x, so each round takes the exact root of value_at - bound on
@@ -460,56 +464,43 @@ def critical_visibility(
 
     The state is projected once, at v = 1. White noise stays maximally
     mixed under projection (the closed form ``_project_factor`` carries),
-    so at fixed settings the composite is exactly affine in v:
+    so the composite is exactly affine in v:
     eta_L^m [v prod(p) (Q(rho') - L) + (1 - v) 2^-m (Q(I/d) - L)], with
-    rho' the noise-free projected state. The engine takes its root and
-    re-optimizes on the mixed state rho'(v) of the same formula. eta_H
-    stays at the configured value. Diagnostics carry the closed-form root
-    from the affine endpoints at the final settings.
+    rho' the noise-free projected state. Q(I/d) reads only each dressed
+    operator's trace, which no measurement direction changes, so the
+    settings that maximize Q(rho') maximize the composite at every v and
+    v* is the root of one affine function. AUTO settings come from
+    ``restarts`` starts, then one refinement from _REFINE_RESTARTS more
+    (so ``restarts=0`` still searches). The residual Q(rho(v*)) - L is
+    checked on the projection path's own state at v*. eta_H stays at the
+    configured value.
     """
     config.require_valid()
     p_list, rho_prime = projected_state(replace(config, visibility=1.0))
     expr, bound, m = config.bell, config.bell.classical_bound, config.n_projections
     etas = [config.eta_H] * config.k
     p_prod = float(np.prod(p_list))
-    pure = rho_prime.matrix
-    noise = np.eye(len(pure), dtype=complex) / len(pure)
-
-    def q(rho: DensityMatrix | np.ndarray, settings: SettingsAssignment) -> float:
-        return quantum_value(expr, rho, settings, etas, config.convention)
-
-    def endpoints(settings: SettingsAssignment) -> tuple[float, float]:
-        """composite / eta_L^m at v = 0 and at v = 1."""
-        return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(rho_prime, settings) - bound)
-
-    def gap_at(v: float, settings: SettingsAssignment) -> float:
-        at_zero, at_one = endpoints(settings)
-        return (1.0 - v) * at_zero + v * at_one
-
-    def mixed(v: float) -> np.ndarray:
-        pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
-        return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
-
-    def optimize_at(v: float, warm: SettingsAssignment):
-        settings, q_v = resolve_settings(
-            expr, mixed(v), etas, config.convention, config.settings, _REFINE_RESTARTS, seed + 1,
-            warm,
-        )
-        return settings, q_v - bound
-
-    settings, q_pure = resolve_settings(
-        expr, rho_prime, etas, config.convention, config.settings, restarts, seed
-    )
+    q = partial(quantum_value, expr, etas=etas, convention=config.convention)  # q(rho, settings)
+    resolve = partial(resolve_settings, expr, rho_prime, etas, config.convention, config.settings)
+    settings, q_pure = resolve(restarts, seed)
     composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
     if composite_at_one < -RESIDUAL_TOL:
         return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
-    at_zero, at_one = endpoints(settings)
+    settings, q_pure = resolve(_REFINE_RESTARTS, seed + 1, settings)
+    dim = 2**config.k
+    q_noise = q(DensityMatrix(config.k, np.eye(dim) / dim), settings)
+    at_zero, at_one = 2.0**-m * (q_noise - bound), p_prod * (q_pure - bound)
     if at_zero == at_one:
         return _not_found("composite does not depend on v")
-    result, settings = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
-    at_zero, at_one = endpoints(settings)
+    diagnostics = {"bell_value_pure": q_pure, "bell_value_noise": q_noise}
     if at_zero != 0.0:
-        result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
-    result.diagnostics["bell_value_pure"] = q(rho_prime, settings)
-    result.diagnostics["bell_value_noise"] = q(noise, settings)
-    return result
+        diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
+    found = _upper_root(lambda v: (1.0 - v) * at_zero + v * at_one, 1, 1.0)
+    if found is None:
+        return _not_found("no sign change found below the upper end", 1, **diagnostics)
+    root, slope = found
+    residual = abs(q(projected_state(replace(config, visibility=root))[1], settings) - bound)
+    if residual < RESIDUAL_TOL * min(1.0, abs(slope)):
+        return SolveResult("ok", root, 1, (0.0, 1.0), residual, diagnostics)
+    diagnostics["reason"] = f"residual above {RESIDUAL_TOL} x min(1, slope) at the closed-form root"
+    return SolveResult("not_converged", root, 1, (0.0, 1.0), residual, diagnostics)

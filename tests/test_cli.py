@@ -453,6 +453,8 @@ NON_NUMERIC_FIELDS = [
     ("ghz4.json", lambda doc: doc.update(projectors=[{"theta": True}, {"theta": 1.0}]), "theta"),
     ("eberhard_alpha005.json", lambda doc: doc["projectors"][0].update(phi="0.5"), "phi"),
     ("ghz4.json", lambda doc: doc.update(state={"kind": "PartialPair", "alpha": False}), "alpha"),
+    ("ghz4.json", lambda doc: _inline_chsh(doc)["terms"][0].update(weight=True), "weight"),
+    ("ghz4.json", lambda doc: _inline_chsh(doc).update(classical_bound="2"), "classical_bound"),
 ]
 
 
@@ -468,6 +470,35 @@ def test_non_numeric_real_field_is_a_config_error(capsys, tmp_path, name, edit, 
     report = run_json(capsys, "validate", "--config", path)
     [violation] = report["result"]["violations"]
     assert violation.startswith("parse:") and field in violation
+
+
+@pytest.mark.parametrize("field", ["weight", "classical_bound"])
+def test_non_numeric_bell_field_is_an_lhv_bound_config_error(capsys, tmp_path, field):
+    [edit] = [edit for _, edit, name in NON_NUMERIC_FIELDS if name == field]
+    path = TestIntegerFields.write(tmp_path, "ghz4.json", edit)
+    code, out, err = run(capsys, "lhv-bound", "--config", path)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and f"{field} must be a number" in err
+
+
+@pytest.mark.parametrize("grid", [{"start": "0.5"}, {"step": True}, {"stop": None}])
+def test_non_numeric_sweep_grid_is_a_config_error(capsys, tmp_path, grid):
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    doc["grid"].update(grid)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sweep", "--config", str(path), "--output", "csv")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith('config error: grid needs numeric "start", "stop", "step"')
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--restarts", "-3"), ("--seed", "abc")])
+def test_seed_and_restarts_must_be_non_negative_integers(capsys, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--config", str(CONFIG_DIR / "ghz4.json"), flag, value])
+    assert excinfo.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}:" in captured.err
 
 
 def test_sweep_with_lost_qubits_is_the_duration_config_error(capsys, tmp_path):

@@ -26,7 +26,12 @@ from belldet import (
     quantum_value,
     symmetric_critical_eta,
 )
+from belldet.bell import BellExpression, BellForm, BellTerm
 from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
+from belldet.protocol import (
+    _REFINE_RESTARTS, RESIDUAL_TOL, SettingsAssignment, _not_found, _solve_threshold,
+    resolve_settings,
+)
 from belldet.qstate import Effect, embed_operator, partial_trace, project
 from belldet.states import make_state, add_white_noise
 
@@ -287,6 +292,160 @@ class TestCriticalVisibility:
         )
         result = critical_visibility(config, restarts=12)
         assert not result.found
+
+    def test_residual_is_checked_on_the_projection_paths_state(self, monkeypatch):
+        # A projection path that dropped the noise would leave Q - L = 2 sqrt(2) - 2
+        # at the closed-form root: the solve must report it, not "ok".
+        original = protocol.projected_state
+        monkeypatch.setattr(
+            protocol, "projected_state", lambda c: original(replace(c, visibility=1.0))
+        )
+        config = ScenarioConfig(
+            state=StateSpec("BellPhiPlus", 2), k=2, eta_L=1.0, eta_H=1.0, bell=preset("CHSH")
+        )
+        result = critical_visibility(config, restarts=8)
+        assert result.status == "not_converged" and "reason" in result.diagnostics
+        assert result.critical_value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
+        assert result.achieved_residual == pytest.approx(TSIRELSON - 2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("eta_H", [1.0, 0.95, 0.9, 0.85])
+    def test_auto_settings_reach_the_closed_form(self, eta_H):
+        # CHSH(eta) = v 2 sqrt(2) eta^2 + 2 (1 - eta)^2 on the noisy Phi+ pair
+        config = ScenarioConfig(
+            state=StateSpec("BellPhiPlus", 2), k=2, eta_L=1.0, eta_H=eta_H, bell=preset("CHSH")
+        )
+        result = critical_visibility(config, restarts=8)
+        assert result.found
+        expected = (2.0 - eta_H) / (math.sqrt(2.0) * eta_H)
+        assert result.critical_value == pytest.approx(expected, abs=1e-9)
+
+
+def _three_party_probability_expression(rng):
+    labels = ("+", "-", "0", "*")
+    terms = tuple(
+        BellTerm(
+            tuple(rng.integers(0, 2, size=3).tolist()), float(rng.normal()),
+            tuple(rng.choice(labels, size=3).tolist()),
+        )
+        for _ in range(10)
+    )
+    return BellExpression(3, 2, BellForm.PROBABILITY, terms, 0.0)
+
+
+@pytest.mark.parametrize(
+    "expr,convention",
+    [
+        (preset("CHSH"), Convention.FOLD),
+        (preset("EBERHARD_CH"), Convention.TRINARY),
+        (_three_party_probability_expression(np.random.default_rng(3)), Convention.TRINARY),
+    ],
+    ids=["CHSH", "CH", "3-party"],
+)
+def test_white_noise_value_does_not_depend_on_the_settings(expr, convention):
+    """Q(I/d) reads only each dressed operator's trace, the same for every
+    projector: the reason the critical visibility has a closed form."""
+    k = expr.n_parties
+    rng = np.random.default_rng(k)
+    etas = rng.uniform(0.3, 1.0, size=k)
+    draws = [_random_settings(rng, k) for _ in range(8)]
+    noise = DensityMatrix(k, np.eye(2**k) / 2**k)
+    ghz = make_state(StateSpec("GHZ", k)).density()
+    assert np.ptp([quantum_value(expr, noise, s, etas, convention) for s in draws]) < 1e-14
+    # the same settings do move the value on a pure state
+    assert np.ptp([quantum_value(expr, ghz, s, etas, convention) for s in draws]) > 1e-3
+
+
+def engine_critical_visibility(
+    config: ScenarioConfig,
+    restarts: int = 64,
+    seed: int = 0,
+) -> protocol.SolveResult:
+    """The threshold-engine solve that ``critical_visibility`` replaced,
+    kept verbatim as the reference for the closed form's roots."""
+    config.require_valid()
+    p_list, rho_prime = projected_state(replace(config, visibility=1.0))
+    expr, bound, m = config.bell, config.bell.classical_bound, config.n_projections
+    etas = [config.eta_H] * config.k
+    p_prod = float(np.prod(p_list))
+    pure = rho_prime.matrix
+    noise = np.eye(len(pure), dtype=complex) / len(pure)
+
+    def q(rho: DensityMatrix | np.ndarray, settings: SettingsAssignment) -> float:
+        return quantum_value(expr, rho, settings, etas, config.convention)
+
+    def endpoints(settings: SettingsAssignment) -> tuple[float, float]:
+        """composite / eta_L^m at v = 0 and at v = 1."""
+        return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(rho_prime, settings) - bound)
+
+    def gap_at(v: float, settings: SettingsAssignment) -> float:
+        at_zero, at_one = endpoints(settings)
+        return (1.0 - v) * at_zero + v * at_one
+
+    def mixed(v: float) -> np.ndarray:
+        pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
+        return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
+
+    def optimize_at(v: float, warm: SettingsAssignment):
+        settings, q_v = resolve_settings(
+            expr, mixed(v), etas, config.convention, config.settings, _REFINE_RESTARTS, seed + 1,
+            warm,
+        )
+        return settings, q_v - bound
+
+    settings, q_pure = resolve_settings(
+        expr, rho_prime, etas, config.convention, config.settings, restarts, seed
+    )
+    composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
+    if composite_at_one < -RESIDUAL_TOL:
+        return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
+    at_zero, at_one = endpoints(settings)
+    if at_zero == at_one:
+        return _not_found("composite does not depend on v")
+    result, settings = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
+    at_zero, at_one = endpoints(settings)
+    if at_zero != 0.0:
+        result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
+    result.diagnostics["bell_value_pure"] = q(rho_prime, settings)
+    result.diagnostics["bell_value_noise"] = q(noise, settings)
+    return result
+
+
+_RANDOM_STATES = (
+    StateSpec("GHZ", 3), StateSpec("GHZ", 4), StateSpec("W", 3), StateSpec("W", 4),
+    StateSpec("Dicke", 4, excitations=2), StateSpec("Cluster4", 4),
+    StateSpec("PartialPair", 2, alpha=0.3),
+)
+
+
+def _random_visibility_scenario(seed):
+    rng = np.random.default_rng([17, seed])
+    spec = _RANDOM_STATES[seed % len(_RANDOM_STATES)]
+    name, convention = (("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY))[seed % 2]
+    # half keep the default projectors, which leave a Bell pair behind
+    projectors = None if seed % 4 < 2 else tuple(
+        MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        for _ in range(spec.n - 2)
+    )
+    config = ScenarioConfig(
+        state=spec, k=2, eta_L=rng.uniform(0.1, 1.0), eta_H=rng.uniform(0.8, 1.0),
+        bell=preset(name), projectors=projectors, convention=convention,
+    )
+    return config, int(rng.choice([0, 2, 8])), int(rng.integers(1000))
+
+
+def test_critical_visibility_matches_the_engine_reference():
+    statuses = set()
+    for seed in range(42):
+        config, restarts, optimizer_seed = _random_visibility_scenario(seed)
+        result = critical_visibility(config, restarts=restarts, seed=optimizer_seed)
+        reference = engine_critical_visibility(config, restarts=restarts, seed=optimizer_seed)
+        assert result.status == reference.status, seed
+        statuses.add(result.status)
+        if reference.critical_value is None:
+            assert result.critical_value is None
+        else:
+            assert result.critical_value == pytest.approx(reference.critical_value, abs=1e-12)
+    assert statuses == {"ok", "not_found"}
 
 
 # Tsirelson's settings for Phi+ under CHSH: A = Z, X and B = (Z +- X)/sqrt(2).
