@@ -16,17 +16,30 @@ from .states import StateSpec
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Per-trial success probabilities and the derived repetition ratio."""
+    """One trial without lost qubits: prod p_i of the N - k projections and both efficiencies."""
 
-    p_succ: float
-    p_succ_standard: float
+    p_projections: float
+    n_projections: int
+    k: int
+    eta_L: float
+    eta_H: float
+
+    @property
+    def p_succ(self) -> float:
+        """p_1...p_{N-k} eta_L^(N-k) eta_H^k: all detectors click, every projection gives "+"."""
+        return self.p_projections * self.eta_L**self.n_projections * self.eta_H**self.k
+
+    @property
+    def p_succ_standard(self) -> float:
+        """The standard all-efficient test succeeds with eta_H^N."""
+        return self.eta_H ** (self.n_projections + self.k)
 
     @property
     def n_prime(self) -> float:
         """Extra-repetition factor p_succ_standard / p_succ."""
         if self.p_succ <= 0.0:
             raise ZeroDivisionError("projected-scenario success probability is zero")
-        return self.p_succ_standard / self.p_succ
+        return n_prime_from_ratio(self.p_projections, self.eta_L / self.eta_H, self.n_projections)
 
     def expected_trials(self, r: int) -> float:
         """Average trials until the r-th success of the projected scenario."""
@@ -36,24 +49,25 @@ class TrialStats:
         return pascal_expected_trials(r, self.p_succ_standard)
 
 
+def n_prime_from_ratio(p_projections: float, eta_ratio: float, n_projections: int) -> float:
+    """How many times more trials the projected scenario needs: n' = eta_H^N / p_succ
+    = (prod p_i)^(-1) (eta_L/eta_H)^(-(N-k)), the factor 20 at p = (1/2, 1/2), ratio 0.45."""
+    return p_projections**-1 * eta_ratio**-n_projections
+
+
 def trial_stats(config: ScenarioConfig) -> TrialStats:
-    p_succ, p_standard = success_probability(config)
-    return TrialStats(p_succ=p_succ, p_succ_standard=p_standard)
+    """Projects ``config`` once; a lost qubit raises ValueError."""
+    require_no_lost(config)
+    p_list, _ = projected_state(config)
+    return TrialStats(
+        float(np.prod(p_list)), config.n_projections, config.k, config.eta_L, config.eta_H
+    )
 
 
 def success_probability(config: ScenarioConfig) -> tuple[float, float]:
-    """(p_succ, p_succ_standard) for one experimental trial.
-
-    p_succ = p_1 ... p_{N-k} * eta_L^(N-k) * eta_H^k counts rounds where
-    every detector clicks and each projecting party lands on "+"; the
-    standard all-efficient test succeeds with eta_H^N.
-    """
-    require_no_lost(config)
-    p_list, _ = projected_state(config)
-    n_low = config.n_projections
-    p_succ = float(np.prod(p_list)) * config.eta_L**n_low * config.eta_H**config.k
-    p_standard = config.eta_H**config.n_qubits
-    return p_succ, p_standard
+    """(p_succ, p_succ_standard) for one experimental trial."""
+    stats = trial_stats(config)
+    return stats.p_succ, stats.p_succ_standard
 
 
 def require_no_lost(config: ScenarioConfig) -> None:
@@ -63,13 +77,7 @@ def require_no_lost(config: ScenarioConfig) -> None:
 
 
 def trial_ratio(config: ScenarioConfig) -> float:
-    """How many times more trials the projected scenario needs.
-
-    n' = eta_H^N / (p_1...p_{N-k} eta_L^(N-k) eta_H^k), which reduces to
-    (prod p_i)^(-1) (eta_L/eta_H)^(-(N-k)). The exponent is N-k, the number
-    of projecting parties; at N=4, k=2, p=(1/2,1/2) and ratio 0.45 this is
-    the factor-20 case.
-    """
+    """n' of ``config`` (``n_prime_from_ratio``); ZeroDivisionError if p_succ is zero."""
     return trial_stats(config).n_prime
 
 

@@ -105,12 +105,17 @@ class BellExpression:
         form = BellForm(doc["form"])
         terms = []
         for item in doc["terms"]:
-            outcomes = item.get("outcomes")
+            # not item.get: a term that is no JSON object must fail with TypeError
+            outcomes = item["outcomes"] if "outcomes" in item else None
+            if outcomes is not None and not (
+                isinstance(outcomes, (list, tuple)) and all(isinstance(o, str) for o in outcomes)
+            ):
+                raise ValueError(f"outcomes must be a list of labels, got {outcomes!r}")
             terms.append(
                 BellTerm(
                     settings=tuple(json_int(j, "term settings") for j in item["settings"]),
                     weight=json_float(item["weight"], "weight"),
-                    outcomes=None if outcomes is None else tuple(str(o) for o in outcomes),
+                    outcomes=None if outcomes is None else tuple(outcomes),
                 )
             )
         expr = cls(

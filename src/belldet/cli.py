@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from io import StringIO
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import analysis, protocol
 from .bell import expression_from_json_dict, lhv_bound
 from .detmodel import json_float, json_int
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import DEFAULT_MAX_QUBITS, QubitCapacityError, ZeroProjectionError, expectation
+from .qstate import DEFAULT_MAX_QUBITS, ZeroProjectionError, expectation
 from .states import bell_psi_plus
 
 EXIT_OK = 0
@@ -32,20 +31,13 @@ EXIT_NOT_FOUND = 3
 # A sweep grid with more rows than this is a config error, rejected before any row is built.
 MAX_SWEEP_ROWS = 100_000
 
-COMMANDS = (
-    "eval",
-    "critical-eta",
-    "critical-visibility",
-    "duration",
-    "damaged",
-    "sweep",
-    "lhv-bound",
-    "validate",
-)
-
 
 class ConfigurationError(Exception):
-    pass
+    """A config the commands reject; ``violations`` names each broken rule."""
+
+    def __init__(self, message: str, violations: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.violations = violations or [message]
 
 
 def non_negative_int(text: str) -> int:
@@ -53,6 +45,189 @@ def non_negative_int(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return int(text)
+
+
+def _reject_constant(name: str):
+    """json.load's hook for NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_json(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, NaN/Infinity, or bytes that are not UTF-8
+        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _parse_scenario(doc, max_qubits: int) -> ScenarioConfig:
+    """The scenario of ``doc``, within ``ScenarioConfig.validate`` and the qubit cap."""
+    try:
+        config = ScenarioConfig.from_json_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        message = f"config does not describe a valid scenario: {exc}"
+        raise ConfigurationError(message, [f"parse: {exc}"]) from exc
+    violations = config.validate()
+    cap = min(max_qubits, DEFAULT_MAX_QUBITS)  # states.make_state builds no more than that
+    if config.n_qubits > cap:
+        violations.append(f"state uses {config.n_qubits} qubits, above the cap {cap}")
+    if violations:
+        raise ConfigurationError("config violates invariants: " + "; ".join(violations), violations)
+    return config
+
+
+def _parse_sweep(doc, max_qubits: int) -> tuple[ScenarioConfig, Iterator[float]]:
+    """A sweep's scenario and its eta_L/eta_H ratios, which are made only when iterated."""
+    if not isinstance(doc, dict) or "scenario" not in doc or "grid" not in doc:
+        raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
+    config = _parse_scenario(doc["scenario"], max_qubits)
+    grid = doc["grid"]
+    try:
+        start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {exc}') from exc
+    if not (step > 0.0 and stop >= start):
+        raise ConfigurationError("grid must satisfy step > 0 and stop >= start")
+    half_steps = (stop - start) / step + 0.5
+    if not half_steps < MAX_SWEEP_ROWS:  # also catches a quotient that overflows to inf
+        raise ConfigurationError(f"grid has more than {MAX_SWEEP_ROWS} rows")
+    try:
+        analysis.require_no_lost(config)
+    except ValueError as exc:  # the trial ratio needs every qubit present
+        raise ConfigurationError(str(exc)) from exc
+    return config, (round(start + i * step, 12) for i in range(int(half_steps) + 1))
+
+
+def _json_report(inputs: dict, result: dict, diagnostics: dict) -> str:
+    report = {"inputs": inputs, "result": result, "diagnostics": diagnostics}
+    return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+
+
+def _diagnostics(config: ScenarioConfig, args, **extra) -> dict:
+    """``extra`` plus the convention, optimizer restarts and seed of an optimizing run."""
+    return {**extra, "convention": config.convention.value,
+            "optimizer_restarts": args.restarts, "seed": args.seed}
+
+
+# A handler maps the loaded document and the flags to (report, exit code). It
+# looks library functions up on their module when called, so that a wrapper
+# installed after import (a tracer, a test) sees the call.
+
+
+def _run_eval(doc, args) -> tuple[str, int]:
+    config = _parse_scenario(doc, args.max_qubits)
+    lhs, parts = protocol.composite_parts(config, restarts=args.restarts, seed=args.seed)
+    diagnostics = _diagnostics(config, args, settings=parts.pop("settings"))
+    result = {"composite_lhs": lhs, "violated": bool(lhs > 0.0), **parts}
+    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
+
+
+def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int]:
+    config = _parse_scenario(doc, args.max_qubits)
+    solve = solver(config, restarts=args.restarts, seed=args.seed)
+    report = solve.to_json_dict()
+    diagnostics = _diagnostics(config, args, **report.pop("diagnostics"))
+    text = _json_report(config.to_json_dict(), report, diagnostics)
+    return text, EXIT_OK if solve.found else EXIT_NOT_FOUND
+
+
+def _run_duration(doc, args) -> tuple[str, int]:
+    config = _parse_scenario(doc, args.max_qubits)
+    try:
+        stats = analysis.trial_stats(config)
+    except ValueError as exc:  # success probability needs every qubit present
+        raise ConfigurationError(str(exc)) from exc
+    result = {
+        "p_succ": stats.p_succ,
+        "p_succ_standard": stats.p_succ_standard,
+        "trial_ratio": stats.n_prime,
+    }
+    if "target_successes" in doc:
+        try:
+            r = json_int(doc["target_successes"], "target_successes", minimum=1)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        result["expected_trials"] = stats.expected_trials(r)
+        result["expected_trials_standard"] = stats.expected_trials_standard(r)
+    diagnostics = {"convention": config.convention.value, "seed": args.seed}
+    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
+
+
+def _run_damaged(doc, args) -> tuple[str, int]:
+    config = _parse_scenario(doc, args.max_qubits)
+    p_list, rho = protocol.projected_state(config)
+    result: dict = {"projection_probs": p_list}
+    if config.k == 2:
+        result["psi_plus_overlap"] = expectation(rho, bell_psi_plus().density().matrix)
+    settings, value = protocol.resolve_settings(
+        config.bell, rho, [config.eta_H] * config.k, config.convention, config.settings,
+        args.restarts, args.seed,
+    )
+    result["bell_value"] = value
+    result["classical_bound"] = config.bell.classical_bound
+    result["violated"] = bool(value > config.bell.classical_bound)
+    settings_doc = [[s.to_json_dict() for s in party] for party in settings]
+    diagnostics = _diagnostics(config, args, lost=config.lost, settings=settings_doc)
+    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
+
+
+def _run_sweep(doc, args) -> tuple[str, int]:
+    config, ratios = _parse_sweep(doc, args.max_qubits)
+    p_list, _ = protocol.projected_state(config)
+    p_prod = float(np.prod(p_list))
+    exponent = config.n_projections
+    rows = [(r, analysis.n_prime_from_ratio(p_prod, r, exponent)) for r in ratios if r > 0.0]
+    if args.output == "csv":
+        buffer = StringIO()
+        buffer.write("ratio,n_prime\n")
+        for ratio, n_prime in rows:
+            buffer.write(f"{ratio!r},{n_prime!r}\n")
+        return buffer.getvalue(), EXIT_OK
+    result = {"rows": [{"ratio": r, "n_prime": n} for r, n in rows]}
+    diagnostics = {"projection_probs": p_list, "eta_ratio_exponent": exponent}
+    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
+
+
+def _run_lhv_bound(doc, args) -> tuple[str, int]:
+    """The bound of a sweep's ``scenario.bell``, a scenario's ``bell`` or a bare expression."""
+    try:
+        if "scenario" in doc:
+            doc = doc["scenario"]
+        expr = expression_from_json_dict(doc["bell"] if "bell" in doc else doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"config does not describe a Bell expression: {exc}") from exc
+    bound = lhv_bound(expr)
+    diagnostics = {}
+    if abs(bound - expr.classical_bound) > 1e-9:
+        diagnostics["stored_bound_mismatch"] = expr.classical_bound
+    return _json_report(expr.to_json_dict(), {"lhv_bound": bound}, diagnostics), EXIT_OK
+
+
+def _run_validate(doc, args) -> tuple[str, int]:
+    """What ``sweep`` (given a ``scenario`` section) or else ``eval`` would exit 2 on."""
+    try:
+        if isinstance(doc, dict) and "scenario" in doc:
+            config, _ = _parse_sweep(doc, args.max_qubits)
+        else:
+            config = _parse_scenario(doc, args.max_qubits)
+    except ConfigurationError as exc:
+        return _json_report({"raw": doc}, {"violations": exc.violations}, {}), EXIT_OK
+    return _json_report(config.to_json_dict(), {"violations": []}, {}), EXIT_OK
+
+
+_HANDLERS = {
+    "eval": _run_eval,
+    "critical-eta": lambda doc, args: _run_solver(protocol.critical_eta_high, doc, args),
+    "critical-visibility": lambda doc, args: _run_solver(protocol.critical_visibility, doc, args),
+    "duration": _run_duration,
+    "damaged": _run_damaged,
+    "sweep": _run_sweep,
+    "lhv-bound": _run_lhv_bound,
+    "validate": _run_validate,
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,216 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _qubit_cap(max_qubits: int) -> int:
-    """``--max-qubits``, lowered to the cap that ``states.make_state`` applies."""
-    return min(max_qubits, DEFAULT_MAX_QUBITS)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _parse_scenario(doc: dict, max_qubits: int) -> ScenarioConfig:
-    try:
-        config = ScenarioConfig.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config does not describe a valid scenario: {exc}") from exc
-    cap = _qubit_cap(max_qubits)
-    if config.n_qubits > cap:
-        raise ConfigurationError(f"state uses {config.n_qubits} qubits, above the cap {cap}")
-    issues = config.validate()
-    if issues:
-        raise ConfigurationError("config violates invariants: " + "; ".join(issues))
-    return config
-
-
-def _write(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _json_report(inputs: dict, result: dict, diagnostics: dict) -> str:
-    report = {"inputs": inputs, "result": result, "diagnostics": diagnostics}
-    return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
-
-
-def _solver_report(config: ScenarioConfig, solve: SolveResult, args) -> tuple[str, int]:
-    doc = solve.to_json_dict()
-    diagnostics = doc.pop("diagnostics")
-    diagnostics.update(
-        {
-            "convention": config.convention.value,
-            "optimizer_restarts": args.restarts,
-            "seed": args.seed,
-        }
-    )
-    text = _json_report(config.to_json_dict(), doc, diagnostics)
-    return text, EXIT_OK if solve.found else EXIT_NOT_FOUND
-
-
-def _run_eval(config: ScenarioConfig, args) -> tuple[str, int]:
-    lhs, parts = protocol.composite_parts(config, restarts=args.restarts, seed=args.seed)
-    settings = parts.pop("settings")
-    result = {"composite_lhs": lhs, "violated": bool(lhs > 0.0), **parts}
-    diagnostics = {
-        "convention": config.convention.value,
-        "optimizer_restarts": args.restarts,
-        "seed": args.seed,
-        "settings": settings,
-    }
-    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
-
-
-def _run_duration(config: ScenarioConfig, doc: dict, args) -> tuple[str, int]:
-    try:
-        stats = analysis.trial_stats(config)
-    except ValueError as exc:  # success probability needs every qubit present
-        raise ConfigurationError(str(exc)) from exc
-    result = {
-        "p_succ": stats.p_succ,
-        "p_succ_standard": stats.p_succ_standard,
-        "trial_ratio": stats.n_prime,
-    }
-    if "target_successes" in doc:
-        try:
-            r = json_int(doc["target_successes"], "target_successes", minimum=1)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        result["expected_trials"] = stats.expected_trials(r)
-        result["expected_trials_standard"] = stats.expected_trials_standard(r)
-    diagnostics = {"convention": config.convention.value, "seed": args.seed}
-    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
-
-
-def _run_damaged(config: ScenarioConfig, args) -> tuple[str, int]:
-    p_list, rho = protocol.projected_state(config)
-    psi_plus = bell_psi_plus().density().matrix if config.k == 2 else None
-    result: dict = {"projection_probs": p_list}
-    if psi_plus is not None:
-        result["psi_plus_overlap"] = expectation(rho, psi_plus)
-    settings, value = protocol.resolve_settings(
-        config.bell, rho, [config.eta_H] * config.k, config.convention, config.settings,
-        args.restarts, args.seed,
-    )
-    result["bell_value"] = value
-    result["classical_bound"] = config.bell.classical_bound
-    result["violated"] = bool(value > config.bell.classical_bound)
-    diagnostics = {
-        "convention": config.convention.value,
-        "optimizer_restarts": args.restarts,
-        "seed": args.seed,
-        "lost": config.lost,
-        "settings": [[s.to_json_dict() for s in party] for party in settings],
-    }
-    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
-
-
-def _run_sweep(doc: dict, args) -> tuple[str, int]:
-    if "scenario" not in doc or "grid" not in doc:
-        raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
-    config = _parse_scenario(doc["scenario"], args.max_qubits)
-    grid = doc["grid"]
-    try:
-        start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {exc}') from exc
-    if not (step > 0.0 and stop >= start):
-        raise ConfigurationError("grid must satisfy step > 0 and stop >= start")
-    half_steps = (stop - start) / step + 0.5
-    if not half_steps < MAX_SWEEP_ROWS:  # also catches inf and nan
-        raise ConfigurationError(f"grid has more than {MAX_SWEEP_ROWS} rows")
-    try:
-        analysis.require_no_lost(config)
-    except ValueError as exc:  # the trial ratio needs every qubit present
-        raise ConfigurationError(str(exc)) from exc
-    p_list, _ = protocol.projected_state(config)
-    ratios = [round(start + i * step, 12) for i in range(int(math.floor(half_steps)) + 1)]
-    p_prod = float(np.prod(p_list))
-    exponent = config.n_projections
-    rows = [(float(r), float(p_prod**-1 * r**-exponent)) for r in ratios if r > 0.0]
-    if args.output == "csv":
-        buffer = StringIO()
-        buffer.write("ratio,n_prime\n")
-        for ratio, n_prime in rows:
-            buffer.write(f"{ratio!r},{n_prime!r}\n")
-        return buffer.getvalue(), EXIT_OK
-    result = {"rows": [{"ratio": r, "n_prime": n} for r, n in rows]}
-    diagnostics = {"projection_probs": p_list, "eta_ratio_exponent": exponent}
-    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
-
-
-def _run_lhv_bound(doc: dict) -> tuple[str, int]:
-    """The bound of a sweep's ``scenario.bell``, a scenario's ``bell`` or a bare expression."""
-    try:
-        if "scenario" in doc:
-            doc = doc["scenario"]
-        expr = expression_from_json_dict(doc["bell"] if "bell" in doc else doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config does not describe a Bell expression: {exc}") from exc
-    bound = lhv_bound(expr)
-    diagnostics = {}
-    if abs(bound - expr.classical_bound) > 1e-9:
-        diagnostics["stored_bound_mismatch"] = expr.classical_bound
-    return _json_report(expr.to_json_dict(), {"lhv_bound": bound}, diagnostics), EXIT_OK
-
-
-def _run_validate(doc: dict, args) -> tuple[str, int]:
-    violations: list[str] = []
-    try:
-        config = ScenarioConfig.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        violations.append(f"parse: {exc}")
-        return _json_report({"raw": doc}, {"violations": violations}, {}), EXIT_OK
-    violations.extend(config.validate())
-    cap = _qubit_cap(args.max_qubits)
-    if config.n_qubits > cap:
-        violations.append(f"state.n: {config.n_qubits} qubits exceeds cap {cap}")
-    return _json_report(config.to_json_dict(), {"violations": violations}, {}), EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     if args.output == "csv" and args.command != "sweep":
         print("csv output is only available for sweep", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        doc = _load_json(args.config)
-        if args.command == "sweep":
-            text, code = _run_sweep(doc, args)
-        elif args.command == "lhv-bound":
-            text, code = _run_lhv_bound(doc)
-        elif args.command == "validate":
-            text, code = _run_validate(doc, args)
-        else:
-            config = _parse_scenario(doc, args.max_qubits)
-            if args.command == "eval":
-                text, code = _run_eval(config, args)
-            elif args.command == "critical-eta":
-                solve = protocol.critical_eta_high(
-                    config, restarts=args.restarts, seed=args.seed
-                )
-                text, code = _solver_report(config, solve, args)
-            elif args.command == "critical-visibility":
-                solve = protocol.critical_visibility(
-                    config, restarts=args.restarts, seed=args.seed
-                )
-                text, code = _solver_report(config, solve, args)
-            elif args.command == "duration":
-                text, code = _run_duration(config, doc, args)
-            elif args.command == "damaged":
-                text, code = _run_damaged(config, args)
-            else:  # pragma: no cover - argparse restricts the choices
-                raise ConfigurationError(f"unknown command {args.command}")
-    except (ConfigurationError, QubitCapacityError) as exc:
+        text, code = _HANDLERS[args.command](_load_json(args.config), args)
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ZeroProjectionError as exc:
@@ -295,7 +268,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ZeroDivisionError as exc:
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    _write(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     return code
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,9 +89,12 @@ def json_int(value, name: str, minimum: int | None = None) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """A real-valued field of a config: a JSON number; bools and strings raise."""
+    """A real-valued field of a config: a finite JSON number; bools, strings,
+    NaN and infinities raise."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):  # bool subclasses int
-        return float(value)
+        if abs(value) <= sys.float_info.max:  # fails for NaN, inf and ints beyond float range
+            return float(value)
+        raise ValueError(f"{name} must be finite, got {value!r}")
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

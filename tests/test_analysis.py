@@ -28,6 +28,7 @@ from belldet import (
     trial_ratio,
     trial_stats,
 )
+from belldet.analysis import n_prime_from_ratio
 from belldet.detmodel import Z_ONE
 from belldet.qstate import embed_operator, partial_trace
 
@@ -97,6 +98,24 @@ class TestTrialRatio:
     def test_zero_eta_L_guard(self):
         with pytest.raises(ZeroDivisionError):
             trial_ratio(ghz4_config(0.0, 1.0))
+
+    @pytest.mark.parametrize("eta_L,eta_H", [(0.45, 1.0), (0.1, 0.9), (0.9, 0.7)])
+    def test_trial_ratio_is_the_one_formula(self, eta_L, eta_H):
+        config = ghz4_config(eta_L, eta_H)
+        stats = trial_stats(config)
+        p_prod = float(np.prod(projected_state(config)[0]))
+        assert stats.n_prime == n_prime_from_ratio(p_prod, eta_L / eta_H, 2)
+        assert stats.n_prime == pytest.approx(stats.p_succ_standard / stats.p_succ, rel=1e-15)
+
+    def test_zero_eta_L_without_projections_costs_nothing(self):
+        config = ScenarioConfig(
+            state=StateSpec("BellPhiPlus", 2), k=2, eta_L=0.0, eta_H=0.7, bell=preset("CHSH")
+        )
+        assert trial_ratio(config) == 1.0
+
+    def test_zero_eta_H_guard(self):
+        with pytest.raises(ZeroDivisionError, match="success probability is zero"):
+            trial_ratio(ghz4_config(0.5, 0.0))
 
 
 class TestPascal:

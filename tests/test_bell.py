@@ -498,6 +498,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             BellExpression.from_json_dict(doc)
 
+    @pytest.mark.parametrize("outcomes", ["++", [0, "+"], ["+", None], "+"])
+    def test_outcomes_must_be_a_list_of_labels(self, outcomes):
+        # a string would split into characters and 0 would become the label "0"
+        doc = preset("EBERHARD_CH").to_json_dict()
+        doc["terms"][0]["outcomes"] = outcomes
+        with pytest.raises(ValueError, match="outcomes must be a list of labels"):
+            BellExpression.from_json_dict(doc)
+
 
 def angle_split(evaluator, include_phi):
     """Views of angle rows x (S, D) as the evaluator's thetas and phis."""

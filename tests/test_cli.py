@@ -1,10 +1,12 @@
+import importlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from belldet import ScenarioConfig
+from belldet import ScenarioConfig, preset
+from belldet.analysis import n_prime_from_ratio
 from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -23,6 +25,8 @@ SCENARIO_CONFIGS = [
     "ghz4_visibility.json",
     "dicke42_damaged.json",
 ]
+SWEEP_CONFIGS = ["fig2.json"]
+EXPRESSION_CONFIGS = ["chsh.json"]
 
 
 def run(capsys, *argv):
@@ -147,9 +151,14 @@ class TestSweep:
         assert out_path.read_text().startswith("ratio,n_prime\n")
 
 
+def test_every_bundled_config_is_listed():
+    listed = SCENARIO_CONFIGS + SWEEP_CONFIGS + EXPRESSION_CONFIGS
+    assert sorted(listed) == sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+
+
 class TestValidate:
     def test_bundled_configs_are_clean(self, capsys):
-        for name in SCENARIO_CONFIGS:
+        for name in SCENARIO_CONFIGS + SWEEP_CONFIGS:
             report = run_json(capsys, "validate", "--config", str(CONFIG_DIR / name))
             assert report["result"]["violations"] == [], name
 
@@ -168,7 +177,11 @@ class TestValidate:
         path = tmp_path / "ghz17.json"
         path.write_text(json.dumps(doc))
         report = run_json(capsys, "validate", "--config", str(path), "--max-qubits", "20")
-        assert report["result"]["violations"] == ["state.n: 17 qubits exceeds cap 16"]
+        message = "state uses 17 qubits, above the cap 16"
+        assert report["result"]["violations"] == [message]
+        code, _, err = run(capsys, "eval", "--config", str(path), "--max-qubits", "20")
+        assert code == EXIT_CONFIG
+        assert err == f"config error: config violates invariants: {message}\n"
 
     def test_efficiency_out_of_range(self, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
@@ -543,3 +556,188 @@ def test_sweep_row_limit_is_checked_before_any_row(capsys, tmp_path, monkeypatch
         code, out, err = run(capsys, "sweep", "--config", str(path))
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"config error: grid has more than {MAX_SWEEP_ROWS} rows\n"
+
+
+# (config, edit, flags, broken): validate must flag a document exactly when
+# the command that reads it (eval for a scenario, sweep for a sweep) exits 2.
+VALIDATE_CASES = {
+    "clean scenario": ("ghz4.json", None, [], False),
+    "clean sweep": ("fig2.json", None, [], False),
+    "bad k": ("ghz4.json", lambda doc: doc.update(k=6), [], True),
+    "bad eta_H": ("ghz4.json", lambda doc: doc.update(eta_H=1.2), [], True),
+    "state over the cap": (
+        "ghz4.json", lambda doc: doc.update(state={"kind": "GHZ", "n": 17}), ["--max-qubits", "20"],
+        True,
+    ),
+    "max-qubits below N": ("ghz4.json", None, ["--max-qubits", "3"], True),
+    "projector count": ("ghz4.json", lambda doc: doc.update(projectors=[{"theta": 0.0}]), [], True),
+    "missing bell": ("ghz4.json", lambda doc: doc.pop("bell"), [], True),
+    "bad grid": ("fig2.json", lambda doc: doc["grid"].update(step=-0.05), [], True),
+    "grid over the row limit": ("fig2.json", lambda doc: doc["grid"].update(step=1e-6), [], True),
+    "lost in a sweep": ("fig2.json", lambda doc: doc["scenario"].update(lost=1), [], True),
+    "bad sweep scenario": ("fig2.json", lambda doc: doc["scenario"].update(eta_L=-0.1), [], True),
+    "sweep without a grid": ("fig2.json", lambda doc: doc.pop("grid"), [], True),
+    "sweep over the cap": ("fig2.json", None, ["--max-qubits", "3"], True),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_flags_what_the_reading_command_rejects(capsys, tmp_path, case):
+    name, edit, flags, broken = VALIDATE_CASES[case]
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    violations = run_json(capsys, "validate", "--config", str(path), *flags)["result"]["violations"]
+    command = "sweep" if "scenario" in doc else "eval"
+    code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2", *flags)
+    assert bool(violations) == broken == (code == EXIT_CONFIG), (violations, code, err)
+    # each violation is named in the command's one error line
+    assert all(v.removeprefix("parse: ") in err for v in violations)
+
+
+def test_validate_on_a_sweep_does_not_project(capsys, monkeypatch):
+    def fail(config):
+        raise AssertionError("validate projected the state")
+
+    monkeypatch.setattr("belldet.protocol.projected_state", fail)
+    monkeypatch.setattr("belldet.analysis.projected_state", fail)
+    report = run_json(capsys, "validate", "--config", str(CONFIG_DIR / "fig2.json"))
+    assert report["result"]["violations"] == []
+    assert report["inputs"]["state"] == {"kind": "GHZ", "n": 4}
+
+
+@pytest.mark.parametrize(
+    "command,site",
+    [
+        ("eval", "belldet.protocol.composite_parts"),
+        ("critical-eta", "belldet.protocol.critical_eta_high"),
+        ("critical-visibility", "belldet.protocol.critical_visibility"),
+        ("lhv-bound", "belldet.cli.lhv_bound"),
+    ],
+)
+def test_commands_call_library_functions_patched_after_import(capsys, monkeypatch, command, site):
+    module_name, attr = site.rsplit(".", 1)
+    module = importlib.import_module(module_name)
+    real, calls = getattr(module, attr), []
+
+    def recorded(*args, **kwargs):
+        calls.append(attr)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recorded)
+    run_json(capsys, command, "--config", str(CONFIG_DIR / "ghz4.json"), "--restarts", "2")
+    assert calls == [attr]
+
+
+def test_sweep_and_duration_share_the_trial_ratio(capsys, tmp_path):
+    report = run_json(capsys, "sweep", "--config", str(CONFIG_DIR / "fig2.json"))
+    p_prod = math.prod(report["diagnostics"]["projection_probs"])
+    for row in report["result"]["rows"]:
+        assert row["n_prime"] == n_prime_from_ratio(p_prod, row["ratio"], 2)
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())["scenario"]
+    doc.update(eta_L=0.45, eta_H=1.0)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    duration = run_json(capsys, "duration", "--config", str(path))
+    assert duration["result"]["trial_ratio"] == n_prime_from_ratio(p_prod, 0.45, 2)
+
+
+@pytest.mark.parametrize("eta_L,eta_H", [(0.0, 1.0), (0.5, 0.0)])
+def test_duration_with_a_blind_detector_exits_3(capsys, tmp_path, eta_L, eta_H):
+    doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
+    doc.update(eta_L=eta_L, eta_H=eta_H)
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "duration", "--config", str(path))
+    assert (code, out) == (EXIT_NOT_FOUND, "")
+    assert err == "degenerate scenario: projected-scenario success probability is zero\n"
+
+
+def _projector_theta(value):
+    return lambda doc: doc["projectors"][0].update(theta=value)
+
+
+def _setting_theta(value):
+    return lambda doc: doc.update(settings=[[{"theta": value}, {"theta": 1.0}]] * 2)
+
+
+# (config, edit, commands): each edit puts NaN or Infinity into one field,
+# which Python's json module would otherwise read as a float.
+NON_FINITE_FIELDS = {
+    "projector theta NaN": ("eberhard_alpha005.json", _projector_theta(math.nan), ["eval"]),
+    "PartialPair alpha NaN": (
+        "ghz4.json", lambda doc: doc.update(state={"kind": "PartialPair", "alpha": math.nan}),
+        ["eval"],
+    ),
+    "setting theta Infinity": ("ghz4.json", _setting_theta(math.inf), ["critical-eta"]),
+    "setting theta NaN": ("ghz4.json", _setting_theta(math.nan), ["eval"]),
+    "term weight NaN": (
+        "ghz4.json", lambda doc: _inline_chsh(doc)["terms"][0].update(weight=math.nan),
+        ["eval", "lhv-bound"],
+    ),
+    "eta_H NaN": ("ghz4.json", lambda doc: doc.update(eta_H=math.nan), []),
+    "eta_L -Infinity": ("ghz4.json", lambda doc: doc.update(eta_L=-math.inf), []),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_FIELDS))
+def test_non_finite_constants_are_not_json(capsys, tmp_path, case):
+    name, edit, commands = NON_FINITE_FIELDS[case]
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    edit(doc)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # json.dumps writes NaN, Infinity and -Infinity
+    for command in commands + ["validate"]:
+        code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2")
+        assert (code, out) == (EXIT_CONFIG, ""), (command, err)
+        assert err.startswith(f"config error: config {path} is not valid JSON: ")
+        assert "is not a JSON number" in err
+
+
+@pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400, "-1" + "0" * 400])
+def test_number_beyond_float_range_is_a_config_error(capsys, tmp_path, number):
+    # json reads 1e400 as inf and a 401-digit integer as an int that no float holds
+    text = (CONFIG_DIR / "ghz4.json").read_text().replace('"eta_H": 1.0', f'"eta_H": {number}')
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "eta_H must be finite" in err
+    [violation] = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violation.startswith("parse:") and "eta_H must be finite" in violation
+
+
+@pytest.mark.parametrize("terms", ["x", [1], ["settings"]])
+def test_terms_that_are_not_objects_are_a_config_error(capsys, tmp_path, terms):
+    edit = lambda doc: _inline_chsh(doc).update(terms=terms)  # noqa: E731
+    path = TestIntegerFields.write(tmp_path, "ghz4.json", edit)
+    for command in ("eval", "lhv-bound"):
+        code, out, err = run(capsys, command, "--config", path, "--restarts", "2")
+        assert (code, out) == (EXIT_CONFIG, ""), (command, err)
+    [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
+    assert violation.startswith("parse:")
+
+
+def test_non_utf8_config_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"k": "\xe9"}')
+    code, out, err = run(capsys, "validate", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"config error: config {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("outcomes", ["++", [0, "+"]], ids=["string", "integer label"])
+def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
+    def edit(doc):
+        doc["bell"] = preset("EBERHARD_CH").to_json_dict()
+        doc["bell"]["terms"][0]["outcomes"] = outcomes
+
+    path = TestIntegerFields.write(tmp_path, "eberhard_alpha005.json", edit)
+    for command in ("eval", "lhv-bound"):
+        code, out, err = run(capsys, command, "--config", path, "--restarts", "2")
+        assert (code, out) == (EXIT_CONFIG, ""), (command, err)
+        assert "outcomes must be a list of labels" in err
+    [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
+    assert violation.startswith("parse:") and "outcomes" in violation

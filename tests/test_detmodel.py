@@ -13,7 +13,7 @@ from belldet import (
     expectation,
     partial_trace,
 )
-from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO, validate_efficiency
+from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO, json_float, validate_efficiency
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
 
@@ -116,3 +116,16 @@ def test_validate_efficiency_range():
         validate_efficiency(1.0001)
     with pytest.raises(ValueError):
         validate_efficiency(-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_float_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        json_float(value, "theta")
+    with pytest.raises(ValueError, match="theta must be finite"):
+        MeasurementSetting.from_json_dict({"theta": value})
+
+
+def test_json_float_keeps_finite_numbers():
+    assert json_float(-1.5e308, "x") == -1.5e308
+    assert json_float(3, "x") == 3.0 and type(json_float(3, "x")) is float
