@@ -12,42 +12,43 @@ from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
 
 np.set_printoptions(precision=4, suppress=True)
 
+
+def reduce_to_pair(spec, projectors, lost=0):
+    """Projection probabilities and the two-qubit state left for the Bell test."""
+    config = bd.ScenarioConfig(
+        state=spec, k=2, eta_L=0.1, eta_H=1.0, bell=bd.preset("CHSH"),
+        projectors=tuple(projectors), lost=lost,
+    )
+    return bd.projected_state(config)
+
+
 print("=== GHZ_4, project |+> on qubits 0 and 1 ===")
-rho = bd.ghz(4).density()
-for step in range(2):
-    weight, post = bd.project(rho, bd.Effect(X_PLUS.projector_plus(), (0,)))
-    rho = bd.partial_trace(post, (0,))
-    print(f"projection {step + 1}: weight = {weight:.4f}, {rho.n_qubits} qubits left")
+p_list, rho = reduce_to_pair(bd.StateSpec("GHZ", 4), [X_PLUS, X_PLUS])
+for step, weight in enumerate(p_list):
+    print(f"projection {step + 1}: weight = {weight:.4f}, {3 - step} qubits left")
 print("final state matches the phi+ Bell pair:",
       np.allclose(rho.matrix, bd.bell_phi_plus().density().matrix, atol=1e-12))
 
 print()
 print("=== Dicke(4,2), project |1> then |0> ===")
-rho = bd.dicke(4, 2).density()
-for setting in (Z_ONE, Z_ZERO):
-    weight, post = bd.project(rho, bd.Effect(setting.projector_plus(), (0,)))
-    rho = bd.partial_trace(post, (0,))
+p_list, rho = reduce_to_pair(bd.StateSpec("Dicke", 4, excitations=2), [Z_ONE, Z_ZERO])
+for weight in p_list:
     print(f"weight = {weight:.4f}")
 print("final state matches the psi+ Bell pair:",
       np.allclose(rho.matrix, bd.bell_psi_plus().density().matrix, atol=1e-12))
 
 print()
 print("=== Cluster state: qubit 0 may even be lost entirely ===")
-traced = bd.partial_trace(bd.cluster4().density(), [0])
-weight, post = bd.project(traced, bd.Effect(Z_ZERO.projector_plus(), (0,)))
-final = bd.partial_trace(post, (0,))
-print(f"after losing qubit 0 and projecting |0>: weight = {weight:.4f}")
+p_list, final = reduce_to_pair(bd.StateSpec("Cluster4", 4), [Z_ZERO], lost=1)
+print(f"after losing qubit 0 and projecting |0>: weight = {p_list[0]:.4f}")
 print("Bell pair recovered:",
       np.allclose(final.matrix, bd.bell_phi_plus().density().matrix, atol=1e-12))
 
 print()
 print("=== Tilting the first projector prepares a partially entangled pair ===")
 alpha = 0.3
-config = bd.ScenarioConfig(
-    state=bd.StateSpec("GHZ", 4), k=2, eta_L=0.1, eta_H=1.0, bell=bd.preset("CHSH"),
-    projectors=(bd.MeasurementSetting(2 * alpha), X_PLUS),
-)
-p_list, rho_prime = bd.projected_state(config)
+tilted = bd.MeasurementSetting(2 * alpha)
+p_list, rho_prime = reduce_to_pair(bd.StateSpec("GHZ", 4), [tilted, X_PLUS])
 print(f"projection probabilities: {p_list}")
 print("equals cos(a)|00> + sin(a)|11>:",
       np.allclose(rho_prime.matrix, bd.partial_pair(alpha).density().matrix, atol=1e-12))

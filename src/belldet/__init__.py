@@ -37,9 +37,6 @@ from .detmodel import (
     X_PLUS,
     Z_ONE,
     Z_ZERO,
-    click_probabilities,
-    dressed_effects,
-    dressed_observable,
 )
 from .protocol import (
     ScenarioConfig,
@@ -53,14 +50,9 @@ from .protocol import (
 )
 from .qstate import (
     DensityMatrix,
-    Effect,
     PureState,
     QubitCapacityError,
     ZeroProjectionError,
-    basis_state,
-    expectation,
-    partial_trace,
-    project,
 )
 from .states import (
     StateSpec,
@@ -82,7 +74,6 @@ __all__ = [
     "ConventionError",
     "DensityMatrix",
     "DickeLossSpec",
-    "Effect",
     "MeasurementSetting",
     "OptimizeOptions",
     "PureState",
@@ -95,11 +86,9 @@ __all__ = [
     "X_PLUS",
     "Z_ONE",
     "Z_ZERO",
-    "basis_state",
     "bell_phi_plus",
     "bell_psi_plus",
     "bernoulli_pmf",
-    "click_probabilities",
     "cluster4",
     "composite_parts",
     "critical_eta_high",
@@ -108,18 +97,13 @@ __all__ = [
     "default_projectors",
     "dicke",
     "dicke_loss_mixture",
-    "dressed_effects",
-    "dressed_observable",
-    "expectation",
     "ghz",
     "lhv_bound",
     "make_state",
     "optimize_settings",
     "partial_pair",
-    "partial_trace",
     "pascal_expected_trials",
     "preset",
-    "project",
     "projected_state",
     "psi_plus_fraction",
     "psi_plus_weight",

@@ -21,8 +21,7 @@ from . import analysis, protocol
 from .bell import expression_from_json_dict, lhv_bound
 from .detmodel import json_float, json_int
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import DEFAULT_MAX_QUBITS, ZeroProjectionError, expectation
-from .states import bell_psi_plus
+from .qstate import DEFAULT_MAX_QUBITS, ZeroProjectionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,6 +29,14 @@ EXIT_NOT_FOUND = 3
 
 # A sweep grid with more rows than this is a config error, rejected before any row is built.
 MAX_SWEEP_ROWS = 100_000
+
+# A scenario whose estimated peak working set (``_working_set_bytes``) exceeds
+# this is a config error, rejected before any state is built.
+MEMORY_BUDGET_BYTES = 2**30
+# Copies of the k-qubit density matrix alive at once while states are built,
+# checked and turned into Pauli tensors: at k = 10, peak RSS grows by about 4
+# copies in eval and 6 in critical-visibility, which also builds I / 2^k.
+_STATE_COPIES = 6
 
 
 class ConfigurationError(Exception):
@@ -62,27 +69,48 @@ def _load_json(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _parse_scenario(doc, max_qubits: int) -> ScenarioConfig:
-    """The scenario of ``doc``, within ``ScenarioConfig.validate`` and the qubit cap."""
+def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
+    """Peak bytes a command may hold for ``config``: live copies of the k-qubit
+    complex density matrix (16 * 4^k bytes each), plus the settings optimizer's
+    batched (starts, D, D) float Hessian with D = 2 k s angles (theta and phi
+    of each of s settings per party). The threshold solvers re-optimize from
+    protocol._REFINE_RESTARTS random starts, and every run adds the seed and
+    one warm start."""
+    starts = max(restarts, protocol._REFINE_RESTARTS) + 2
+    angles = 2 * config.k * config.bell.settings_per_party
+    return _STATE_COPIES * 16 * 4**config.k + 8 * starts * angles**2
+
+
+def _parse_scenario(doc, args) -> ScenarioConfig:
+    """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap
+    and the memory budget at ``args.restarts``."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         message = f"config does not describe a valid scenario: {exc}"
         raise ConfigurationError(message, [f"parse: {exc}"]) from exc
     violations = config.validate()
-    cap = min(max_qubits, DEFAULT_MAX_QUBITS)  # states.make_state builds no more than that
+    cap = min(args.max_qubits, DEFAULT_MAX_QUBITS)  # states.make_state builds no more than that
     if config.n_qubits > cap:
         violations.append(f"state uses {config.n_qubits} qubits, above the cap {cap}")
+    elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
+        needed = _working_set_bytes(config, args.restarts)
+        if needed > MEMORY_BUDGET_BYTES:
+            violations.append(
+                f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "
+                f"about {needed / 2**20:.0f} MiB, above the budget "
+                f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB"
+            )
     if violations:
         raise ConfigurationError("config violates invariants: " + "; ".join(violations), violations)
     return config
 
 
-def _parse_sweep(doc, max_qubits: int) -> tuple[ScenarioConfig, Iterator[float]]:
+def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
     """A sweep's scenario and its eta_L/eta_H ratios, which are made only when iterated."""
     if not isinstance(doc, dict) or "scenario" not in doc or "grid" not in doc:
         raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
-    config = _parse_scenario(doc["scenario"], max_qubits)
+    config = _parse_scenario(doc["scenario"], args)
     grid = doc["grid"]
     try:
         start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
@@ -117,7 +145,7 @@ def _diagnostics(config: ScenarioConfig, args, **extra) -> dict:
 
 
 def _run_eval(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args.max_qubits)
+    config = _parse_scenario(doc, args)
     lhs, parts = protocol.composite_parts(config, restarts=args.restarts, seed=args.seed)
     diagnostics = _diagnostics(config, args, settings=parts.pop("settings"))
     result = {"composite_lhs": lhs, "violated": bool(lhs > 0.0), **parts}
@@ -125,7 +153,7 @@ def _run_eval(doc, args) -> tuple[str, int]:
 
 
 def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args.max_qubits)
+    config = _parse_scenario(doc, args)
     solve = solver(config, restarts=args.restarts, seed=args.seed)
     report = solve.to_json_dict()
     diagnostics = _diagnostics(config, args, **report.pop("diagnostics"))
@@ -134,7 +162,7 @@ def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int
 
 
 def _run_duration(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args.max_qubits)
+    config = _parse_scenario(doc, args)
     try:
         stats = analysis.trial_stats(config)
     except ValueError as exc:  # success probability needs every qubit present
@@ -156,11 +184,12 @@ def _run_duration(doc, args) -> tuple[str, int]:
 
 
 def _run_damaged(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args.max_qubits)
+    config = _parse_scenario(doc, args)
     p_list, rho = protocol.projected_state(config)
     result: dict = {"projection_probs": p_list}
     if config.k == 2:
-        result["psi_plus_overlap"] = expectation(rho, bell_psi_plus().density().matrix)
+        t = rho.pauli_tensor  # |psi+><psi+| = (II + XX + YY - ZZ) / 4
+        result["psi_plus_overlap"] = float((1.0 + t[1, 1] + t[2, 2] - t[3, 3]) / 4.0)
     settings, value = protocol.resolve_settings(
         config.bell, rho, [config.eta_H] * config.k, config.convention, config.settings,
         args.restarts, args.seed,
@@ -174,7 +203,7 @@ def _run_damaged(doc, args) -> tuple[str, int]:
 
 
 def _run_sweep(doc, args) -> tuple[str, int]:
-    config, ratios = _parse_sweep(doc, args.max_qubits)
+    config, ratios = _parse_sweep(doc, args)
     p_list, _ = protocol.projected_state(config)
     p_prod = float(np.prod(p_list))
     exponent = config.n_projections
@@ -209,9 +238,9 @@ def _run_validate(doc, args) -> tuple[str, int]:
     """What ``sweep`` (given a ``scenario`` section) or else ``eval`` would exit 2 on."""
     try:
         if isinstance(doc, dict) and "scenario" in doc:
-            config, _ = _parse_sweep(doc, args.max_qubits)
+            config, _ = _parse_sweep(doc, args)
         else:
-            config = _parse_scenario(doc, args.max_qubits)
+            config = _parse_scenario(doc, args)
     except ConfigurationError as exc:
         return _json_report({"raw": doc}, {"violations": exc.violations}, {}), EXIT_OK
     return _json_report(config.to_json_dict(), {"violations": []}, {}), EXIT_OK

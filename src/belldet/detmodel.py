@@ -9,8 +9,9 @@ which one it uses:
   independent of the state. Used with probability-type (CH/Eberhard)
   inequalities, where only registered clicks enter the expression.
 
-Both are rows of one coefficient table, ``_DRESSING``; every dressed
-operator and LHV outcome factor in the package is read from it.
+Both are rows of one coefficient table, ``_DRESSING``; the quantum-value
+kernel's dressed operators (``_coefficients``) and the LHV bounds' outcome
+factors (``_outcome_factors``) are both read from it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .qstate import DensityMatrix, Effect
 
 
 class Convention(str, Enum):
@@ -39,8 +38,8 @@ class ConventionError(ValueError):
 class MeasurementSetting:
     """Qubit projective setting on the Bloch sphere.
 
-    Defines Pi+ = |m><m| with |m> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>,
-    and Pi- = I - Pi+, so the two projectors sum to the identity exactly.
+    Defines Pi+ = |m><m| with |m> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>
+    (``ket``), and Pi- = I - Pi+.
     """
 
     theta: float
@@ -51,13 +50,6 @@ class MeasurementSetting:
             [math.cos(self.theta / 2.0), cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)],
             dtype=complex,
         )
-
-    def projector_plus(self) -> np.ndarray:
-        m = self.ket()
-        return np.outer(m, m.conj())
-
-    def projector_minus(self) -> np.ndarray:
-        return np.eye(2, dtype=complex) - self.projector_plus()
 
     def to_json_dict(self) -> dict:
         return {"theta": self.theta, "phi": self.phi}
@@ -136,51 +128,9 @@ def _coefficients(convention: Convention, labels, etas) -> tuple[np.ndarray, np.
     return alpha * etas, beta + gamma * etas
 
 
-def _dressed(convention: Convention, labels, setting: MeasurementSetting, eta: float) -> np.ndarray:
-    """Dressed 2x2 operators for ``labels`` at one setting and efficiency."""
-    a, b = _coefficients(convention, labels, validate_efficiency(eta))
-    return np.multiply.outer(a, setting.projector_plus()) + np.multiply.outer(b, np.eye(2))
-
-
 def _outcome_factors(convention: Convention) -> dict[str, np.ndarray]:
     """Each label's dressed value at every deterministic outcome of ``convention``."""
     labels = list(_DRESSING[convention])
     etas, clicks = np.array(_DETERMINISTIC[convention], dtype=float).T
     a, b = _coefficients(convention, np.array(labels)[:, None], etas)
     return dict(zip(labels, a * clicks + b))
-
-
-def dressed_effects(
-    setting: MeasurementSetting, eta: float, target: int = 0
-) -> tuple[Effect, Effect]:
-    """Efficiency-dressed outcome pair (eta Pi+, I - eta Pi+), FOLD rows "+"/"-".
-
-    The pair sums to the identity; at eta = 0 the "-" effect is the
-    identity (a blind detector always reports "-").
-    """
-    plus, minus = _dressed(Convention.FOLD, ["+", "-"], setting, eta)
-    return Effect(plus, (target,)), Effect(minus, (target,))
-
-
-def dressed_observable(setting: MeasurementSetting, eta: float) -> np.ndarray:
-    """A(eta) = 2 eta Pi+ - I, the folded +/- observable (FOLD row "±").
-
-    Eigenvalues are {2 eta - 1, -1}; at eta = 1 this is the ideal +/-1
-    observable and the expectation is affine in eta for any fixed state.
-    """
-    return _dressed(Convention.FOLD, "±", setting, eta)
-
-
-def click_probabilities(
-    setting: MeasurementSetting, eta: float, rho: DensityMatrix | np.ndarray
-) -> tuple[float, float, float]:
-    """Trinary outcome probabilities (p+, p-, p0) for a single-qubit state.
-
-    p+ = eta Tr(rho Pi+), p- = eta Tr(rho Pi-), and the no-click branch
-    p0 = 1 - eta is state independent; the three always sum to one.
-    """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a single-qubit state, got shape {mat.shape}")
-    effects = _dressed(Convention.TRINARY, ["+", "-", "0"], setting, eta)
-    return tuple(float(p) for p in np.einsum("ij,lji->l", mat, effects).real)

@@ -354,8 +354,8 @@ def _solve_threshold(
     optimize_at: Callable[[float, SettingsAssignment], tuple[SettingsAssignment, float]],
     settings: SettingsAssignment,
     bound: float,
-) -> tuple[SolveResult, SettingsAssignment]:
-    """The threshold engine behind the eta solvers; returns the final settings too.
+) -> SolveResult:
+    """The threshold engine behind the eta solvers.
 
     At fixed settings value_at(x, settings) is a polynomial of the given
     degree in x, so each round takes the exact root of value_at - bound on
@@ -370,15 +370,15 @@ def _solve_threshold(
         bracket = (0.0, hi)
         found = _upper_root(lambda x: value_at(x, settings) - bound, degree, hi)
         if found is None:
-            return _not_found("no sign change found below the upper end", rounds), settings
+            return _not_found("no sign change found below the upper end", rounds)
         root, slope = found
         settings, q_root = optimize_at(root, settings)
         residual = abs(q_root - bound)
         if residual < RESIDUAL_TOL * min(1.0, abs(slope)):
-            return SolveResult("ok", root, rounds, bracket, residual), settings
+            return SolveResult("ok", root, rounds, bracket, residual)
         hi = root
     reason = f"residual still above {RESIDUAL_TOL} x min(1, slope) after {_MAX_ROUNDS} rounds"
-    return SolveResult("not_converged", root, rounds, bracket, residual, {"reason": reason}), settings
+    return SolveResult("not_converged", root, rounds, bracket, residual, {"reason": reason})
 
 
 def _critical_eta(
@@ -409,7 +409,7 @@ def _critical_eta(
     settings, q_one = resolve_settings(expr, state, etas(1.0), convention, fixed, restarts, seed)
     if q_one - expr.classical_bound <= 1e-11:
         return _not_found(f"no violation at {name} = 1", value_at_one=q_one)
-    result, _ = _solve_threshold(
+    result = _solve_threshold(
         value_at, list(pins).count(None), optimize_at, settings, expr.classical_bound
     )
     result.diagnostics.update(value_at_one=q_one, **solved_diagnostics)

@@ -1,4 +1,4 @@
-"""Factories for the named multiqubit states and the white-noise mixer."""
+"""Factories for the named multiqubit states."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detmodel import json_float, json_int
-from .qstate import DEFAULT_MAX_QUBITS, DensityMatrix, PureState, QubitCapacityError
+from .qstate import DEFAULT_MAX_QUBITS, PureState, QubitCapacityError
 
 STATE_KINDS = ("GHZ", "Dicke", "W", "Cluster4", "BellPhiPlus", "BellPsiPlus", "PartialPair")
 
@@ -141,17 +141,3 @@ def make_state(spec: StateSpec) -> PureState:
         assert spec.alpha is not None
         return partial_pair(spec.alpha)
     raise ValueError(f"unknown state kind {spec.kind!r}")
-
-
-def add_white_noise(psi: PureState, visibility: float) -> DensityMatrix:
-    """Mix |psi><psi| with the maximally mixed state.
-
-    Returns v |psi><psi| + (1 - v) I / 2^n for v in [0, 1].
-    """
-    v = float(visibility)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility {v} outside [0, 1]")
-    dim = 2**psi.n_qubits
-    mat = v * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    mat += (1.0 - v) / dim * np.eye(dim, dtype=complex)
-    return DensityMatrix(psi.n_qubits, mat)

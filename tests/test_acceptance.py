@@ -34,7 +34,6 @@ from belldet import (
     lhv_bound,
     make_state,
     optimize_settings,
-    partial_trace,
     preset,
     psi_plus_fraction,
     psi_plus_weight,
@@ -43,7 +42,7 @@ from belldet import (
 )
 from belldet.cli import EXIT_OK, main as cli_main
 from belldet.detmodel import X_PLUS, Z_ZERO
-from belldet.qstate import embed_operator
+from reference import partial_trace, project_leading
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
@@ -236,17 +235,9 @@ def _loss_specs(n_max: int):
 
 
 def _brute_psi_plus_weight(n: int, e: int, l: int, u: int) -> float:
-    rho = dicke(n, e).density()
-    mat = (partial_trace(rho, range(l)) if l else rho).matrix
-    m = n - l
-    for i in range(m - 2):
-        bit = 1 if i < u else 0
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[bit, bit] = 1.0
-        full = embed_operator(proj, (0,), m - i)
-        mat = full @ mat @ full.conj().T
-        dim_b = 2 ** (m - i - 1)
-        mat = np.einsum("ibid->bd", mat.reshape(2, dim_b, 2, dim_b))
+    mat = partial_trace(dicke(n, e).density().matrix, range(l))
+    for i in range(n - l - 2):
+        mat = project_leading(mat, np.eye(2)[1 if i < u else 0])  # onto |1> or |0>
     psi = bell_psi_plus().amplitudes
     return float(np.real(psi.conj() @ mat @ psi))
 
@@ -256,7 +247,7 @@ def test_criterion_7_dicke_loss_identities():
     weight_bad = []
     for n, e, l in _loss_specs(8):
         if l:
-            direct = partial_trace(dicke(n, e).density(), range(l)).matrix
+            direct = partial_trace(dicke(n, e).density().matrix, range(l))
             combo = sum(
                 w * make_state(spec).density().matrix for w, spec in dicke_loss_mixture(n, e, l)
             )

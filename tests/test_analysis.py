@@ -15,7 +15,6 @@ from belldet import (
     damaged_state,
     dicke,
     dicke_loss_mixture,
-    expectation,
     ghz,
     make_state,
     optimize_settings,
@@ -30,7 +29,7 @@ from belldet import (
 )
 from belldet.analysis import n_prime_from_ratio
 from belldet.detmodel import Z_ONE
-from belldet.qstate import embed_operator, partial_trace
+from reference import partial_trace, project_leading
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -44,21 +43,9 @@ def ghz4_config(eta_L, eta_H):
 def brute_psi_plus_weight(n, excitations, lost, u):
     """Unnormalized psi+ weight straight from the linear algebra, kept
     independent of both the closed form and damaged_state."""
-    mat = dicke(n, excitations).density().matrix
-    m = n
-    if lost:
-        reduced = partial_trace(dicke(n, excitations).density(), range(lost))
-        mat = reduced.matrix
-        m = n - lost
-    for i in range(m - 2):
-        bit = 1 if i < u else 0
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[bit, bit] = 1.0
-        full = embed_operator(proj, (0,), m - i)
-        mat = full @ mat @ full.conj().T
-        dim_b = 2 ** (m - i - 1)
-        t = mat.reshape(2, dim_b, 2, dim_b)
-        mat = np.einsum("ibid->bd", t)
+    mat = partial_trace(dicke(n, excitations).density().matrix, range(lost))
+    for i in range(n - lost - 2):
+        mat = project_leading(mat, np.eye(2)[1 if i < u else 0])  # onto |1> or |0>
     psi = bell_psi_plus().amplitudes
     return float(np.real(psi.conj() @ mat @ psi))
 
@@ -178,7 +165,8 @@ class TestBernoulliPmf:
 class TestDamagedState:
     def test_dicke42_one_lost_one_projector(self):
         post = damaged_state(dicke(4, 2).density(), 1, [Z_ONE])
-        overlap = expectation(post, bell_psi_plus().density().matrix)
+        psi = bell_psi_plus().amplitudes
+        overlap = np.vdot(psi, post.matrix @ psi).real
         assert overlap == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_lost_ghz_is_classical_for_chsh(self):
@@ -225,7 +213,7 @@ class TestDickeLossMixture:
 
     def test_matches_numerical_partial_trace(self):
         for n, e, l in ((4, 2, 1), (5, 3, 2), (6, 2, 3)):
-            direct = partial_trace(dicke(n, e).density(), range(l)).matrix
+            direct = partial_trace(dicke(n, e).density().matrix, range(l))
             mixed = sum(w * make_state(spec).density().matrix for w, spec in dicke_loss_mixture(n, e, l))
             np.testing.assert_allclose(direct, mixed, atol=1e-12)
 

@@ -32,6 +32,7 @@ from belldet.bell import (
     angles_to_settings,
     chsh_seed_angles,
 )
+from reference import dressed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -109,29 +110,15 @@ def random_expression(rng, form, n, s, n_terms):
     return BellExpression(n, s, form, tuple(terms), 0.0)
 
 
-def textbook_effects(setting, eta, convention):
-    """Each label's 2x2 effect for one detector, from the definitions in
-    detmodel's docstring: FOLD books a miss as "-", TRINARY as outcome "0"."""
-    plus = setting.projector_plus()
-    eye = np.eye(2)
-    if convention == Convention.FOLD:
-        effects = {"+": eta * plus, "-": eye - eta * plus, "0": np.zeros((2, 2))}
-    else:
-        effects = {"+": eta * plus, "-": eta * setting.projector_minus(), "0": (1 - eta) * eye}
-    effects["*"] = effects["+"] + effects["-"] + effects["0"]  # marginal: every outcome
-    effects["±"] = effects["+"] - effects["-"]  # correlation observable (FOLD only)
-    return effects
-
-
 def dense_quantum_value(expr, rho, settings, etas, convention):
     """Reference: sum over terms of weight * Tr(rho kron_i E_i), one dense
-    2^n x 2^n operator per term."""
+    2^n x 2^n operator per term, each E_i the reference's dressed operator."""
     total = 0.0
     for term in expr.terms:
         labels = term.outcomes or ("±",) * expr.n_parties
         op = np.eye(1)
         for i, (j, label) in enumerate(zip(term.settings, labels)):
-            op = np.kron(op, textbook_effects(settings[i][j], etas[i], convention)[label])
+            op = np.kron(op, dressed(settings[i][j], etas[i], convention)[label])
         total += term.weight * float(np.trace(rho @ op).real)
     return total
 

@@ -741,3 +741,50 @@ def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
         assert "outcomes must be a list of labels" in err
     [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
     assert violation.startswith("parse:") and "outcomes" in violation
+
+
+def _ghz_one_term(k, settings_per_party):
+    """GHZ_k with every qubit in the Bell test and a one-term inline expression."""
+    term = {"settings": [settings_per_party - 1] * k, "weight": 1.0}
+    bell = {"form": "correlation", "n_parties": k, "settings_per_party": settings_per_party,
+            "terms": [term], "classical_bound": 1.0}
+    return {"state": {"kind": "GHZ", "n": k}, "k": k, "eta_L": 0.5, "eta_H": 1.0, "bell": bell}
+
+
+# (k, settings per party, flags): the k-qubit density matrix alone is 64 GiB at
+# k = 16; the optimizer's (starts, D, D) Hessian is several GiB at 1000 settings.
+OVER_BUDGET = {"GHZ16, k = 16": (16, 1, []), "1000 settings": (2, 1000, ["--restarts", "64"])}
+
+
+@pytest.mark.parametrize("case", list(OVER_BUDGET))
+def test_working_set_above_the_memory_budget_is_a_config_error(capsys, monkeypatch, tmp_path, case):
+    def fail(spec):
+        raise AssertionError("the state was built")
+
+    monkeypatch.setattr("belldet.protocol.make_state", fail)
+    k, s, flags = OVER_BUDGET[case]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_ghz_one_term(k, s)))
+    report = run_json(capsys, "validate", "--config", str(path), *flags)
+    [violation] = report["result"]["violations"]
+    assert violation.startswith(f"k = {k} with {s} settings per party needs about")
+    assert violation.endswith("MiB, above the budget 1024 MiB")
+    for command in ("eval", "critical-eta", "critical-visibility", "duration", "damaged"):
+        code, out, err = run(capsys, command, "--config", str(path), *flags)
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert err == f"config error: config violates invariants: {violation}\n"
+
+
+@pytest.mark.parametrize(
+    "k,s,restarts,fits",
+    [(11, 2, 64, True), (12, 2, 0, False), (2, 300, 64, True), (2, 400, 64, False),
+     (2, 400, 0, True)],
+)
+def test_memory_budget_boundary(capsys, tmp_path, k, s, restarts, fits):
+    """The largest k and settings count validate; one step beyond does not.
+    Fewer restarts leave room for more settings (the solvers still refine
+    from 16 random starts)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_ghz_one_term(k, s)))
+    report = run_json(capsys, "validate", "--config", str(path), "--restarts", str(restarts))
+    assert (report["result"]["violations"] == []) == fits

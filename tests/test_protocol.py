@@ -32,8 +32,8 @@ from belldet.protocol import (
     _REFINE_RESTARTS, RESIDUAL_TOL, SettingsAssignment, _not_found, _solve_threshold,
     resolve_settings,
 )
-from belldet.qstate import Effect, embed_operator, partial_trace, project
-from belldet.states import make_state, add_white_noise
+from belldet.states import make_state
+from reference import partial_trace, project_leading, white_noise
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -87,11 +87,11 @@ class TestProjectedState:
             visibility=0.8,
         )
         p_list, _ = projected_state(config)
-        rho = add_white_noise(make_state(config.state), 0.8).matrix
-        combined = np.eye(2**5, dtype=complex)
-        for qubit, setting in enumerate(config.resolved_projectors()):
-            combined = combined @ embed_operator(setting.projector_plus(), [qubit], 5)
-        single_shot = float(np.trace(combined @ rho @ combined.conj().T).real)
+        rho = white_noise(make_state(config.state).density().matrix, 0.8)
+        # the unnormalized chain leaves Tr(P rho P), P the combined projector
+        for setting in config.resolved_projectors():
+            rho = project_leading(rho, setting.ket())
+        single_shot = float(np.trace(rho).real)
         assert abs(np.prod(p_list) - single_shot) < 1e-12
 
     def test_blind_cluster_path(self):
@@ -125,14 +125,14 @@ _REFERENCE_CASES = [(spec, lost) for spec in _REFERENCE_STATES for lost in range
 
 
 def _dense_reference_chain(rho, lost, projectors):
-    """The projection chain spelled out with the public dense operations."""
-    if lost:
-        rho = partial_trace(rho, range(lost))
+    """The projection chain spelled out with the reference's dense operations:
+    the conditional weights and the renormalized matrix left."""
+    rho = partial_trace(rho, range(lost))
     p_list = []
     for setting in projectors:
-        weight, post = project(rho, Effect(setting.projector_plus(), (0,)))
-        p_list.append(weight)
-        rho = partial_trace(post, (0,))
+        post = project_leading(rho, setting.ket())
+        p_list.append(float(np.trace(post).real))
+        rho = post / p_list[-1]
     return p_list, rho
 
 
@@ -156,13 +156,13 @@ def test_projection_matches_dense_reference(spec, lost, visibility):
         state=spec, k=2, eta_L=0.1, eta_H=1.0, bell=preset("CHSH"),
         projectors=projectors, visibility=visibility, lost=lost,
     )
-    noisy = add_white_noise(make_state(spec), visibility)
+    noisy = white_noise(make_state(spec).density().matrix, visibility)
     p_ref, rho_ref = _dense_reference_chain(noisy, lost, projectors)
     p_list, rho = projected_state(config)
     np.testing.assert_allclose(p_list, p_ref, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(rho.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
-    damaged = damaged_state(noisy, lost, projectors)
-    np.testing.assert_allclose(damaged.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(rho.matrix, rho_ref, rtol=0.0, atol=1e-12)
+    damaged = damaged_state(DensityMatrix(spec.n, noisy), lost, projectors)
+    np.testing.assert_allclose(damaged.matrix, rho_ref, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lost", [0, 1, 2])
@@ -171,9 +171,9 @@ def test_damaged_state_matches_dense_reference_on_a_complex_mixed_state(lost):
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = DensityMatrix(4, g @ g.conj().T)
     projectors = _random_projectors(rng, 3 - lost)
-    _, rho_ref = _dense_reference_chain(rho, lost, projectors)
+    _, rho_ref = _dense_reference_chain(rho.matrix, lost, projectors)
     damaged = damaged_state(rho, lost, projectors)
-    np.testing.assert_allclose(damaged.matrix, rho_ref.matrix, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(damaged.matrix, rho_ref, rtol=0.0, atol=1e-12)
 
 
 class TestComposite:
@@ -361,7 +361,8 @@ def engine_critical_visibility(
     seed: int = 0,
 ) -> protocol.SolveResult:
     """The threshold-engine solve that ``critical_visibility`` replaced,
-    kept verbatim as the reference for the closed form's roots."""
+    kept as the reference for the closed form's roots; ``optimize_at``
+    records the settings the engine ends on."""
     config.require_valid()
     p_list, rho_prime = projected_state(replace(config, visibility=1.0))
     expr, bound, m = config.bell, config.bell.classical_bound, config.n_projections
@@ -385,11 +386,14 @@ def engine_critical_visibility(
         pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
         return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
 
+    optimized: list[SettingsAssignment] = []
+
     def optimize_at(v: float, warm: SettingsAssignment):
         settings, q_v = resolve_settings(
             expr, mixed(v), etas, config.convention, config.settings, _REFINE_RESTARTS, seed + 1,
             warm,
         )
+        optimized.append(settings)
         return settings, q_v - bound
 
     settings, q_pure = resolve_settings(
@@ -401,7 +405,8 @@ def engine_critical_visibility(
     at_zero, at_one = endpoints(settings)
     if at_zero == at_one:
         return _not_found("composite does not depend on v")
-    result, settings = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
+    result = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
+    settings = optimized[-1] if optimized else settings
     at_zero, at_one = endpoints(settings)
     if at_zero != 0.0:
         result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
@@ -542,13 +547,17 @@ class TestThresholdEngine:
         def value_at(x, n):
             return x - 0.5 * 0.9**n
 
+        calls = []
+
         def optimize_at(x, n):
+            calls.append(n)
             return n + 1, 1.0
 
-        result, settings = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
+        result = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
         assert result.status == "not_converged"
         assert not result.found
-        assert result.iterations == settings == protocol._MAX_ROUNDS
+        assert result.iterations == protocol._MAX_ROUNDS
+        assert calls == list(range(protocol._MAX_ROUNDS))  # each round warm-starts from the last
         assert result.achieved_residual >= protocol.RESIDUAL_TOL
         assert result.critical_value == pytest.approx(0.5 * 0.9 ** (protocol._MAX_ROUNDS - 1))
 
@@ -564,19 +573,17 @@ class TestThresholdEngine:
         def optimize_at(x, root):
             return threshold, slope * (x - threshold)
 
-        result, settings = protocol._solve_threshold(
-            value_at, 1, optimize_at, threshold + 1e-7, 0.0
-        )
+        result = protocol._solve_threshold(value_at, 1, optimize_at, threshold + 1e-7, 0.0)
         assert result.status == "ok"
         assert result.critical_value == pytest.approx(threshold, abs=1e-9)
-        assert result.iterations == 2 and settings == threshold
+        assert result.iterations == 2
 
     def test_root_below_the_floor_counts_as_none(self):
         # f turns non-negative at 1e-6, below the floor of 1e-4 of the upper end
         def value_at(x, settings):
             return x - 1e-6
 
-        result, _ = protocol._solve_threshold(
+        result = protocol._solve_threshold(
             value_at, 1, lambda x, s: (s, value_at(x, s)), None, 0.0
         )
         assert result.status == "not_found"

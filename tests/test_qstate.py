@@ -5,20 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from belldet import (
-    DensityMatrix,
-    Effect,
-    PureState,
-    basis_state,
-    bell_phi_plus,
-    cluster4,
-    expectation,
-    ghz,
-    partial_trace,
-    project,
-)
-from belldet.detmodel import MeasurementSetting, X_PLUS
-from belldet.qstate import embed_operator, pauli_tensor
+from belldet import DensityMatrix, PureState, bell_phi_plus, cluster4, ghz, preset, quantum_value
+from belldet.detmodel import MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO
+from belldet.qstate import pauli_tensor
+from reference import partial_trace, project_leading
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -33,8 +23,10 @@ def random_density(n_qubits, rng):
 
 
 class TestPartialTrace:
+    """The reference partial trace the tests check the library against."""
+
     def test_cluster_first_qubit_gives_two_branch_mixture(self):
-        traced = partial_trace(cluster4().density(), [0])
+        traced = partial_trace(cluster4().density().matrix, [0])
         psi1 = np.zeros(8, dtype=complex)
         psi1[0b111] = 1.0 / math.sqrt(2)
         psi1[0b100] = -1.0 / math.sqrt(2)
@@ -42,102 +34,80 @@ class TestPartialTrace:
         psi2[0b000] = 1.0 / math.sqrt(2)
         psi2[0b011] = 1.0 / math.sqrt(2)
         expected = 0.5 * np.outer(psi1, psi1.conj()) + 0.5 * np.outer(psi2, psi2.conj())
-        np.testing.assert_allclose(traced.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(traced, expected, atol=1e-12)
 
     def test_product_state(self):
-        reduced = partial_trace(basis_state("01").density(), [1])
-        np.testing.assert_allclose(reduced.matrix, basis_state("0").density().matrix, atol=1e-15)
+        reduced = partial_trace(np.diag([0.0, 1.0, 0.0, 0.0]), [1])  # |01><01|
+        np.testing.assert_allclose(reduced, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_pair_gives_maximally_mixed(self):
-        reduced = partial_trace(bell_phi_plus().density(), [0])
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
+        reduced = partial_trace(bell_phi_plus().density().matrix, [0])
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(7)
         rho = random_density(3, rng)
-        reduced = partial_trace(rho, [0, 2])
-        assert abs(np.trace(reduced.matrix) - 1.0) < 1e-12
-
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            partial_trace(bell_phi_plus().density(), [2])
-
-    def test_tracing_everything_is_an_error(self):
-        with pytest.raises(ValueError):
-            partial_trace(bell_phi_plus().density(), [0, 1])
+        reduced = partial_trace(rho.matrix, [0, 2])
+        assert abs(np.trace(reduced) - 1.0) < 1e-12
 
 
 class TestProject:
-    def test_ghz4_plus_projection(self):
-        weight, post = project(ghz(4).density(), Effect(X_PLUS.projector_plus(), (0,)))
-        assert abs(weight - 0.5) < 1e-12
-        remaining = partial_trace(post, (0,))
-        np.testing.assert_allclose(remaining.matrix, ghz(3).density().matrix, atol=1e-12)
+    """The reference rank-one projection of the leading qubit."""
 
-    def test_orthogonal_projection_is_absent_not_an_exception(self):
-        weight, post = project(basis_state("0").density(), Effect(np.diag([0.0, 1.0]), (0,)))
-        assert weight == 0.0
-        assert post is None
+    def test_ghz4_plus_projection(self):
+        post = project_leading(ghz(4).density().matrix, X_PLUS.ket())
+        weight = np.trace(post).real
+        assert abs(weight - 0.5) < 1e-12
+        np.testing.assert_allclose(post / weight, ghz(3).density().matrix, atol=1e-12)
 
     def test_blind_cluster_chain_recovers_bell_state(self):
         # trace qubit 0 of the cluster, then project |0><0| on the next qubit
-        rho = partial_trace(cluster4().density(), [0])
-        weight, post = project(rho, Effect(np.diag([1.0, 0.0]), (0,)))
+        rho = partial_trace(cluster4().density().matrix, [0])
+        post = project_leading(rho, Z_ZERO.ket())
+        weight = np.trace(post).real
         assert abs(weight - 0.5) < 1e-12
-        final = partial_trace(post, (0,))
-        np.testing.assert_allclose(final.matrix, bell_phi_plus().density().matrix, atol=1e-12)
-
-    def test_idempotent_in_state(self):
-        rng = np.random.default_rng(3)
-        rho = random_density(2, rng)
-        effect = Effect(MeasurementSetting(0.7).projector_plus(), (1,))
-        _, once = project(rho, effect)
-        weight_again, twice = project(once, effect)
-        assert abs(weight_again - 1.0) < 1e-10
-        np.testing.assert_allclose(once.matrix, twice.matrix, atol=1e-10)
+        np.testing.assert_allclose(post / weight, bell_phi_plus().density().matrix, atol=1e-12)
 
     def test_complete_projector_weights_sum_to_one(self):
         rng = np.random.default_rng(11)
-        rho = random_density(2, rng)
+        rho = random_density(2, rng).matrix
         setting = MeasurementSetting(1.234)
-        w_plus, _ = project(rho, Effect(setting.projector_plus(), (0,)))
-        w_minus, _ = project(rho, Effect(setting.projector_minus(), (0,)))
+        orthogonal = MeasurementSetting(1.234 + math.pi)
+        w_plus = np.trace(project_leading(rho, setting.ket())).real
+        w_minus = np.trace(project_leading(rho, orthogonal.ket())).real
         assert abs(w_plus + w_minus - 1.0) < 1e-10
         # full two-qubit computational basis
         total = 0.0
-        for bits in ("00", "01", "10", "11"):
-            proj = np.outer(basis_state(bits).amplitudes, basis_state(bits).amplitudes.conj())
-            w, _ = project(rho, Effect(proj, (0, 1)))
-            total += w
+        for first, second in itertools.product((Z_ZERO, Z_ONE), repeat=2):
+            total += project_leading(project_leading(rho, first.ket()), second.ket())[0, 0].real
         assert abs(total - 1.0) < 1e-10
 
 
 class TestExpectation:
+    """Expectation values as the library reads them: off the Pauli tensor."""
+
     def test_sigma_z_on_zero(self):
-        assert expectation(basis_state("0").density(), SZ) == pytest.approx(1.0, abs=1e-14)
+        assert PureState(1, np.array([1.0, 0.0])).density().pauli_tensor[3] == pytest.approx(
+            1.0, abs=1e-14
+        )
 
     def test_xx_stabilizer_of_bell(self):
-        assert expectation(bell_phi_plus().density(), np.kron(SX, SX)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert bell_phi_plus().density().pauli_tensor[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_xz_on_bell_vanishes(self):
-        assert expectation(bell_phi_plus().density(), np.kron(SX, SZ)) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert bell_phi_plus().density().pauli_tensor[1, 3] == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            expectation(bell_phi_plus().density(), SZ)
+        one_qubit = PureState(1, np.array([1.0, 0.0])).density()
+        with pytest.raises(ValueError, match="does not match 2 parties"):
+            quantum_value(preset("CHSH"), one_qubit, [[X_PLUS, Z_ZERO]] * 2, [1.0, 1.0])
 
     def test_partial_trace_matches_padded_operator(self):
+        """Tr(Tr_01(rho) O) = Tr(rho I (x) I (x) O) for every Pauli O."""
         rng = np.random.default_rng(21)
         rho = random_density(3, rng)
-        observable = MeasurementSetting(0.9).projector_plus() * 2.0 - np.eye(2)
-        reduced = partial_trace(rho, [0, 1])
-        lhs = expectation(reduced, observable)
-        rhs = expectation(rho, embed_operator(observable, [2], 3))
-        assert abs(lhs - rhs) < 1e-10
+        reduced = DensityMatrix(1, partial_trace(rho.matrix, [0, 1]))
+        np.testing.assert_allclose(reduced.pauli_tensor, rho.pauli_tensor[0, 0], atol=1e-12)
 
 
 class TestPauliTensor:
@@ -173,10 +143,6 @@ class TestValidation:
     def test_density_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
-
-    def test_effect_rejects_eigenvalues_above_one(self):
-        with pytest.raises(ValueError):
-            Effect(np.diag([1.5, 0.0]), (0,))
 
     def test_arrays_are_immutable(self):
         state = ghz(2)

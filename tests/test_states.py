@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 from belldet import (
-    Effect,
+    BellExpression,
+    BellForm,
+    BellTerm,
+    ScenarioConfig,
     StateSpec,
-    basis_state,
     bell_phi_plus,
     bell_psi_plus,
     cluster4,
     dicke,
-    expectation,
     ghz,
     make_state,
     partial_pair,
-    partial_trace,
-    project,
+    projected_state,
     w_state,
 )
 from belldet.detmodel import X_PLUS
-from belldet.states import add_white_noise
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
+from reference import partial_trace, project_leading
 
 
 def test_ghz3_amplitudes():
@@ -55,7 +53,7 @@ def test_bell_states():
 
 
 def test_cluster_convention_fixed_by_first_qubit_trace():
-    traced = partial_trace(cluster4().density(), [0])
+    traced = partial_trace(cluster4().density().matrix, [0])
     psi1 = np.zeros(8, dtype=complex)
     psi1[0b111] = 1.0 / math.sqrt(2)
     psi1[0b100] = -1.0 / math.sqrt(2)
@@ -63,7 +61,7 @@ def test_cluster_convention_fixed_by_first_qubit_trace():
     psi2[0b000] = 1.0 / math.sqrt(2)
     psi2[0b011] = 1.0 / math.sqrt(2)
     expected = 0.5 * np.outer(psi1, psi1.conj()) + 0.5 * np.outer(psi2, psi2.conj())
-    np.testing.assert_allclose(traced.matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(traced, expected, atol=1e-12)
 
 
 def test_dicke_permutation_invariance():
@@ -85,40 +83,42 @@ def test_dicke_permutation_invariance():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_ghz_plus_projection_chain(n):
-    rho = ghz(n).density()
-    total = 1.0
+    rho = ghz(n).density().matrix  # unnormalized along the chain: its trace is the total weight
     for _ in range(n - 2):
-        weight, post = project(rho, Effect(X_PLUS.projector_plus(), (0,)))
-        total *= weight
-        rho = partial_trace(post, (0,))
+        rho = project_leading(rho, X_PLUS.ket())
+    total = np.trace(rho).real
     assert abs(total - 2.0 ** -(n - 2)) < 1e-12
-    np.testing.assert_allclose(rho.matrix, bell_phi_plus().density().matrix, atol=1e-12)
+    np.testing.assert_allclose(rho / total, bell_phi_plus().density().matrix, atol=1e-12)
+
+
+def noisy(spec, visibility):
+    """The library's white-noise mixing, v |psi><psi| + (1 - v) I / 2^n: the
+    projected state when every qubit runs the Bell test (k = N)."""
+    expr = BellExpression(spec.n, 1, BellForm.CORRELATION, (BellTerm((0,) * spec.n, 1.0),), 0.0)
+    config = ScenarioConfig(spec, spec.n, 1.0, 1.0, expr, visibility=visibility)
+    return projected_state(config)[1]
 
 
 class TestWhiteNoise:
     def test_full_visibility_is_the_pure_projector(self):
-        psi = ghz(3)
-        rho = add_white_noise(psi, 1.0)
-        np.testing.assert_allclose(rho.matrix, psi.density().matrix, atol=1e-15)
+        rho = noisy(StateSpec("GHZ", 3), 1.0)
+        np.testing.assert_allclose(rho.matrix, ghz(3).density().matrix, atol=1e-15)
 
     def test_zero_visibility_is_maximally_mixed(self):
-        rho = add_white_noise(ghz(3), 0.0)
+        rho = noisy(StateSpec("GHZ", 3), 0.0)
         np.testing.assert_allclose(rho.matrix, np.eye(8) / 8, atol=1e-15)
 
     def test_half_visibility_werner_expectation(self):
-        rho = add_white_noise(bell_phi_plus(), 0.5)
-        assert expectation(rho, np.kron(SX, SX)) == pytest.approx(0.5, abs=1e-12)
+        rho = noisy(StateSpec("BellPhiPlus", 2), 0.5)
+        assert rho.pauli_tensor[1, 1] == pytest.approx(0.5, abs=1e-12)  # <XX>
 
     def test_affine_in_visibility(self):
-        observable = np.kron(SX, SX)
-        values = [
-            expectation(add_white_noise(bell_phi_plus(), v), observable) for v in (0.0, 0.5, 1.0)
-        ]
+        values = [noisy(StateSpec("BellPhiPlus", 2), v).pauli_tensor[1, 1] for v in (0.0, 0.5, 1.0)]
         assert abs(values[1] - 0.5 * (values[0] + values[2])) < 1e-12
 
     def test_visibility_out_of_range(self):
-        with pytest.raises(ValueError):
-            add_white_noise(ghz(2), 1.2)
+        with pytest.raises(ValueError, match="visibility"):
+            noisy(StateSpec("GHZ", 2), 1.2)
 
 
 class TestStateSpec:
@@ -159,4 +159,4 @@ class TestStateSpec:
 
 
 def test_dicke_all_zero_excitations_is_product():
-    np.testing.assert_allclose(dicke(3, 0).amplitudes, basis_state("000").amplitudes, atol=1e-15)
+    np.testing.assert_allclose(dicke(3, 0).amplitudes, np.eye(8)[0], atol=1e-15)  # |000>
