@@ -7,7 +7,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ _OUTCOME_LABELS = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE, OUTCOME_ANY)
 _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
+_BLOCK_FLOATS = 2**22  # floats in each array the quantum-value kernel makes per block of starts
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
@@ -207,17 +207,41 @@ def lhv_bound(expr: BellExpression) -> float:
     return float(acc.max(axis=1).sum(axis=0).max())
 
 
+def _coefficient_tensor(
+    expr: BellExpression, etas: Sequence[float], convention: Convention
+) -> np.ndarray:
+    """W[q_1, ..., q_n]: the expression as a sum of products of per-party units,
+    q = 0 the identity and q = j + 1 the Pauli vector n_j . sigma of setting j.
+    A dressed operator a Pi+ + b I, (a, b) from the detector model, is
+    (b + a/2) I + (a/2) n_j . sigma, so W[0, ..., 0] is the value on white noise."""
+    n, s = expr.n_parties, expr.settings_per_party
+    weights = np.array([t.weight for t in expr.terms], dtype=float)
+    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
+    # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
+    labels = np.array([_labels(t, n) for t in expr.terms], dtype=str).reshape(-1, n)
+    a, b = _coefficients(convention, labels, etas)  # (terms, parties)
+    # A term is 2^n products: bit i of the mask gives party i unit j + 1, else unit 0.
+    masks, strides = np.indices((2,) * n).reshape(n, -1), (s + 1) ** np.arange(n - 1, -1, -1)
+    tensor = np.zeros((s + 1) ** n)
+    chunk = max(1, _BLOCK_FLOATS // (n << n))  # terms per (terms, 2^n, n) array
+    for lo in range(0, len(weights), chunk):
+        at = slice(lo, lo + chunk)
+        factors = np.where(masks.T, 0.5 * a[at, None], (b[at] + 0.5 * a[at])[:, None])
+        values = weights[at, None] * factors.prod(axis=-1)
+        flat = (settings[at] + 1) * strides @ masks  # (terms, 2^n) flat unit indices
+        tensor += np.bincount(flat.ravel(), values.ravel(), minlength=tensor.size)
+    return tensor.reshape((s + 1,) * n)
+
+
 class _Evaluator:
     """Vectorized quantum-value kernel for a fixed expression and state.
 
     Works in the real Pauli basis: the state is its tensor T (see
-    ``qstate.pauli_tensor``), and party i's dressed operator a Pi+ + b I in
-    term t, Pi+ = (I + n . sigma) / 2, is the 4-vector (b + a/2, (a/2) n),
-    with (a, b) read from the detector model once. A term's value is T
-    contracted with its parties' vectors. Angles carry a leading start
-    axis: thetas and phis of shape (S, n, s) evaluate S independent
-    settings at once, and every result keeps that axis first. The settings
-    optimizer also reads each party's effective operators from it
+    ``qstate.pauli_tensor``), the expression its coefficient tensor W, and T
+    is contracted with one party's units (``_units``) at a time, then with W.
+    Angles carry a leading start axis: thetas and phis of shape (S, n, s)
+    evaluate S independent settings at once, and every result keeps that
+    axis first. The settings optimizer also reads each party's Bloch fields
     (``bloch_fields``) and the exact angle derivatives (``derivatives``).
     """
 
@@ -237,64 +261,41 @@ class _Evaluator:
         if matrix.shape != (2**n, 2**n):
             raise ValueError(f"state dimension {matrix.shape} does not match {n} parties")
         self.tensor = rho.pauli_tensor if is_state else pauli_tensor(matrix)
-        self.weights = np.array([t.weight for t in expr.terms], dtype=float)
-        self.term_settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
-        self.parties = np.arange(n)
-        # Correlation terms need the folded row, which only FOLD has
-        # (ConventionError otherwise).
-        labels = np.array([_labels(t, n) for t in expr.terms], dtype=str).reshape(-1, n)
-        a, b = _coefficients(convention, labels, etas)  # (terms, parties)
-        self.scale, self.identity_part = a, b + 0.5 * a
-        self.settings_per_party = expr.settings_per_party
-        # Term t's Bloch vector of party i, in the flattened (party, setting) axis.
-        self.gather = self.parties * expr.settings_per_party + self.term_settings
-        # Party i's Pauli axis is letter i, Z and z the start and term axes; the
-        # parties in a key keep their axes open. Up to 25 parties fit.
-        letters = "abcdefghijklmnopqrstuvwxy"[:n]
-        self.subscripts = {}
-        for left_out in [(), *((i,) for i in range(n)), *itertools.combinations(range(n), 2)]:
-            ops = ["Zz" + letter for i, letter in enumerate(letters) if i not in left_out]
-            open_axes = "".join(letters[i] for i in left_out)
-            self.subscripts[left_out] = ",".join([letters, *ops]) + "->Zz" + open_axes
+        self.coefficients = _coefficient_tensor(expr, etas, convention)
+        self.n_parties, self.settings_per_party = n, expr.settings_per_party
 
-    def _partial(self, ops: np.ndarray, left_out: tuple[int, ...]) -> np.ndarray:
-        """G (S, T, mu_i, mu_k, ...): T contracted with every party's
-        operators except ``left_out``'s, given ops (parties, S, T, 4)."""
-        if len(left_out) == len(ops):  # no operator left to carry the start and term axes
-            return np.broadcast_to(self.tensor, ops.shape[1:3] + self.tensor.shape)
-        kept = [op for i, op in enumerate(ops) if i not in left_out]
-        return np.einsum(self.subscripts[left_out], self.tensor, *kept)
-
-    @cached_property
-    def route(self) -> np.ndarray:
-        """route[t, i, j] = a_ti if term t uses party i's setting j, else 0.
-        Built on first use so that quantum_value does not pay for it."""
-        uses = self.term_settings[..., None] == np.arange(self.settings_per_party)
-        return uses * self.scale[..., None]
-
-    def operators(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-        """m (parties, S, terms, 4): each term's dressed operator of each party."""
-        starts, n, s = thetas.shape
-        ops = np.empty((starts,) + self.gather.shape + (4,))  # (S, terms, parties, 4)
-        ops[..., 0] = self.identity_part
-        bloch = np.take(_bloch_vectors(thetas, phis).reshape(starts, n * s, 3), self.gather, axis=1)
-        np.multiply(0.5 * self.scale[..., None], bloch, out=ops[..., 1:])
-        return ops.transpose(2, 0, 1, 3)
+    def _partial(self, units: np.ndarray, open_parties: tuple[int, ...] = ()) -> np.ndarray:
+        """T contracted with every party's units but ``open_parties``', then with W
+        over the contracted unit axes: (S, mu_i, ..., q_i, ...) over the open
+        parties i, the value's derivative in Pauli component mu_i of unit q_i.
+        The starts run in blocks whose arrays hold about _BLOCK_FLOATS floats."""
+        n, width = self.n_parties, units.shape[2]
+        sizes = [4 if i in open_parties else width for i in range(n)]
+        # einsum sublists: 0 the starts, i + 1 party i's units, n + 1 + i its Pauli axis
+        axes = [0] + [n + 1 + i if i in open_parties else i + 1 for i in range(n)]
+        kept = [0] + [n + 1 + i for i in open_parties] + [i + 1 for i in open_parties]
+        step, parts = max(1, _BLOCK_FLOATS // max(width, 4) ** n), []
+        for lo in range(0, max(len(units), 1), step):  # one block even for zero starts
+            block, x = units[lo : lo + step], self.tensor
+            for i in range(n):  # x (S, axes done, mu_i, Pauli axes to go); matmul adds S
+                x = x.reshape(-1, math.prod(sizes[:i]), 4, 4 ** (n - 1 - i))
+                if i not in open_parties:
+                    x = block[:, None, i] @ x
+            if len(x) != len(block):  # every party open: T (x) W at every start
+                x = np.broadcast_to(x, (len(block),) + x.shape[1:])
+            x = x.reshape(len(block), *sizes)
+            parts.append(np.einsum(x, axes, self.coefficients, list(range(1, n + 1)), kept))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
         """The expression's value at each start, shape (S,)."""
-        return self._partial(self.operators(thetas, phis), ()) @ self.weights
+        return self._partial(_units(thetas, phis))
 
-    def bloch_fields(self, ops: np.ndarray, party: int) -> np.ndarray:
-        """c[:, j] = Tr(E_j sigma) per setting j of the party, (S, s, 3), from ``operators``.
-
-        The value is affine in each projector Pi_ij = (I + n_ij . sigma) / 2:
-        with the other parties fixed it is Tr(E_j Pi_ij) summed over j plus a
-        constant, E_j the effective operator, so it depends on the Bloch
-        vector n_ij only through c[j] . n_ij / 2.
-        """
-        traces = self._partial(ops, (party,))[..., 1:]  # Tr(G sigma), (S, T, 3)
-        return np.einsum("t,tj,stx->sjx", self.weights, self.route[:, party], traces)
+    def bloch_fields(self, units: np.ndarray, party: int) -> np.ndarray:
+        """c[:, j] = d value / d n_j per setting j of the party, (S, s, 3): the value
+        is affine in each projector Pi_ij = (I + n_ij . sigma) / 2, so with the
+        other parties fixed it is c[j] . n_ij plus a constant."""
+        return self._partial(units, (party,))[:, 1:, 1:].transpose(0, 2, 1)
 
     def derivatives(
         self, thetas: np.ndarray, phis: np.ndarray | None
@@ -303,42 +304,40 @@ class _Evaluator:
         angles, ordered as the thetas (n, s) followed by the phis (n, s) when
         ``phis`` is given (D = n s or 2 n s).
 
-        The value is multilinear in the Bloch vectors n_ij, with
-        d value / d n_ij = c_ij / 2 and no second derivative within one
-        party (each term uses one setting per party). So the within-party
-        blocks are c_ij / 2 against n_ij's second derivatives in its angles,
-        and each cross-party block comes from one two-party partial
-        contraction, routed from terms to the two parties' settings.
+        The value is multilinear in the Bloch vectors n_ij with no second
+        derivative within one party (each product holds one unit per party).
+        So the within-party blocks are the Bloch fields against n_ij's second
+        derivatives, and each cross-party block comes from a two-party partial.
         """
-        n, s = len(self.parties), self.settings_per_party
-        ops = self.operators(thetas, phis)
-        c = np.stack([self.bloch_fields(ops, i) for i in range(n)], axis=1)  # (S, n, s, 3)
+        n, s = self.n_parties, self.settings_per_party
+        units = _units(thetas, phis)
+        c = np.stack([self.bloch_fields(units, i) for i in range(n)], axis=1)  # (S, n, s, 3)
         jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
-        gradient = 0.5 * np.einsum("sijx,sijxa->saij", c, jac)
-        within = 0.5 * np.einsum("sijx,sijxab->sijab", c, curl)
+        gradient = np.einsum("sijx,sijxa->saij", c, jac)
+        within = np.einsum("sijx,sijxab->sijab", c, curl)
         # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
         hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
         for i, k in itertools.combinations(range(n), 2):
-            traces = self._partial(ops, (i, k))[..., 1:, 1:]  # Tr(G sigma_x (x) sigma_y)
-            # d2 value / d n_ij d n_kl = sum_t w_t a_ti a_tk Tr(G sigma (x) sigma) / 4
-            factors = self.weights, self.route[:, i], self.route[:, k]
-            bloch = 0.25 * np.einsum("t,tj,tl,stxy->sjlxy", *factors, traces)
-            block = np.einsum("sjxa,sjlxy,slyb->sajbl", jac[:, i], bloch, jac[:, k])
+            bloch = self._partial(units, (i, k))[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
+            block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
             hessian[:, :, i, :, :, k] = block
             hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
         dim = gradient[0].size
         return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
 
 
-def _bloch_vectors(thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-    """n = (sin t cos p, sin t sin p, cos t), shape (..., 3); p = 0 without phis."""
-    bloch = np.zeros(thetas.shape + (3,))
+def _units(thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+    """u (S, parties, s + 1, 4): each party's identity (1, 0, 0, 0), then each setting's
+    Pauli vector (0, n), n = (sin t cos p, sin t sin p, cos t); p = 0 without phis."""
+    units = np.zeros(thetas.shape[:2] + (thetas.shape[2] + 1, 4))
+    units[:, :, 0, 0] = 1.0
+    bloch = units[:, :, 1:, 1:]
     sin_t = np.sin(thetas, out=bloch[..., 0])
     if phis is not None:
         np.multiply(sin_t, np.sin(phis), out=bloch[..., 1])
         sin_t *= np.cos(phis)
     np.cos(thetas, out=bloch[..., 2])
-    return bloch
+    return units
 
 
 def _bloch_derivatives(
@@ -457,7 +456,7 @@ def optimize_settings(
         """Give each party in turn its best projectors given the others, in place."""
         thetas, phis = split(x)
         for i in range(n):
-            c = evaluator.bloch_fields(evaluator.operators(thetas, phis), i)
+            c = evaluator.bloch_fields(_units(thetas, phis), i)
             if phis is None:
                 c[..., 1] = 0.0
             moves = c.any(axis=-1)  # a setting no term reaches keeps its angles

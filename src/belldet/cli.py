@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import analysis, protocol
+from . import analysis, bell, protocol
 from .bell import expression_from_json_dict, lhv_bound
 from .detmodel import json_float, json_int
 from .protocol import ScenarioConfig, SolveResult
@@ -34,9 +34,9 @@ MAX_SWEEP_ROWS = 100_000
 # this is a config error, rejected before any state is built.
 MEMORY_BUDGET_BYTES = 2**30
 # Copies of the k-qubit density matrix alive at once while states are built,
-# checked and turned into Pauli tensors: at k = 10, peak RSS grows by about 4
-# copies in eval and 6 in critical-visibility, which also builds I / 2^k.
-_STATE_COPIES = 6
+# checked and turned into Pauli tensors: GHZ_10 and GHZ_11 with one-term expressions
+# grow peak RSS by 4.3-4.4 copies in eval and 4.6-4.9 in critical-visibility.
+_STATE_COPIES = 5
 
 
 class ConfigurationError(Exception):
@@ -70,15 +70,16 @@ def _load_json(path: str) -> dict:
 
 
 def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
-    """Peak bytes a command may hold for ``config``: live copies of the k-qubit
-    complex density matrix (16 * 4^k bytes each), plus the settings optimizer's
-    batched (starts, D, D) float Hessian with D = 2 k s angles (theta and phi
-    of each of s settings per party). The threshold solvers re-optimize from
-    protocol._REFINE_RESTARTS random starts, and every run adds the seed and
-    one warm start."""
+    """Peak bytes a command may hold for ``config`` (k parties, s settings each):
+    copies of the k-qubit complex density matrix (16 * 4^k bytes each), the Bell
+    kernel's coefficient tensor ((s + 1)^k floats) and two arrays of one block of
+    starts (bell._BLOCK_FLOATS floats, or one start's max(s + 1, 4)^k), and the
+    optimizer's (starts, D, D) Hessian, D = 2 k s. The threshold solvers re-optimize
+    from protocol._REFINE_RESTARTS random starts; each run adds two more starts."""
+    k, s = config.k, config.bell.settings_per_party
     starts = max(restarts, protocol._REFINE_RESTARTS) + 2
-    angles = 2 * config.k * config.bell.settings_per_party
-    return _STATE_COPIES * 16 * 4**config.k + 8 * starts * angles**2
+    block = 2 * max(bell._BLOCK_FLOATS, max(s + 1, 4) ** k)
+    return _STATE_COPIES * 16 * 4**k + 8 * ((s + 1) ** k + block + starts * (2 * k * s) ** 2)
 
 
 def _parse_scenario(doc, args) -> ScenarioConfig:

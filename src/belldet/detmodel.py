@@ -10,8 +10,8 @@ which one it uses:
   inequalities, where only registered clicks enter the expression.
 
 Both are rows of one coefficient table, ``_DRESSING``; the quantum-value
-kernel's dressed operators (``_coefficients``) and the LHV bounds' outcome
-factors (``_outcome_factors``) are both read from it.
+kernel's coefficient tensor (from ``_coefficients``) and the LHV bounds'
+outcome factors (``_outcome_factors``) are both read from it.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
 from .bell import (
-    BellExpression, BellForm, OptimizeOptions, expression_from_json_dict, optimize_settings,
-    quantum_value,
+    BellExpression, BellForm, OptimizeOptions, _coefficient_tensor, expression_from_json_dict,
+    optimize_settings, quantum_value,
 )
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int
 from .detmodel import validate_efficiency
@@ -466,10 +466,10 @@ def critical_visibility(
     mixed under projection (the closed form ``_project_factor`` carries),
     so the composite is exactly affine in v:
     eta_L^m [v prod(p) (Q(rho') - L) + (1 - v) 2^-m (Q(I/d) - L)], with
-    rho' the noise-free projected state. Q(I/d) reads only each dressed
-    operator's trace, which no measurement direction changes, so the
-    settings that maximize Q(rho') maximize the composite at every v and
-    v* is the root of one affine function. AUTO settings come from
+    rho' the noise-free projected state. Q(I/d) is the corner W[0, ..., 0]
+    of the expression's coefficient tensor, which no measurement direction
+    changes, so the settings that maximize Q(rho') maximize the composite at
+    every v and v* is the root of one affine function. AUTO settings come from
     ``restarts`` starts, then one refinement from _REFINE_RESTARTS more
     (so ``restarts=0`` still searches). The residual Q(rho(v*)) - L is
     checked on the projection path's own state at v*. eta_H stays at the
@@ -487,8 +487,7 @@ def critical_visibility(
     if composite_at_one < -RESIDUAL_TOL:
         return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
     settings, q_pure = resolve(_REFINE_RESTARTS, seed + 1, settings)
-    dim = 2**config.k
-    q_noise = q(DensityMatrix(config.k, np.eye(dim) / dim), settings)
+    q_noise = float(_coefficient_tensor(expr, etas, config.convention).flat[0])
     at_zero, at_one = 2.0**-m * (q_noise - bound), p_prod * (q_pure - bound)
     if at_zero == at_one:
         return _not_found("composite does not depend on v")
@@ -499,6 +498,7 @@ def critical_visibility(
     if found is None:
         return _not_found("no sign change found below the upper end", 1, **diagnostics)
     root, slope = found
+    del rho_prime, resolve  # free rho' before the state at v* is built
     residual = abs(q(projected_state(replace(config, visibility=root))[1], settings) - bound)
     if residual < RESIDUAL_TOL * min(1.0, abs(slope)):
         return SolveResult("ok", root, 1, (0.0, 1.0), residual, diagnostics)

@@ -17,6 +17,7 @@ from belldet import (
     OptimizeOptions,
     ScenarioConfig,
     bell_phi_plus,
+    ghz,
     lhv_bound,
     optimize_settings,
     preset,
@@ -302,8 +303,8 @@ class TestQuantumValue:
             value = quantum_value(expr, rho, settings, etas, convention)
             assert value <= expr.classical_bound + 1e-9
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "form, convention",
         [
@@ -434,6 +435,14 @@ class TestOptimizeSettings:
         _, value = optimize_settings(expr, rho, [1.0], options=OptimizeOptions(include_phi=True))
         assert value == pytest.approx(1.5 * np.linalg.norm(bloch), abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_mermin_optimum_on_ghz_is_two_to_the_n_minus_one(self, n):
+        """Mermin's n-party expression reaches 2^(n-1) on GHZ_n at eta = 1,
+        with X and Y measurements (Mermin, PRL 65, 1838 (1990))."""
+        rho, options = ghz(n).density(), OptimizeOptions(include_phi=True)
+        _, value = optimize_settings(mermin_expression(n), rho, [1.0] * n, options=options)
+        assert value == pytest.approx(2.0 ** (n - 1), abs=1e-9)
+
     @pytest.mark.parametrize("eta", sorted(EBERHARD_OPTIMA))
     def test_ill_conditioned_ch_optimum_keeps_its_value(self, eta):
         doc = json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
@@ -496,7 +505,7 @@ class TestJsonRoundTrip:
 
 def angle_split(evaluator, include_phi):
     """Views of angle rows x (S, D) as the evaluator's thetas and phis."""
-    n, s = len(evaluator.parties), evaluator.settings_per_party
+    n, s = evaluator.n_parties, evaluator.settings_per_party
 
     def split(x):
         phis = x[:, n * s :].reshape(-1, n, s) if include_phi else None
@@ -605,6 +614,23 @@ class TestBatchedStarts:
         opts = OptimizeOptions(restarts=restarts, seed=seed, include_phi=include_phi)
         _, batched = optimize_settings(expr, rho, etas, convention, opts)
         assert batched == pytest.approx(max(alone), abs=1e-12)
+
+    def test_blocks_of_starts_give_the_batch_result(self, monkeypatch):
+        """With one start (and one term) per block the kernel gives the numbers
+        of one batch, and a batch with no starts gives empty results."""
+        rng = np.random.default_rng(9)
+        args = THREE_PARTY_PROBABILITY, random_mixed_state(rng, 3), [0.9, 0.8, 0.7]
+        evaluator = _Evaluator(*args, Convention.TRINARY)
+        split = angle_split(evaluator, include_phi=True)
+        x = rng.uniform(0.0, 2.0 * math.pi, size=(5, 12))
+        batch = [evaluator.value(*split(x)), *evaluator.derivatives(*split(x))]
+        monkeypatch.setattr(bell, "_BLOCK_FLOATS", 1)
+        blocked = _Evaluator(*args, Convention.TRINARY)
+        np.testing.assert_allclose(blocked.coefficients, evaluator.coefficients, rtol=0, atol=1e-15)
+        for got, want in zip([blocked.value(*split(x)), *blocked.derivatives(*split(x))], batch):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert blocked.value(*split(x[:0])).shape == (0,)
+        assert blocked.bloch_fields(bell._units(*split(x[:0])), 1).shape == (0, 2, 3)
 
     def test_einsum_calls_do_not_grow_with_the_starts(self, monkeypatch):
         """The starts share every contraction: 16x the starts may cost at
