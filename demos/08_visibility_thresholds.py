@@ -10,7 +10,9 @@ print("=== critical visibility at perfect detection ===")
 bell_config = bd.ScenarioConfig(bd.StateSpec("BellPhiPlus", 2), 2, 1.0, 1.0, chsh)
 result = bd.critical_visibility(bell_config)
 print(f"Bell pair: v* = {result.critical_value:.9f}  (1/sqrt(2) = {1/np.sqrt(2):.9f})")
-print(f"  closed-form cross-check: {result.diagnostics['closed_form_noise_branch']:.9f}")
+# v* solves v (Q_pure - L) + (1 - v) (Q_noise - L) = 0, with L = 2
+gap_pure, gap_noise = (result.diagnostics[f"bell_value_{part}"] - 2.0 for part in ("pure", "noise"))
+print(f"  closed-form cross-check: {gap_noise / (gap_noise - gap_pure):.9f}")
 
 ghz_config = bd.ScenarioConfig(bd.StateSpec("GHZ", 4), 2, 0.1, 1.0, chsh)
 result = bd.critical_visibility(ghz_config)

@@ -322,7 +322,7 @@ class _Evaluator:
             block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
             hessian[:, :, i, :, :, k] = block
             hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
-        dim = gradient[0].size
+        dim = math.prod(gradient.shape[1:])  # from the shape: a batch may have no starts
         return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
 
 

@@ -21,7 +21,7 @@ from . import analysis, bell, protocol
 from .bell import expression_from_json_dict, lhv_bound
 from .detmodel import json_float, json_int
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import DEFAULT_MAX_QUBITS, ZeroProjectionError
+from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, ZeroProjectionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,9 +30,6 @@ EXIT_NOT_FOUND = 3
 # A sweep grid with more rows than this is a config error, rejected before any row is built.
 MAX_SWEEP_ROWS = 100_000
 
-# A scenario whose estimated peak working set (``_working_set_bytes``) exceeds
-# this is a config error, rejected before any state is built.
-MEMORY_BUDGET_BYTES = 2**30
 # Copies of the k-qubit density matrix alive at once while states are built,
 # checked and turned into Pauli tensors: GHZ_10 and GHZ_11 with one-term expressions
 # grow peak RSS by 4.3-4.4 copies in eval and 4.6-4.9 in critical-visibility.
@@ -84,16 +81,15 @@ def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
 
 def _parse_scenario(doc, args) -> ScenarioConfig:
     """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap
-    and the memory budget at ``args.restarts``."""
+    and the memory budget (``_working_set_bytes``) at ``args.restarts``."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         message = f"config does not describe a valid scenario: {exc}"
         raise ConfigurationError(message, [f"parse: {exc}"]) from exc
     violations = config.validate()
-    cap = min(args.max_qubits, DEFAULT_MAX_QUBITS)  # states.make_state builds no more than that
-    if config.n_qubits > cap:
-        violations.append(f"state uses {config.n_qubits} qubits, above the cap {cap}")
+    if config.n_qubits > QUBIT_CAP:  # states.make_state builds no more than that
+        violations.append(f"state uses {config.n_qubits} qubits, above the cap {QUBIT_CAP}")
     elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
         needed = _working_set_bytes(config, args.restarts)
         if needed > MEMORY_BUDGET_BYTES:
@@ -164,20 +160,19 @@ def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int
 
 def _run_duration(doc, args) -> tuple[str, int]:
     config = _parse_scenario(doc, args)
-    try:
-        stats = analysis.trial_stats(config)
-    except ValueError as exc:  # success probability needs every qubit present
+    try:  # the target is read before trial_stats projects the state
+        r = None
+        if "target_successes" in doc:
+            r = json_int(doc["target_successes"], "target_successes", minimum=1)
+        stats = analysis.trial_stats(config)  # success probability needs every qubit present
+    except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     result = {
         "p_succ": stats.p_succ,
         "p_succ_standard": stats.p_succ_standard,
         "trial_ratio": stats.n_prime,
     }
-    if "target_successes" in doc:
-        try:
-            r = json_int(doc["target_successes"], "target_successes", minimum=1)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
+    if r is not None:
         result["expected_trials"] = stats.expected_trials(r)
         result["expected_trials_standard"] = stats.expected_trials_standard(r)
     diagnostics = {"convention": config.convention.value, "seed": args.seed}
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
         cmd.add_argument("--seed", type=non_negative_int, default=0, help="optimizer seed")
         cmd.add_argument("--restarts", type=non_negative_int, default=64, help="optimizer restarts")
-        cmd.add_argument("--max-qubits", type=int, default=16, dest="max_qubits")
     return parser
 
 

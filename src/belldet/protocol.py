@@ -329,8 +329,8 @@ def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> tuple[fl
 
     Roots below 1e-4 hi count as none: CHSH under FOLD and CH under TRINARY
     vanish identically at eta = 0. An f already negative at hi puts the
-    root at hi: ``critical_visibility`` accepts a composite down to
-    -RESIDUAL_TOL at v = 1, so its gap may start just below zero there.
+    root at hi: the engine's hi is the previous round's root, where the
+    re-optimized value may sit just below the bound.
     """
     coef = chebinterpolate(lambda ts: np.array([f(0.5 * hi * (t + 1.0)) for t in ts]), degree)
     slope = chebder(coef) * (2.0 / hi)  # df/dx as a series in t
@@ -469,11 +469,12 @@ def critical_visibility(
     rho' the noise-free projected state. Q(I/d) is the corner W[0, ..., 0]
     of the expression's coefficient tensor, which no measurement direction
     changes, so the settings that maximize Q(rho') maximize the composite at
-    every v and v* is the root of one affine function. AUTO settings come from
-    ``restarts`` starts, then one refinement from _REFINE_RESTARTS more
-    (so ``restarts=0`` still searches). The residual Q(rho(v*)) - L is
-    checked on the projection path's own state at v*. eta_H stays at the
-    configured value.
+    every v and v* is the root of one affine function, read off directly (a
+    composite down to -RESIDUAL_TOL at v = 1 puts it at v = 1). AUTO settings
+    come from ``restarts`` starts, then one refinement from _REFINE_RESTARTS
+    more (so ``restarts=0`` still searches). The residual Q(rho(v*)) - L is
+    checked on the projection path's own state at v*, against the slope of
+    Q(rho(v)) there. eta_H stays at the configured value.
     """
     config.require_valid()
     p_list, rho_prime = projected_state(replace(config, visibility=1.0))
@@ -492,12 +493,15 @@ def critical_visibility(
     if at_zero == at_one:
         return _not_found("composite does not depend on v")
     diagnostics = {"bell_value_pure": q_pure, "bell_value_noise": q_noise}
-    if at_zero != 0.0:
-        diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
-    found = _upper_root(lambda v: (1.0 - v) * at_zero + v * at_one, 1, 1.0)
-    if found is None:
+    if at_one < 0.0:
+        root = 1.0
+    elif at_zero < 0.0:
+        root = at_zero / (at_zero - at_one)
+    else:
         return _not_found("no sign change found below the upper end", 1, **diagnostics)
-    root, slope = found
+    # Q(rho(v)) - L is the composite over the mixture's weight w(v), so at the root
+    # its slope is the composite's, at_one - at_zero, over w(v*).
+    slope = (at_one - at_zero) / (root * p_prod + (1.0 - root) * 2.0**-m)
     del rho_prime, resolve  # free rho' before the state at v* is built
     residual = abs(q(projected_state(replace(config, visibility=root))[1], settings) - bound)
     if residual < RESIDUAL_TOL * min(1.0, abs(slope)):

@@ -17,7 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_MAX_QUBITS = 16
+# Every command's peak working set stays under this; a scenario estimated above
+# it is a config error, rejected before any state is built.
+MEMORY_BUDGET_BYTES = 2**30
+# Peak bytes per amplitude while a state is built and projected, with margin:
+# fresh processes measured 28-30 B for GHZ_20..23 and 56-72 B for Dicke(20..23, N/2),
+# whose builder holds two int64 arrays per amplitude beside the complex ones.
+_PEAK_BYTES_PER_AMPLITUDE = 80
+# The most qubits whose amplitude vector is built within the budget (23).
+QUBIT_CAP = (MEMORY_BUDGET_BYTES // _PEAK_BYTES_PER_AMPLITUDE).bit_length() - 1
 
 # Projection weights below this count as exact orthogonality, not round-off.
 ZERO_WEIGHT_THRESHOLD = 1e-14
@@ -28,7 +36,7 @@ _PSD_TOL = 1e-10
 
 
 class QubitCapacityError(ValueError):
-    """An operation would produce more qubits than the configured cap."""
+    """A state would have more qubits than ``QUBIT_CAP``."""
 
 
 class ZeroProjectionError(RuntimeError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detmodel import json_float, json_int
-from .qstate import DEFAULT_MAX_QUBITS, PureState, QubitCapacityError
+from .qstate import QUBIT_CAP, PureState, QubitCapacityError
 
 STATE_KINDS = ("GHZ", "Dicke", "W", "Cluster4", "BellPhiPlus", "BellPsiPlus", "PartialPair")
 
@@ -121,9 +121,9 @@ def partial_pair(alpha: float) -> PureState:
 
 
 def make_state(spec: StateSpec) -> PureState:
-    """Build the state described by ``spec``, at most DEFAULT_MAX_QUBITS qubits."""
-    if spec.n > DEFAULT_MAX_QUBITS:
-        raise QubitCapacityError(f"state needs {spec.n} qubits, cap is {DEFAULT_MAX_QUBITS}")
+    """Build the state described by ``spec``, at most QUBIT_CAP qubits."""
+    if spec.n > QUBIT_CAP:
+        raise QubitCapacityError(f"state needs {spec.n} qubits, cap is {QUBIT_CAP}")
     if spec.kind == "GHZ":
         return ghz(spec.n)
     if spec.kind == "Dicke":

@@ -632,6 +632,16 @@ class TestBatchedStarts:
         assert blocked.value(*split(x[:0])).shape == (0,)
         assert blocked.bloch_fields(bell._units(*split(x[:0])), 1).shape == (0, 2, 3)
 
+    @pytest.mark.parametrize("include_phi", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_derivatives_of_no_starts_are_empty(self, k, include_phi):
+        rho = random_mixed_state(np.random.default_rng(k), k)
+        evaluator = _Evaluator(mermin_expression(k), rho, [0.9] * k, Convention.FOLD)
+        dim = 2 * k * (2 if include_phi else 1)
+        thetas, phis = angle_split(evaluator, include_phi)(np.zeros((0, dim)))
+        gradient, hessian = evaluator.derivatives(thetas, phis)
+        assert (gradient.shape, hessian.shape) == ((0, dim), (0, dim, dim))
+
     def test_einsum_calls_do_not_grow_with_the_starts(self, monkeypatch):
         """The starts share every contraction: 16x the starts may cost at
         most 1.5x the einsum calls (a start-by-start loop costs about 14x)."""

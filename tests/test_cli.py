@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from belldet import ScenarioConfig, preset
+from belldet import QubitCapacityError, ScenarioConfig, StateSpec, make_state, preset
 from belldet.analysis import n_prime_from_ratio
-from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, main
+from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, build_parser, main
+from belldet.qstate import QUBIT_CAP
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_CONFIGS = [
@@ -173,13 +175,13 @@ class TestValidate:
 
     def test_state_above_the_states_cap_is_a_violation(self, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
-        doc["state"] = {"kind": "GHZ", "n": 17}
-        path = tmp_path / "ghz17.json"
+        doc["state"] = {"kind": "GHZ", "n": QUBIT_CAP + 1}
+        path = tmp_path / "ghz_over.json"
         path.write_text(json.dumps(doc))
-        report = run_json(capsys, "validate", "--config", str(path), "--max-qubits", "20")
-        message = "state uses 17 qubits, above the cap 16"
+        report = run_json(capsys, "validate", "--config", str(path))
+        message = f"state uses {QUBIT_CAP + 1} qubits, above the cap {QUBIT_CAP}"
         assert report["result"]["violations"] == [message]
-        code, _, err = run(capsys, "eval", "--config", str(path), "--max-qubits", "20")
+        code, _, err = run(capsys, "eval", "--config", str(path))
         assert code == EXIT_CONFIG
         assert err == f"config error: config violates invariants: {message}\n"
 
@@ -243,15 +245,19 @@ class TestExitCodes:
 
     def test_state_above_the_states_cap_exits_2(self, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
-        doc["state"] = {"kind": "GHZ", "n": 17}
-        path = tmp_path / "ghz17.json"
+        doc["state"] = {"kind": "GHZ", "n": QUBIT_CAP + 1}
+        path = tmp_path / "ghz_over.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "eval", "--config", str(path), "--max-qubits", "20")
+        code, _, err = run(capsys, "eval", "--config", str(path))
         assert code == EXIT_CONFIG
         assert err.startswith("config error:")
 
     @pytest.mark.parametrize("target", [0, "many", 2.5, True])
-    def test_bad_target_successes_exits_2(self, capsys, tmp_path, target):
+    def test_bad_target_successes_exits_2(self, capsys, monkeypatch, tmp_path, target):
+        def fail(spec):
+            raise AssertionError("the state was built before the target was read")
+
+        monkeypatch.setattr("belldet.protocol.make_state", fail)
         doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
         doc["target_successes"] = target
         path = tmp_path / "bad_target.json"
@@ -566,10 +572,8 @@ VALIDATE_CASES = {
     "bad k": ("ghz4.json", lambda doc: doc.update(k=6), [], True),
     "bad eta_H": ("ghz4.json", lambda doc: doc.update(eta_H=1.2), [], True),
     "state over the cap": (
-        "ghz4.json", lambda doc: doc.update(state={"kind": "GHZ", "n": 17}), ["--max-qubits", "20"],
-        True,
+        "ghz4.json", lambda doc: doc.update(state={"kind": "GHZ", "n": QUBIT_CAP + 1}), [], True
     ),
-    "max-qubits below N": ("ghz4.json", None, ["--max-qubits", "3"], True),
     "projector count": ("ghz4.json", lambda doc: doc.update(projectors=[{"theta": 0.0}]), [], True),
     "missing bell": ("ghz4.json", lambda doc: doc.pop("bell"), [], True),
     "bad grid": ("fig2.json", lambda doc: doc["grid"].update(step=-0.05), [], True),
@@ -577,7 +581,10 @@ VALIDATE_CASES = {
     "lost in a sweep": ("fig2.json", lambda doc: doc["scenario"].update(lost=1), [], True),
     "bad sweep scenario": ("fig2.json", lambda doc: doc["scenario"].update(eta_L=-0.1), [], True),
     "sweep without a grid": ("fig2.json", lambda doc: doc.pop("grid"), [], True),
-    "sweep over the cap": ("fig2.json", None, ["--max-qubits", "3"], True),
+    "sweep over the cap": (
+        "fig2.json", lambda doc: doc["scenario"].update(state={"kind": "GHZ", "n": QUBIT_CAP + 1}),
+        [], True,
+    ),
 }
 
 
@@ -773,6 +780,53 @@ def test_working_set_above_the_memory_budget_is_a_config_error(capsys, monkeypat
         code, out, err = run(capsys, command, "--config", str(path), *flags)
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert err == f"config error: config violates invariants: {violation}\n"
+
+
+def _at_n(kind, n):
+    state = {"kind": kind, "n": n}
+    if kind == "Dicke":
+        state["excitations"] = n // 2
+    return state
+
+
+@pytest.mark.parametrize("kind", ["GHZ", "Dicke"])
+def test_qubit_cap_boundary(capsys, monkeypatch, tmp_path, kind):
+    """N = QUBIT_CAP validates and N = QUBIT_CAP + 1 is one config error for
+    every command that reads a scenario, with no state built; make_state
+    itself stops at the same cap."""
+    def fail(spec):
+        raise AssertionError("the state was built")
+
+    monkeypatch.setattr("belldet.protocol.make_state", fail)
+    doc = json.loads((CONFIG_DIR / "ghz4_duration.json").read_text())
+    path = tmp_path / "doc.json"
+    doc["state"] = _at_n(kind, QUBIT_CAP)
+    path.write_text(json.dumps(doc))
+    assert run_json(capsys, "validate", "--config", str(path))["result"]["violations"] == []
+    doc["state"] = _at_n(kind, QUBIT_CAP + 1)
+    path.write_text(json.dumps(doc))
+    [violation] = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violation == f"state uses {QUBIT_CAP + 1} qubits, above the cap {QUBIT_CAP}"
+    for command in ("eval", "critical-eta", "critical-visibility", "duration", "damaged"):
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert err == f"config error: config violates invariants: {violation}\n"
+    sweep = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    sweep["scenario"]["state"] = doc["state"]
+    path.write_text(json.dumps(sweep))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: config violates invariants: {violation}\n"
+    with pytest.raises(QubitCapacityError):
+        make_state(StateSpec.from_json_dict(doc["state"]))
+
+
+def test_every_command_takes_the_same_five_flags():
+    """The qubit cap has no flag: argparse rejects any flag not listed here (exit 2)."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--config", "--output", "--out", "--seed", "--restarts"}, name
 
 
 @pytest.mark.parametrize(

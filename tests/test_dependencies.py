@@ -1,7 +1,10 @@
+import ctypes
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import belldet
@@ -25,3 +28,18 @@ def test_numpy_is_the_only_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [dep.split(">")[0].split("=")[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_blas_runs_one_thread_unless_the_environment_says_otherwise():
+    import conftest
+
+    assert not conftest.NUMPY_LOADED_FIRST
+    assert all(var in os.environ for var in conftest.BLAS_THREAD_VARS)
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas64_*.so"):
+        # numpy already loaded this library, so this handle reads its thread count
+        get_num_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+        assert get_num_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
+        return
+    pytest.skip("numpy does not bundle OpenBLAS here")

@@ -278,13 +278,34 @@ class TestCriticalVisibility:
         assert result.achieved_residual < 1e-9
 
     def test_noise_branch_closed_form_agrees(self):
+        # v* solves v (Q_pure - L) + (1 - v) (Q_noise - L) = 0 for the reported Bell values
         config = ScenarioConfig(
             state=StateSpec("BellPhiPlus", 2), k=2, eta_L=1.0, eta_H=1.0, bell=preset("CHSH")
         )
         result = critical_visibility(config, restarts=24)
-        assert result.diagnostics["closed_form_noise_branch"] == pytest.approx(
-            result.critical_value, abs=1e-9
+        gap_pure = result.diagnostics["bell_value_pure"] - 2.0
+        gap_noise = result.diagnostics["bell_value_noise"] - 2.0
+        assert result.critical_value == pytest.approx(
+            gap_noise / (gap_noise - gap_pure), abs=1e-15
         )
+        assert "closed_form_noise_branch" not in result.diagnostics
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+    @pytest.mark.parametrize("kind", ["W", "Dicke"])
+    def test_projected_pair_thresholds_down_to_small_roots(self, kind, n):
+        """The default projectors leave psi+ with weight prod p = 2 / C(N, e), so
+        v* = 1 / (1 + 2^(N-3) prod p (2 sqrt 2 - 2)): 9.2e-5 for W_20 and 0.46 for
+        Dicke(20, 10), where the slope of the composite is 1.7e-5."""
+        excitations = 1 if kind == "W" else n // 2
+        config = ScenarioConfig(
+            state=StateSpec(kind, n, excitations=None if kind == "W" else excitations), k=2,
+            eta_L=0.5, eta_H=1.0, bell=preset("CHSH"),
+        )
+        result = critical_visibility(config, restarts=4)
+        p_prod = 2.0 / math.comb(n, excitations)
+        expected = 1.0 / (1.0 + 2.0 ** (n - 3) * p_prod * (TSIRELSON - 2.0))
+        assert result.status == "ok", result.diagnostics
+        assert result.critical_value == pytest.approx(expected, abs=1e-9)
 
     def test_not_found_below_efficiency_threshold(self):
         config = ScenarioConfig(
@@ -407,9 +428,6 @@ def engine_critical_visibility(
         return _not_found("composite does not depend on v")
     result = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
     settings = optimized[-1] if optimized else settings
-    at_zero, at_one = endpoints(settings)
-    if at_zero != 0.0:
-        result.diagnostics["closed_form_noise_branch"] = at_zero / (at_zero - at_one)
     result.diagnostics["bell_value_pure"] = q(rho_prime, settings)
     result.diagnostics["bell_value_noise"] = q(noise, settings)
     return result
