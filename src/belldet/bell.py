@@ -3,6 +3,7 @@ local-hidden-variable bounds by best response over deterministic strategies."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -23,7 +24,7 @@ _OUTCOME_LABELS = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE, OUTCOME_ANY)
 _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
-_BLOCK_FLOATS = 2**22  # floats in each array the quantum-value kernel makes per block of starts
+_BLOCK_FLOATS = 2**22  # floats in each array the kernels make per block of starts or terms
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
@@ -43,6 +44,12 @@ class BellForm(str, Enum):
 
 # How each form books the outcomes of a deterministic local strategy.
 _LHV_CONVENTION = {BellForm.CORRELATION: Convention.FOLD, BellForm.PROBABILITY: Convention.TRINARY}
+# The unit labels b of a party for LHV bounds, whose outcome factors span every
+# label a form uses: the folded value alone, or each answer ("*" is their sum).
+_UNIT_LABELS = {
+    BellForm.CORRELATION: (_OUTCOME_FOLDED,),
+    BellForm.PROBABILITY: (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE),
+}
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,18 @@ def _labels(term: BellTerm, n_parties: int) -> tuple[str, ...]:
     return term.outcomes or (_OUTCOME_FOLDED,) * n_parties
 
 
+@functools.cache
+def _lhv_basis(form: BellForm) -> np.ndarray:
+    """basis[b, o]: the factor of unit label b (``_UNIT_LABELS``) when a party answers o."""
+    outcome_factor = _outcome_factors(_LHV_CONVENTION[form])
+    basis = np.array([outcome_factor[label] for label in _UNIT_LABELS[form]])
+    basis.setflags(write=False)
+    return basis
+
+
 def _strategy_count(expr: BellExpression) -> int:
-    # "*" has one factor per deterministic outcome of a party
-    n_outcomes = len(_outcome_factors(_LHV_CONVENTION[expr.form])[OUTCOME_ANY])
+    # a party's deterministic strategy answers each of its settings with one outcome
+    n_outcomes = _lhv_basis(expr.form).shape[1]
     return (n_outcomes**expr.settings_per_party) ** expr.n_parties
 
 
@@ -178,33 +194,69 @@ def lhv_bound(expr: BellExpression) -> float:
 
     Correlation form assigns +/-1 per setting and party; probability form
     assigns one of {+, -, no-click}. The maximum over this finite set is
-    the classical bound of the local polytope. The first n-1 parties'
-    joint strategies are enumerated as numpy vectors; the value is a sum
-    over the last party's settings, each with its own outcome, so the last
-    party takes its best outcome per setting in closed form.
+    the classical bound of the local polytope. The value is multilinear in
+    the parties' strategies, so the expression folds into one coefficient
+    tensor C over every party's units (``_lhv_tensor``). The first n-1
+    parties are contracted with their strategy matrices one at a time,
+    which enumerates their joint strategies; the value is then a sum over
+    the last party's settings, each with its own outcome, so the last party
+    takes its best outcome per setting in closed form.
     """
     if _strategy_count(expr) > STRATEGY_LIMIT:
         raise ValueError(
             f"enumeration would visit {_strategy_count(expr)} strategies, "
             f"limit is {STRATEGY_LIMIT}"
         )
-    n, s = expr.n_parties, expr.settings_per_party
-    # outcome_factor[label][o]: a term's factor from one party answering o.
-    outcome_factor = _outcome_factors(_LHV_CONVENTION[expr.form])
-    n_outcomes = len(outcome_factor[OUTCOME_ANY])
+    s, basis = expr.settings_per_party, _lhv_basis(expr.form)
+    width, n_outcomes = basis.shape
     # One row per deterministic strategy of a party: an outcome index per setting.
     table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
-    factors = {label: f[table] for label, f in outcome_factor.items()}  # (strategy, setting)
-    # acc[j, o, r]: the terms' value at the last party's setting j when it
-    # answers o there and the other parties play joint strategy r.
-    acc = np.zeros((s, n_outcomes, len(table) ** (n - 1)))
-    for term in expr.terms:
-        labels = _labels(term, n)
-        vec = np.array([term.weight])
-        for label, j in zip(labels[:-1], term.settings[:-1]):
-            vec = np.multiply.outer(vec, factors[label][:, j]).ravel()
-        acc[term.settings[-1]] += np.multiply.outer(outcome_factor[labels[-1]], vec)
+    # strategies[r, (j, b)]: unit label b's factor at the answer strategy r gives at setting j.
+    strategies = basis.T[table].reshape(len(table), s * width)
+    x = _lhv_tensor(expr, width).reshape(s * width, -1)
+    for _ in range(expr.n_parties - 1):
+        # the leading party's units become its strategies, moved to the back
+        x = (x.T @ strategies.T).reshape(s * width, -1)
+    # acc[j, o, r]: the value at the last party's setting j when it answers o
+    # there and the other parties play joint strategy r.
+    acc = basis.T @ x.reshape(s, width, -1)
     return float(acc.max(axis=1).sum(axis=0).max())
+
+
+def _lhv_tensor(expr: BellExpression, width: int) -> np.ndarray:
+    """C over every party's units (setting j, unit label b), flat with party 0
+    leading. A term adds its weight to one unit per party, or where it
+    marginalizes a party ("*") to each of the ``width`` units of its setting.
+    Only these cells are scattered, the terms in chunks of at most
+    _BLOCK_FLOATS cells."""
+    n, units = expr.n_parties, expr.settings_per_party * width
+    weights = np.array([t.weight for t in expr.terms], dtype=float)
+    # code b < width: unit label b; code width: "*", every unit label
+    code = {label: b for b, label in enumerate(_UNIT_LABELS[expr.form])}
+    code[OUTCOME_ANY] = width
+    codes = np.array([code[label] for t in expr.terms for label in _labels(t, n)], dtype=int)
+    codes = codes.reshape(-1, n)
+    marginal = codes == width
+    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
+    strides = units ** np.arange(n - 1, -1, -1)
+    # a term's first cell, and its unit count per party
+    base = (settings * width + np.where(marginal, 0, codes)) @ strides
+    count = np.where(marginal, width, 1)
+    cells = count.prod(axis=1)
+    spread = np.flatnonzero(marginal.any(axis=0))  # the parties some term marginalizes
+    tensor = np.zeros(units**n)
+    chunk = max(1, _BLOCK_FLOATS // int(cells.max(initial=1)))
+    for lo in range(0, len(weights), chunk):
+        at = slice(lo, lo + chunk)
+        term = np.repeat(np.arange(lo, lo + len(cells[at])), cells[at])
+        flat = base[term]
+        # each cell's index within its term, read as digits over the marginalized parties
+        m = np.arange(len(term)) - np.repeat(np.cumsum(cells[at]) - cells[at], cells[at])
+        for i in spread:
+            flat += m % count[term, i] * strides[i]
+            m //= count[term, i]
+        tensor += np.bincount(flat, weights[term], minlength=tensor.size)
+    return tensor
 
 
 def _coefficient_tensor(

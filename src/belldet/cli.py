@@ -220,10 +220,13 @@ def _run_lhv_bound(doc, args) -> tuple[str, int]:
     try:
         if "scenario" in doc:
             doc = doc["scenario"]
-        expr = expression_from_json_dict(doc["bell"] if "bell" in doc else doc)
+        bell_doc = doc["bell"] if "bell" in doc else doc
+        expr = expression_from_json_dict(bell_doc)
+        # An inline expression without a stored bound was given the computed one on parsing.
+        stored = "preset" in bell_doc or "classical_bound" in bell_doc
+        bound = lhv_bound(expr) if stored else expr.classical_bound
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"config does not describe a Bell expression: {exc}") from exc
-    bound = lhv_bound(expr)
     diagnostics = {}
     if abs(bound - expr.classical_bound) > 1e-9:
         diagnostics["stored_bound_mismatch"] = expr.classical_bound

@@ -78,10 +78,11 @@ def dicke(n: int, excitations: int) -> PureState:
     """Uniform superposition of all n-qubit basis states with the given weight."""
     if not 0 <= excitations <= n:
         raise ValueError(f"excitations must lie in [0, {n}]")
-    index = np.arange(2**n)
-    weight = np.zeros(2**n, dtype=np.int64)
-    for bit in range(n):
-        weight += (index >> bit) & 1
+    # Hamming weight of every index, one byte each: the upper half of the
+    # indices below 2^(b+1) has bit b set.
+    weight = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        weight = np.concatenate([weight, weight + 1])
     amp = np.zeros(2**n, dtype=complex)
     amp[weight == excitations] = 1.0 / math.sqrt(math.comb(n, excitations))
     return PureState(n, amp)

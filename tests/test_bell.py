@@ -213,9 +213,68 @@ class TestBestResponse:
         expr = preset(doc["preset"]) if "preset" in doc else BellExpression.from_json_dict(doc)
         assert lhv_bound(expr) == enumerated_lhv_bound(expr) == expr.classical_bound
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_mermin_bound(self, n):
         assert lhv_bound(mermin_expression(n)) == 2.0 ** (n // 2)
+
+    @pytest.mark.parametrize("form", list(BellForm))
+    def test_permuting_the_parties_keeps_the_bound(self, form):
+        """Each party in turn is the last one, the one closed in form."""
+        rng = np.random.default_rng(31 + (form == BellForm.PROBABILITY))
+        for n, s in [(3, 3), (4, 2), (5, 1)]:
+            expr = random_expression(rng, form, n, s, 10)
+            bound = lhv_bound(expr)
+            for perm in [np.roll(np.arange(n), shift) for shift in range(1, n)]:
+                terms = tuple(
+                    BellTerm(
+                        tuple(t.settings[i] for i in perm),
+                        t.weight,
+                        None if t.outcomes is None else tuple(t.outcomes[i] for i in perm),
+                    )
+                    for t in expr.terms
+                )
+                permuted = BellExpression(n, s, form, terms, 0.0)
+                assert lhv_bound(permuted) == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("block_floats", [1, 7, 50])
+    @pytest.mark.parametrize("form", list(BellForm))
+    def test_chunks_of_terms_give_the_one_chunk_bound(self, monkeypatch, form, block_floats):
+        rng = np.random.default_rng(17)
+        expr = random_expression(rng, form, 4, 2, 40)
+        whole = lhv_bound(expr)
+        monkeypatch.setattr(bell, "_BLOCK_FLOATS", block_floats)
+        assert lhv_bound(expr) == pytest.approx(whole, abs=1e-12)
+
+    def test_correlation_at_the_strategy_limit(self):
+        """With one setting per party every term is its weight times the same
+        product of the parties' +/-1 answers, so the bound is |sum of weights|."""
+        rng = np.random.default_rng(23)
+        expr = random_expression(rng, BellForm.CORRELATION, 19, 1, 200)
+        assert _strategy_count(expr) <= STRATEGY_LIMIT
+        total = sum(t.weight for t in expr.terms)
+        assert lhv_bound(expr) == pytest.approx(abs(total), abs=1e-12)
+
+    def test_numpy_calls_do_not_grow_with_the_terms(self, monkeypatch):
+        """The terms fold into one tensor: Mermin-5 with every term repeated
+        20 times looks up exactly as many numpy functions as Mermin-5."""
+
+        class CountingNumpy:
+            lookups = 0
+
+            def __getattr__(self, name):
+                CountingNumpy.lookups += 1
+                return getattr(np, name)
+
+        lhv_bound(mermin_expression(5))  # fills the per-form cache before counting
+        monkeypatch.setattr(bell, "np", CountingNumpy())
+        counts = []
+        for repeat in (1, 20):
+            expr = mermin_expression(5)
+            expr = BellExpression(5, 2, expr.form, expr.terms * repeat, 0.0)
+            CountingNumpy.lookups = 0
+            assert lhv_bound(expr) == 4.0 * repeat
+            counts.append(CountingNumpy.lookups)
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("form", list(BellForm))
     @pytest.mark.parametrize("n", [1, 3])

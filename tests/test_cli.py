@@ -500,6 +500,20 @@ def test_non_numeric_bell_field_is_an_lhv_bound_config_error(capsys, tmp_path, f
     assert err.startswith("config error:") and f"{field} must be a number" in err
 
 
+@pytest.mark.parametrize("stored", [False, True])
+def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, stored):
+    """With or without a stored bound, the enumeration limit exits 2."""
+    doc = {"n_parties": 8, "settings_per_party": 2, "form": "probability",
+           "terms": [{"settings": [0] * 8, "weight": 1.0, "outcomes": ["+"] * 8}]}
+    if stored:
+        doc["classical_bound"] = 1.0
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lhv-bound", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error:") and "limit is 1000000" in err
+
+
 @pytest.mark.parametrize("grid", [{"start": "0.5"}, {"step": True}, {"stop": None}])
 def test_non_numeric_sweep_grid_is_a_config_error(capsys, tmp_path, grid):
     doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
@@ -636,6 +650,30 @@ def test_commands_call_library_functions_patched_after_import(capsys, monkeypatc
     monkeypatch.setattr(module, attr, recorded)
     run_json(capsys, command, "--config", str(CONFIG_DIR / "ghz4.json"), "--restarts", "2")
     assert calls == [attr]
+
+
+def test_lhv_bound_of_an_inline_expression_without_a_bound_is_computed_once(
+    capsys, monkeypatch, tmp_path
+):
+    """Parsing already fills in the bound, so the handler does not compute it again."""
+    doc = {"n_parties": 3, "settings_per_party": 2, "form": "probability", "terms": [
+        {"settings": [0, 0, 1], "weight": 1.5, "outcomes": ["+", "-", "+"]},
+        {"settings": [1, 1, 0], "weight": -0.25, "outcomes": ["*", "+", "0"]},
+        {"settings": [0, 1, 1], "weight": 2.0, "outcomes": ["-", "*", "+"]},
+        {"settings": [1, 0, 0], "weight": -1.0, "outcomes": ["0", "+", "*"]},
+        {"settings": [0, 0, 0], "weight": 0.75, "outcomes": ["+", "+", "+"]},
+    ]}
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    monkeypatch.setattr("belldet.cli.lhv_bound", lambda expr: calls.append(expr))
+    report = run_json(capsys, "lhv-bound", "--config", str(path))
+    assert calls == []
+    assert report == {
+        "diagnostics": {},
+        "inputs": {**doc, "classical_bound": 2.0},
+        "result": {"lhv_bound": 2.0},
+    }
 
 
 def test_sweep_and_duration_share_the_trial_ratio(capsys, tmp_path):

@@ -64,6 +64,14 @@ def test_cluster_convention_fixed_by_first_qubit_trace():
     np.testing.assert_allclose(traced, expected, atol=1e-12)
 
 
+def test_dicke_amplitudes_match_the_bit_counts_exactly():
+    for n in range(1, 13):
+        popcount = np.array([bin(i).count("1") for i in range(2**n)])
+        for e in range(n + 1):
+            expected = np.where(popcount == e, 1.0 / math.sqrt(math.comb(n, e)), 0.0)
+            np.testing.assert_array_equal(dicke(n, e).amplitudes, expected)
+
+
 def test_dicke_permutation_invariance():
     state = dicke(5, 2)
     amp = state.amplitudes
