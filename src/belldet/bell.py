@@ -24,7 +24,7 @@ _OUTCOME_LABELS = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE, OUTCOME_ANY)
 _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
-_BLOCK_FLOATS = 2**22  # floats in each array the kernels make per block of starts or terms
+_BLOCK_FLOATS = 2**22  # floats in each array the quantum kernel makes per block of starts
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
@@ -44,12 +44,8 @@ class BellForm(str, Enum):
 
 # How each form books the outcomes of a deterministic local strategy.
 _LHV_CONVENTION = {BellForm.CORRELATION: Convention.FOLD, BellForm.PROBABILITY: Convention.TRINARY}
-# The unit labels b of a party for LHV bounds, whose outcome factors span every
-# label a form uses: the folded value alone, or each answer ("*" is their sum).
-_UNIT_LABELS = {
-    BellForm.CORRELATION: (_OUTCOME_FOLDED,),
-    BellForm.PROBABILITY: (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE),
-}
+# The labels l of a party's cells (setting j, label l): every label a form's terms use.
+_CELL_LABELS = {BellForm.CORRELATION: (_OUTCOME_FOLDED,), BellForm.PROBABILITY: _OUTCOME_LABELS}
 
 
 @dataclass(frozen=True)
@@ -169,16 +165,27 @@ def expression_from_json_dict(doc: dict) -> BellExpression:
     return BellExpression.from_json_dict(doc)
 
 
-def _labels(term: BellTerm, n_parties: int) -> tuple[str, ...]:
-    """A term's outcome label per party; correlation terms measure "±"."""
-    return term.outcomes or (_OUTCOME_FOLDED,) * n_parties
+def _expression_tensor(expr: BellExpression) -> np.ndarray:
+    """C over every party's cells (setting j, label l), shape (s L,) * n with
+    L = len(_CELL_LABELS[form]): the expression's weights, free of any
+    detector model. Each term adds its weight to exactly one cell."""
+    n, labels = expr.n_parties, _CELL_LABELS[expr.form]
+    width = len(labels)
+    cells = expr.settings_per_party * width
+    code = {label: l for l, label in enumerate(labels)}
+    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
+    # a correlation term measures the folded label at every party
+    codes = np.array([[code[o] for o in t.outcomes or labels * n] for t in expr.terms], dtype=int)
+    flat = (settings * width + codes.reshape(-1, n)) @ cells ** np.arange(n - 1, -1, -1)
+    weights = np.array([t.weight for t in expr.terms], dtype=float)
+    return np.bincount(flat, weights, minlength=cells**n).reshape((cells,) * n)
 
 
 @functools.cache
 def _lhv_basis(form: BellForm) -> np.ndarray:
-    """basis[b, o]: the factor of unit label b (``_UNIT_LABELS``) when a party answers o."""
+    """basis[l, o]: the factor of cell label l (``_CELL_LABELS``) when a party answers o."""
     outcome_factor = _outcome_factors(_LHV_CONVENTION[form])
-    basis = np.array([outcome_factor[label] for label in _UNIT_LABELS[form]])
+    basis = np.array([outcome_factor[label] for label in _CELL_LABELS[form]])
     basis.setflags(write=False)
     return basis
 
@@ -195,12 +202,13 @@ def lhv_bound(expr: BellExpression) -> float:
     Correlation form assigns +/-1 per setting and party; probability form
     assigns one of {+, -, no-click}. The maximum over this finite set is
     the classical bound of the local polytope. The value is multilinear in
-    the parties' strategies, so the expression folds into one coefficient
-    tensor C over every party's units (``_lhv_tensor``). The first n-1
-    parties are contracted with their strategy matrices one at a time,
-    which enumerates their joint strategies; the value is then a sum over
-    the last party's settings, each with its own outcome, so the last party
-    takes its best outcome per setting in closed form.
+    the parties' strategies: a strategy gives each cell (setting j, label l)
+    of the expression tensor C (``_expression_tensor``) the factor of l at
+    the strategy's answer to j. The first n-1 parties are contracted with
+    their strategy matrices one at a time, which enumerates their joint
+    strategies; the value is then a sum over the last party's settings,
+    each with its own outcome, so the last party takes its best outcome per
+    setting in closed form.
     """
     if _strategy_count(expr) > STRATEGY_LIMIT:
         raise ValueError(
@@ -211,11 +219,11 @@ def lhv_bound(expr: BellExpression) -> float:
     width, n_outcomes = basis.shape
     # One row per deterministic strategy of a party: an outcome index per setting.
     table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
-    # strategies[r, (j, b)]: unit label b's factor at the answer strategy r gives at setting j.
+    # strategies[r, (j, l)]: label l's factor at the answer strategy r gives at setting j.
     strategies = basis.T[table].reshape(len(table), s * width)
-    x = _lhv_tensor(expr, width).reshape(s * width, -1)
+    x = _expression_tensor(expr).reshape(s * width, -1)
     for _ in range(expr.n_parties - 1):
-        # the leading party's units become its strategies, moved to the back
+        # the leading party's cells become its strategies, moved to the back
         x = (x.T @ strategies.T).reshape(s * width, -1)
     # acc[j, o, r]: the value at the last party's setting j when it answers o
     # there and the other parties play joint strategy r.
@@ -223,65 +231,27 @@ def lhv_bound(expr: BellExpression) -> float:
     return float(acc.max(axis=1).sum(axis=0).max())
 
 
-def _lhv_tensor(expr: BellExpression, width: int) -> np.ndarray:
-    """C over every party's units (setting j, unit label b), flat with party 0
-    leading. A term adds its weight to one unit per party, or where it
-    marginalizes a party ("*") to each of the ``width`` units of its setting.
-    Only these cells are scattered, the terms in chunks of at most
-    _BLOCK_FLOATS cells."""
-    n, units = expr.n_parties, expr.settings_per_party * width
-    weights = np.array([t.weight for t in expr.terms], dtype=float)
-    # code b < width: unit label b; code width: "*", every unit label
-    code = {label: b for b, label in enumerate(_UNIT_LABELS[expr.form])}
-    code[OUTCOME_ANY] = width
-    codes = np.array([code[label] for t in expr.terms for label in _labels(t, n)], dtype=int)
-    codes = codes.reshape(-1, n)
-    marginal = codes == width
-    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
-    strides = units ** np.arange(n - 1, -1, -1)
-    # a term's first cell, and its unit count per party
-    base = (settings * width + np.where(marginal, 0, codes)) @ strides
-    count = np.where(marginal, width, 1)
-    cells = count.prod(axis=1)
-    spread = np.flatnonzero(marginal.any(axis=0))  # the parties some term marginalizes
-    tensor = np.zeros(units**n)
-    chunk = max(1, _BLOCK_FLOATS // int(cells.max(initial=1)))
-    for lo in range(0, len(weights), chunk):
-        at = slice(lo, lo + chunk)
-        term = np.repeat(np.arange(lo, lo + len(cells[at])), cells[at])
-        flat = base[term]
-        # each cell's index within its term, read as digits over the marginalized parties
-        m = np.arange(len(term)) - np.repeat(np.cumsum(cells[at]) - cells[at], cells[at])
-        for i in spread:
-            flat += m % count[term, i] * strides[i]
-            m //= count[term, i]
-        tensor += np.bincount(flat, weights[term], minlength=tensor.size)
-    return tensor
-
-
 def _coefficient_tensor(
     expr: BellExpression, etas: Sequence[float], convention: Convention
 ) -> np.ndarray:
     """W[q_1, ..., q_n]: the expression as a sum of products of per-party units,
     q = 0 the identity and q = j + 1 the Pauli vector n_j . sigma of setting j.
-    A dressed operator a Pi+ + b I, (a, b) from the detector model, is
-    (b + a/2) I + (a/2) n_j . sigma, so W[0, ..., 0] is the value on white noise."""
+    A dressed operator a Pi+ + b I, (a, b) from the detector model at the
+    party's eta, is (b + a/2) I + (a/2) n_j . sigma, so each party's cells
+    (j, l) of the expression tensor C map to its units by the dressing matrix
+    D[(j, l), q], contracted one party at a time. W[0, ..., 0] is the value
+    on white noise."""
     n, s = expr.n_parties, expr.settings_per_party
-    weights = np.array([t.weight for t in expr.terms], dtype=float)
-    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
     # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
-    labels = np.array([_labels(t, n) for t in expr.terms], dtype=str).reshape(-1, n)
-    a, b = _coefficients(convention, labels, etas)  # (terms, parties)
-    # A term is 2^n products: bit i of the mask gives party i unit j + 1, else unit 0.
-    masks, strides = np.indices((2,) * n).reshape(n, -1), (s + 1) ** np.arange(n - 1, -1, -1)
-    tensor = np.zeros((s + 1) ** n)
-    chunk = max(1, _BLOCK_FLOATS // (n << n))  # terms per (terms, 2^n, n) array
-    for lo in range(0, len(weights), chunk):
-        at = slice(lo, lo + chunk)
-        factors = np.where(masks.T, 0.5 * a[at, None], (b[at] + 0.5 * a[at])[:, None])
-        values = weights[at, None] * factors.prod(axis=-1)
-        flat = (settings[at] + 1) * strides @ masks  # (terms, 2^n) flat unit indices
-        tensor += np.bincount(flat.ravel(), values.ravel(), minlength=tensor.size)
+    a, b = _coefficients(convention, np.array(_CELL_LABELS[expr.form])[:, None], etas)
+    a, b = a.T[:, None, :, None], b.T[:, None, :, None]  # (parties, 1, labels, 1)
+    units = np.eye(s + 1)  # row 0 the identity, row j + 1 setting j's Pauli vector
+    # dressing[i, j, l, q]: party i's cell (j, l) on its unit q
+    dressing = (b + 0.5 * a) * units[0] + 0.5 * a * units[1:, None]
+    tensor = _expression_tensor(expr)
+    for d in dressing.reshape(n, -1, s + 1):
+        # the leading party's cells become its units, moved to the back
+        tensor = tensor.reshape(len(d), -1).T @ d
     return tensor.reshape((s + 1,) * n)
 
 

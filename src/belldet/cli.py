@@ -69,14 +69,18 @@ def _load_json(path: str) -> dict:
 def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
     """Peak bytes a command may hold for ``config`` (k parties, s settings each):
     copies of the k-qubit complex density matrix (16 * 4^k bytes each), the Bell
-    kernel's coefficient tensor ((s + 1)^k floats) and two arrays of one block of
-    starts (bell._BLOCK_FLOATS floats, or one start's max(s + 1, 4)^k), and the
+    kernel's expression tensor C ((s L)^k floats, L = 1 cell label per setting in
+    correlation form or 4 in probability form), its first contraction ((s + 1) (s L)^(k-1)
+    floats) and the coefficient tensor W ((s + 1)^k floats), two arrays of one block
+    of starts (bell._BLOCK_FLOATS floats, or one start's max(s + 1, 4)^k), and the
     optimizer's (starts, D, D) Hessian, D = 2 k s. The threshold solvers re-optimize
     from protocol._REFINE_RESTARTS random starts; each run adds two more starts."""
     k, s = config.k, config.bell.settings_per_party
+    cells = s * len(bell._CELL_LABELS[config.bell.form])
+    tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k
     starts = max(restarts, protocol._REFINE_RESTARTS) + 2
     block = 2 * max(bell._BLOCK_FLOATS, max(s + 1, 4) ** k)
-    return _STATE_COPIES * 16 * 4**k + 8 * ((s + 1) ** k + block + starts * (2 * k * s) ** 2)
+    return _STATE_COPIES * 16 * 4**k + 8 * (tensors + block + starts * (2 * k * s) ** 2)
 
 
 def _parse_scenario(doc, args) -> ScenarioConfig:

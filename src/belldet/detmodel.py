@@ -9,9 +9,11 @@ which one it uses:
   independent of the state. Used with probability-type (CH/Eberhard)
   inequalities, where only registered clicks enter the expression.
 
-Both are rows of one coefficient table, ``_DRESSING``; the quantum-value
-kernel's coefficient tensor (from ``_coefficients``) and the LHV bounds'
-outcome factors (``_outcome_factors``) are both read from it.
+Both are rows of one coefficient table, ``_DRESSING``. A Bell expression is
+one tensor of weights over each party's cells (setting, outcome label), and
+the detector model only maps those cells: to the party's identity and Pauli
+units at its efficiency for the quantum-value kernel (``_coefficients``), and
+to each deterministic answer for the LHV bounds (``_outcome_factors``).
 """
 
 from __future__ import annotations

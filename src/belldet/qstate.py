@@ -21,8 +21,7 @@ import numpy as np
 # it is a config error, rejected before any state is built.
 MEMORY_BUDGET_BYTES = 2**30
 # Peak bytes per amplitude while a state is built and projected, with margin:
-# fresh processes measured 28-30 B for GHZ_20..23 and 56-72 B for Dicke(20..23, N/2),
-# whose builder holds two int64 arrays per amplitude beside the complex ones.
+# fresh processes measured 28-30 B for GHZ_20..23 and 33 B for Dicke(23, 11).
 _PEAK_BYTES_PER_AMPLITUDE = 80
 # The most qubits whose amplitude vector is built within the budget (23).
 QUBIT_CAP = (MEMORY_BUDGET_BYTES // _PEAK_BYTES_PER_AMPLITUDE).bit_length() - 1
@@ -43,12 +42,6 @@ class ZeroProjectionError(RuntimeError):
     """A projection required to succeed has (numerically) zero weight."""
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits.
@@ -63,7 +56,7 @@ class PureState:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amp = np.array(self.amplitudes, dtype=complex).reshape(-1)  # the state's own copy
         if amp.size != 2**self.n_qubits:
             raise ValueError(
                 f"amplitude vector has length {amp.size}, expected {2**self.n_qubits}"
@@ -72,8 +65,9 @@ class PureState:
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero amplitude vector")
         if abs(norm - 1.0) > 1e-12:
-            amp = amp / norm
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+            amp /= norm
+        amp.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
 
     def density(self) -> "DensityMatrix":
         """Return the rank-1 density matrix |psi><psi|."""
@@ -95,7 +89,7 @@ class DensityMatrix:
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         dim = 2**self.n_qubits
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # the state's own copy
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
         if not np.allclose(mat, mat.conj().T, atol=_HERMITICITY_TOL, rtol=0.0):
@@ -104,11 +98,12 @@ class DensityMatrix:
         if tr.real <= 0.0:
             raise ValueError("matrix trace must be positive")
         if abs(tr - 1.0) > _TRACE_TOL:
-            mat = mat / tr.real
+            mat /= tr.real
         low = float(np.linalg.eigvalsh(mat)[0])
         if low < -_PSD_TOL:
             raise ValueError(f"matrix is not PSD: lowest eigenvalue {low:.3e}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @cached_property
     def pauli_tensor(self) -> np.ndarray:

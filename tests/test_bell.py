@@ -28,7 +28,10 @@ from belldet import bell
 from belldet.bell import (
     OUTCOME_ANY,
     STRATEGY_LIMIT,
+    _CELL_LABELS,
     _Evaluator,
+    _coefficient_tensor,
+    _expression_tensor,
     _strategy_count,
     angles_to_settings,
     chsh_seed_angles,
@@ -187,6 +190,41 @@ class TestLhvBound:
             assert abs(lhv_bound(expr) - expr.classical_bound) < 1e-9
 
 
+class TestExpressionTensor:
+    @pytest.mark.parametrize("form", list(BellForm))
+    def test_each_term_lands_in_exactly_one_cell(self, form):
+        """C has s L cells per party (L = 1 in correlation form, 4 in probability
+        form, "*" included), and each term adds its weight to one of them."""
+        rng = np.random.default_rng(41 + (form == BellForm.PROBABILITY))
+        n, s = 3, 2
+        expr = random_expression(rng, form, n, s, 30)
+        assert form == BellForm.CORRELATION or any(OUTCOME_ANY in t.outcomes for t in expr.terms)
+        width = len(_CELL_LABELS[form])
+        tensor = _expression_tensor(expr)
+        assert tensor.shape == (s * width,) * n
+        assert tensor.sum() == pytest.approx(sum(t.weight for t in expr.terms), abs=1e-12)
+        for term in expr.terms:
+            single = _expression_tensor(BellExpression(n, s, form, (term,), 0.0))
+            labels = term.outcomes or _CELL_LABELS[form] * n
+            cell = tuple(j * width + _CELL_LABELS[form].index(o)
+                         for j, o in zip(term.settings, labels))
+            assert np.flatnonzero(single).tolist() == [np.ravel_multi_index(cell, single.shape)]
+            assert single[cell] == term.weight
+
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_marginal_cells_dress_to_the_identity(self, convention):
+        """A "*" cell is one cell of C whatever the convention; dressed at any
+        eta it is the identity unit alone, so a term marginalizing every party
+        puts its weight in W's white-noise corner and nowhere else."""
+        term = BellTerm((1, 0, 1), 2.5, (OUTCOME_ANY,) * 3)
+        expr = BellExpression(3, 2, BellForm.PROBABILITY, (term,), 0.0)
+        assert np.count_nonzero(_expression_tensor(expr)) == 1
+        w = _coefficient_tensor(expr, [0.3, 0.7, 1.0], convention)
+        expected = np.zeros((3, 3, 3))
+        expected[0, 0, 0] = 2.5
+        np.testing.assert_array_equal(w, expected)
+
+
 class TestBestResponse:
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -236,15 +274,6 @@ class TestBestResponse:
                 permuted = BellExpression(n, s, form, terms, 0.0)
                 assert lhv_bound(permuted) == pytest.approx(bound, abs=1e-12)
 
-    @pytest.mark.parametrize("block_floats", [1, 7, 50])
-    @pytest.mark.parametrize("form", list(BellForm))
-    def test_chunks_of_terms_give_the_one_chunk_bound(self, monkeypatch, form, block_floats):
-        rng = np.random.default_rng(17)
-        expr = random_expression(rng, form, 4, 2, 40)
-        whole = lhv_bound(expr)
-        monkeypatch.setattr(bell, "_BLOCK_FLOATS", block_floats)
-        assert lhv_bound(expr) == pytest.approx(whole, abs=1e-12)
-
     def test_correlation_at_the_strategy_limit(self):
         """With one setting per party every term is its weight times the same
         product of the parties' +/-1 answers, so the bound is |sum of weights|."""
@@ -255,8 +284,9 @@ class TestBestResponse:
         assert lhv_bound(expr) == pytest.approx(abs(total), abs=1e-12)
 
     def test_numpy_calls_do_not_grow_with_the_terms(self, monkeypatch):
-        """The terms fold into one tensor: Mermin-5 with every term repeated
-        20 times looks up exactly as many numpy functions as Mermin-5."""
+        """The terms fold into one tensor: with every term of Mermin-5 repeated
+        20 times, the LHV bound and the coefficient tensor W each look up
+        exactly as many numpy functions as on Mermin-5."""
 
         class CountingNumpy:
             lookups = 0
@@ -267,14 +297,19 @@ class TestBestResponse:
 
         lhv_bound(mermin_expression(5))  # fills the per-form cache before counting
         monkeypatch.setattr(bell, "np", CountingNumpy())
-        counts = []
+        bound_counts, tensor_counts, tensors = [], [], []
         for repeat in (1, 20):
             expr = mermin_expression(5)
             expr = BellExpression(5, 2, expr.form, expr.terms * repeat, 0.0)
             CountingNumpy.lookups = 0
             assert lhv_bound(expr) == 4.0 * repeat
-            counts.append(CountingNumpy.lookups)
-        assert counts[0] == counts[1]
+            bound_counts.append(CountingNumpy.lookups)
+            CountingNumpy.lookups = 0
+            tensors.append(_coefficient_tensor(expr, [0.9] * 5, Convention.FOLD))
+            tensor_counts.append(CountingNumpy.lookups)
+        assert bound_counts[0] == bound_counts[1]
+        assert tensor_counts[0] == tensor_counts[1]
+        np.testing.assert_allclose(tensors[1], 20 * tensors[0], rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("form", list(BellForm))
     @pytest.mark.parametrize("n", [1, 3])

@@ -788,17 +788,24 @@ def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
     assert violation.startswith("parse:") and "outcomes" in violation
 
 
-def _ghz_one_term(k, settings_per_party):
+def _ghz_one_term(k, settings_per_party, form="correlation"):
     """GHZ_k with every qubit in the Bell test and a one-term inline expression."""
     term = {"settings": [settings_per_party - 1] * k, "weight": 1.0}
-    bell = {"form": "correlation", "n_parties": k, "settings_per_party": settings_per_party,
+    if form == "probability":
+        term["outcomes"] = ["+"] * k
+    bell = {"form": form, "n_parties": k, "settings_per_party": settings_per_party,
             "terms": [term], "classical_bound": 1.0}
     return {"state": {"kind": "GHZ", "n": k}, "k": k, "eta_L": 0.5, "eta_H": 1.0, "bell": bell}
 
 
-# (k, settings per party, flags): the k-qubit density matrix alone is 64 GiB at
-# k = 16; the optimizer's (starts, D, D) Hessian is several GiB at 1000 settings.
-OVER_BUDGET = {"GHZ16, k = 16": (16, 1, []), "1000 settings": (2, 1000, ["--restarts", "64"])}
+# (k, settings per party, form, flags): the k-qubit density matrix alone is 64 GiB
+# at k = 16; the optimizer's (starts, D, D) Hessian is several GiB at 1000 settings;
+# the probability-form expression tensor C ((4 s)^k floats) is 1 GiB at k = 9, s = 2.
+OVER_BUDGET = {
+    "GHZ16, k = 16": (16, 1, "correlation", []),
+    "1000 settings": (2, 1000, "correlation", ["--restarts", "64"]),
+    "probability, k = 9": (9, 2, "probability", ["--restarts", "0"]),
+}
 
 
 @pytest.mark.parametrize("case", list(OVER_BUDGET))
@@ -807,9 +814,9 @@ def test_working_set_above_the_memory_budget_is_a_config_error(capsys, monkeypat
         raise AssertionError("the state was built")
 
     monkeypatch.setattr("belldet.protocol.make_state", fail)
-    k, s, flags = OVER_BUDGET[case]
+    k, s, form, flags = OVER_BUDGET[case]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(_ghz_one_term(k, s)))
+    path.write_text(json.dumps(_ghz_one_term(k, s, form)))
     report = run_json(capsys, "validate", "--config", str(path), *flags)
     [violation] = report["result"]["violations"]
     assert violation.startswith(f"k = {k} with {s} settings per party needs about")
@@ -868,15 +875,18 @@ def test_every_command_takes_the_same_five_flags():
 
 
 @pytest.mark.parametrize(
-    "k,s,restarts,fits",
-    [(11, 2, 64, True), (12, 2, 0, False), (2, 300, 64, True), (2, 400, 64, False),
-     (2, 400, 0, True)],
+    "k,s,restarts,fits,form",
+    [pytest.param(*case, "correlation", id="-".join(map(str, case))) for case in
+     [(11, 2, 64, True), (12, 2, 0, False), (2, 300, 64, True), (2, 400, 64, False),
+      (2, 400, 0, True)]]
+    + [(8, 2, 64, True, "probability"), (9, 2, 0, False, "probability")],
 )
-def test_memory_budget_boundary(capsys, tmp_path, k, s, restarts, fits):
+def test_memory_budget_boundary(capsys, tmp_path, k, s, restarts, fits, form):
     """The largest k and settings count validate; one step beyond does not.
     Fewer restarts leave room for more settings (the solvers still refine
-    from 16 random starts)."""
+    from 16 random starts). Probability form has 4 cells per setting in the
+    expression tensor C against 1 in correlation form, so it stops at a lower k."""
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(_ghz_one_term(k, s)))
+    path.write_text(json.dumps(_ghz_one_term(k, s, form)))
     report = run_json(capsys, "validate", "--config", str(path), "--restarts", str(restarts))
     assert (report["result"]["violations"] == []) == fits

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ class TestValidation:
     def test_pure_state_normalizes(self):
         state = PureState(1, np.array([3.0, 4.0]))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+    def test_pure_state_normalizes_one_copy_in_place(self):
+        """The state holds one copy of the caller's vector and divides it in
+        place: building from 2^18 amplitudes whose norm is off by 1e-9 peaks
+        near one vector, and the caller's array is left as it was."""
+        amp = np.full(2**18, (1.0 + 1e-9) / 2**9, dtype=complex)
+        given = amp.copy()
+        tracemalloc.start()
+        try:
+            state = PureState(18, amp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * amp.nbytes
+        np.testing.assert_array_equal(amp, given)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_density_normalizes_its_own_copy(self):
+        mat = np.diag([3.0, 1.0]).astype(complex)
+        rho = DensityMatrix(1, mat)
+        np.testing.assert_array_equal(mat, np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(rho.matrix, np.diag([0.75, 0.25]), rtol=0, atol=1e-15)
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
