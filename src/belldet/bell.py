@@ -263,8 +263,8 @@ class _Evaluator:
     is contracted with one party's units (``_units``) at a time, then with W.
     Angles carry a leading start axis: thetas and phis of shape (S, n, s)
     evaluate S independent settings at once, and every result keeps that
-    axis first. The settings optimizer also reads each party's Bloch fields
-    (``bloch_fields``) and the exact angle derivatives (``derivatives``).
+    axis first. The settings optimizer also runs see-saw sweeps (``sweep``)
+    and reads the exact angle derivatives (``derivatives``).
     """
 
     def __init__(
@@ -313,11 +313,31 @@ class _Evaluator:
         """The expression's value at each start, shape (S,)."""
         return self._partial(_units(thetas, phis))
 
-    def bloch_fields(self, units: np.ndarray, party: int) -> np.ndarray:
-        """c[:, j] = d value / d n_j per setting j of the party, (S, s, 3): the value
-        is affine in each projector Pi_ij = (I + n_ij . sigma) / 2, so with the
-        other parties fixed it is c[j] . n_ij plus a constant."""
-        return self._partial(units, (party,))[:, 1:, 1:].transpose(0, 2, 1)
+    def sweep(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+        """One see-saw sweep in place, returning the value after it, (S,). With
+        the other parties fixed, the value is the identity corner of party i's
+        one-party partial plus sum_j c_j . n_ij over its Bloch fields c_j (the
+        setting units' block), so each party in turn takes n_ij = c_j / |c_j|
+        and the value after the last one is that corner plus sum_j |c_j|. The
+        angles are read back from the units once; a setting no term reaches
+        keeps its angles. Without ``phis`` the fields' y parts are dropped."""
+        units = _units(thetas, phis)
+        moves = np.zeros(thetas.shape, dtype=bool)
+        for i in range(self.n_parties):
+            part = self._partial(units, (i,))
+            c = part[:, 1:, 1:].transpose(0, 2, 1)  # (S, s, 3)
+            if phis is None:
+                c[..., 1] = 0.0
+            norm = np.sqrt(np.einsum("sjx,sjx->sj", c, c))
+            moves[:, i] = norm > 0.0
+            np.divide(c, norm[..., None], out=units[:, i, 1:, 1:], where=moves[:, i, :, None])
+        bx, by, bz = units[:, :, 1:, 1:].transpose(3, 0, 1, 2)
+        if phis is None:
+            np.copyto(thetas, np.arctan2(bx, bz), where=moves)
+        else:
+            np.copyto(thetas, np.arctan2(np.hypot(bx, by), bz), where=moves)
+            np.copyto(phis, np.arctan2(by, bx), where=moves)
+        return part[:, 0, 0] + norm.sum(axis=1)
 
     def derivatives(
         self, thetas: np.ndarray, phis: np.ndarray | None
@@ -328,22 +348,33 @@ class _Evaluator:
 
         The value is multilinear in the Bloch vectors n_ij with no second
         derivative within one party (each product holds one unit per party).
-        So the within-party blocks are the Bloch fields against n_ij's second
-        derivatives, and each cross-party block comes from a two-party partial.
+        Each cross-party block comes from one two-party partial per party pair.
+        Each party's Bloch fields c_j = d value / d n_ij are the first pair
+        partial that holds the party, contracted with the other party's units;
+        the within-party blocks are those fields against n_ij's second
+        derivatives.
         """
         n, s = self.n_parties, self.settings_per_party
         units = _units(thetas, phis)
-        c = np.stack([self.bloch_fields(units, i) for i in range(n)], axis=1)  # (S, n, s, 3)
         jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
-        gradient = np.einsum("sijx,sijxa->saij", c, jac)
-        within = np.einsum("sijx,sijxab->sijab", c, curl)
+        c = np.empty(thetas.shape + (3,))
+        if n == 1:  # no pairs: the party's own partial
+            c[:, 0] = self._partial(units, (0,))[:, 1:, 1:].transpose(0, 2, 1)
         # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
-        hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
+        hessian = np.zeros((len(units),) + (jac.shape[-1], n, s) * 2)
         for i, k in itertools.combinations(range(n), 2):
-            bloch = self._partial(units, (i, k))[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
+            pair = self._partial(units, (i, k))
+            if i == 0:  # party k's first pair, and for k = 1 party 0's
+                c[:, k] = np.einsum("sxyjl,sjx->sly", pair[:, :, 1:, :, 1:], units[:, 0])
+                if k == 1:
+                    c[:, 0] = np.einsum("sxyjl,sly->sjx", pair[:, 1:, :, 1:], units[:, 1])
+            bloch = pair[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
             block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
             hessian[:, :, i, :, :, k] = block
             hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
+        party, setting = np.arange(n)[:, None], np.arange(s)
+        hessian[:, :, party, setting, :, party, setting] = np.einsum("sijx,sijxab->ijsab", c, curl)
+        gradient = np.einsum("sijx,sijxa->saij", c, jac)
         dim = math.prod(gradient.shape[1:])  # from the shape: a batch may have no starts
         return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
 
@@ -369,16 +400,16 @@ def _bloch_derivatives(
     in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
     phi = np.zeros_like(thetas) if phis is None else phis
     ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phi), np.sin(phi)
-    zero = np.zeros_like(ct)
-    d_t = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    d_tt = -np.stack([st * cp, st * sp, ct], axis=-1)
-    if phis is None:
-        return d_t[..., None], d_tt[..., None, None]
-    d_p = np.stack([-st * sp, st * cp, zero], axis=-1)
-    d_tp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
-    d_pp = np.stack([-st * cp, -st * sp, zero], axis=-1)
-    second = np.stack([np.stack([d_tt, d_tp], -1), np.stack([d_tp, d_pp], -1)], -1)
-    return np.stack([d_t, d_p], axis=-1), second
+    shape = thetas.shape + (3,) + (1 if phis is None else 2,) * 2
+    first, second = np.zeros(shape[:-1]), np.zeros(shape)
+    first[..., 0, 0], first[..., 1, 0], first[..., 2, 0] = ct * cp, ct * sp, -st
+    second[..., 0, 0, 0], second[..., 1, 0, 0], second[..., 2, 0, 0] = -st * cp, -st * sp, -ct
+    if phis is not None:  # n_z does not depend on p
+        first[..., 0, 1], first[..., 1, 1] = -st * sp, st * cp
+        second[..., 0, 0, 1] = second[..., 0, 1, 0] = -ct * sp
+        second[..., 1, 0, 1] = second[..., 1, 1, 0] = ct * cp
+        second[..., 0, 1, 1], second[..., 1, 1, 1] = -st * cp, -st * sp
+    return first, second
 
 
 def quantum_value(
@@ -452,7 +483,9 @@ def optimize_settings(
     Every start (the CHSH seed, any warm starts and ``restarts`` random
     starts) runs see-saw sweeps (Liang & Doherty, PRA 75, 042103 (2007)):
     the value is affine in each projector, so each party in turn takes the
-    exact best projector for every setting given the others. Where the
+    exact best projector for every setting given the others, the unit
+    vector c/|c| of the setting's Bloch field c, and each sweep's value is
+    read off the last party's field norms (``_Evaluator.sweep``). Where the
     optimum is ill-conditioned (Eberhard's CH optimum below eta = 1) the
     sweeps crawl, so a damped Newton polish on the exact Hessian finishes
     every start; one sweep after each trial step puts it back onto the
@@ -474,21 +507,6 @@ def optimize_settings(
         phis = x[:, n_theta:].reshape(-1, n, s) if opts.include_phi else None
         return thetas, phis
 
-    def sweep(x: np.ndarray) -> None:
-        """Give each party in turn its best projectors given the others, in place."""
-        thetas, phis = split(x)
-        for i in range(n):
-            c = evaluator.bloch_fields(_units(thetas, phis), i)
-            if phis is None:
-                c[..., 1] = 0.0
-            moves = c.any(axis=-1)  # a setting no term reaches keeps its angles
-            cx, cy, cz = c.transpose(2, 0, 1)
-            if phis is None:
-                thetas[:, i] = np.where(moves, np.arctan2(cx, cz), thetas[:, i])
-            else:
-                thetas[:, i] = np.where(moves, np.arctan2(np.hypot(cx, cy), cz), thetas[:, i])
-                phis[:, i] = np.where(moves, np.arctan2(cy, cx), phis[:, i])
-
     dim = n_theta * (2 if opts.include_phi else 1)
     seed = chsh_seed_angles(n, s)
     given = [(seed, np.zeros_like(seed)), *map(settings_to_angles, opts.warm_starts)]
@@ -505,8 +523,7 @@ def optimize_settings(
     for _ in range(_MAX_SWEEPS):
         rows = np.flatnonzero(active)
         moved = x[rows]
-        sweep(moved)
-        swept = evaluator.value(*split(moved))
+        swept = evaluator.sweep(*split(moved))
         active[rows] = swept - v[rows] > _SWEEP_GAIN
         x[rows], v[rows] = moved, swept
         if not active.any():
@@ -533,8 +550,7 @@ def optimize_settings(
         moving = np.abs(step).max(axis=1) > _STEP_TOL
         active[rows[~moving]] = False
         rows, moved = rows[moving], x[rows[moving]] + step[moving]
-        sweep(moved)  # back onto the crest of a curved ridge
-        trial = evaluator.value(*split(moved))
+        trial = evaluator.sweep(*split(moved))  # back onto the crest of a curved ridge
         rises = trial > v[rows]
         up, down = rows[rises], rows[~rises]
         x[up], v[up] = moved[rises], trial[rises]

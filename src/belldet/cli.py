@@ -301,9 +301,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NOT_FOUND
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"cannot write report to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

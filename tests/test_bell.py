@@ -608,6 +608,54 @@ def angle_split(evaluator, include_phi):
     return split
 
 
+def chained_derivatives(evaluator, thetas, phis):
+    """Reference: the exact derivatives as the optimizer first built them, one
+    one-party partial per party for the Bloch fields and one two-party
+    partial per pair, the within-party blocks placed by an einsum against
+    two identity matrices."""
+    n, s = evaluator.n_parties, evaluator.settings_per_party
+    units = bell._units(thetas, phis)
+    c = np.stack(  # (S, n, s, 3)
+        [evaluator._partial(units, (i,))[:, 1:, 1:].transpose(0, 2, 1) for i in range(n)], axis=1
+    )
+    jac, curl = stacked_bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
+    gradient = np.einsum("sijx,sijxa->saij", c, jac)
+    within = np.einsum("sijx,sijxab->sijab", c, curl)
+    # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
+    hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
+    for i, k in itertools.combinations(range(n), 2):
+        bloch = evaluator._partial(units, (i, k))[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
+        block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
+        hessian[:, :, i, :, :, k] = block
+        hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
+    dim = math.prod(gradient.shape[1:])  # from the shape: a batch may have no starts
+    return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
+
+
+def stacked_bloch_derivatives(thetas, phis):
+    """Reference: first and second derivatives of n = (sin t cos p, sin t sin p, cos t)
+    in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
+    phi = np.zeros_like(thetas) if phis is None else phis
+    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phi), np.sin(phi)
+    zero = np.zeros_like(ct)
+    d_t = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_tt = -np.stack([st * cp, st * sp, ct], axis=-1)
+    if phis is None:
+        return d_t[..., None], d_tt[..., None, None]
+    d_p = np.stack([-st * sp, st * cp, zero], axis=-1)
+    d_tp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
+    d_pp = np.stack([-st * cp, -st * sp, zero], axis=-1)
+    second = np.stack([np.stack([d_tt, d_tp], -1), np.stack([d_tp, d_pp], -1)], -1)
+    return np.stack([d_t, d_p], axis=-1), second
+
+
+def random_evaluator(rng, form, n, s, n_terms):
+    """A random expression on a random mixed state at random efficiencies."""
+    expr = random_expression(rng, form, n, s, n_terms)
+    etas = rng.uniform(0.6, 1.0, n)
+    return _Evaluator(expr, random_mixed_state(rng, n), etas, bell._LHV_CONVENTION[form])
+
+
 THREE_PARTY_CORRELATION = BellExpression(
     3,
     2,
@@ -669,6 +717,75 @@ class TestExactDerivatives:
             np.testing.assert_allclose(gradient[0], slope, rtol=0, atol=1e-6)
 
 
+class TestSeeSaw:
+    @pytest.mark.parametrize("include_phi", [False, True])
+    @pytest.mark.parametrize("form", list(BellForm))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sweep_returns_the_value_at_the_angles_it_leaves(self, k, form, include_phi):
+        rng = np.random.default_rng(10 * k + include_phi)
+        evaluator = random_evaluator(rng, form, k, 2, 12)
+        split = angle_split(evaluator, include_phi)
+        x = rng.uniform(0.0, 2.0 * math.pi, size=(6, 2 * k * (2 if include_phi else 1)))
+        before = evaluator.value(*split(x))
+        swept = evaluator.sweep(*split(x))
+        np.testing.assert_allclose(swept, evaluator.value(*split(x)), rtol=0, atol=1e-14)
+        assert np.all(swept >= before - 1e-14)  # each best response keeps or raises the value
+
+    @pytest.mark.parametrize("include_phi", [False, True])
+    def test_a_setting_no_term_reaches_keeps_its_angles(self, include_phi):
+        """Party 0's setting 1 is in no term. Its angles start above 2 pi, where
+        reading them back from a Bloch vector would change them."""
+        terms = (BellTerm((0, 0), 1.0), BellTerm((0, 1), -0.8))
+        expr = BellExpression(2, 2, BellForm.CORRELATION, terms, 2.0)
+        rng = np.random.default_rng(12)
+        evaluator = _Evaluator(expr, random_mixed_state(rng, 2), [0.9, 0.8], Convention.FOLD)
+        split = angle_split(evaluator, include_phi)
+        start = rng.uniform(2.0 * math.pi, 4.0 * math.pi, size=(5, 4 * (2 if include_phi else 1)))
+        x = start.copy()
+        evaluator.sweep(*split(x))
+        for got, was in zip(split(x), split(start)):
+            if got is not None:
+                np.testing.assert_array_equal(got[:, 0, 1], was[:, 0, 1])
+                assert not np.any(got[:, 0, 0] == was[:, 0, 0])  # the reached setting moves
+
+    @pytest.mark.parametrize("include_phi", [False, True])
+    @pytest.mark.parametrize("form", list(BellForm))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_derivatives_match_the_chained_reference(self, k, form, include_phi):
+        rng = np.random.default_rng(100 * k + include_phi)
+        s = 3 if k <= 3 else 2
+        evaluator = random_evaluator(rng, form, k, s, 16)
+        split = angle_split(evaluator, include_phi)
+        x = rng.uniform(0.0, 2.0 * math.pi, size=(4, k * s * (2 if include_phi else 1)))
+        got, want = evaluator.derivatives(*split(x)), chained_derivatives(evaluator, *split(x))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_partials_per_sweep_and_per_derivatives_call(self, k, monkeypatch):
+        """A sweep makes one one-party partial per party and never evaluates
+        the value anew; the derivatives make one two-party partial per pair."""
+        evaluator = _Evaluator(mermin_expression(k), ghz(k).density(), [0.9] * k, Convention.FOLD)
+        partial, calls = _Evaluator._partial, []
+
+        def counting(self, units, open_parties=()):
+            calls.append(open_parties)
+            return partial(self, units, open_parties)
+
+        def no_value(self, thetas, phis=None):
+            raise AssertionError("the sweep evaluated the value anew")
+
+        monkeypatch.setattr(_Evaluator, "_partial", counting)
+        monkeypatch.setattr(_Evaluator, "value", no_value)
+        split = angle_split(evaluator, include_phi=True)
+        x = np.random.default_rng(k).uniform(0.0, 2.0 * math.pi, size=(3, 4 * k))
+        evaluator.sweep(*split(x))
+        assert calls == [(i,) for i in range(k)]
+        calls.clear()
+        evaluator.derivatives(*split(x))
+        assert calls == list(itertools.combinations(range(k), 2))
+
+
 def eberhard_state():
     doc = json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
     config = ScenarioConfig.from_json_dict(doc)
@@ -724,7 +841,7 @@ class TestBatchedStarts:
         for got, want in zip([blocked.value(*split(x)), *blocked.derivatives(*split(x))], batch):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         assert blocked.value(*split(x[:0])).shape == (0,)
-        assert blocked.bloch_fields(bell._units(*split(x[:0])), 1).shape == (0, 2, 3)
+        assert blocked.sweep(*split(x[:0])).shape == (0,)
 
     @pytest.mark.parametrize("include_phi", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -267,6 +267,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("config error:") and "target_successes" in err
 
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run(
+            capsys, "eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--restarts", "8",
+            "--out", str(path),
+        )
+        assert code == EXIT_CONFIG
+        assert out == "" and not path.exists()
+        assert err == f"cannot write report to {path}: No such file or directory\n"
+
     def test_csv_only_for_sweep(self, capsys):
         code, _, err = run(
             capsys, "eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--output", "csv"
