@@ -14,7 +14,7 @@ import numpy as np
 
 from .detmodel import Convention, MeasurementSetting, json_float, json_int, validate_efficiency
 from .detmodel import _coefficients, _outcome_factors
-from .qstate import DensityMatrix, pauli_tensor
+from .qstate import DensityMatrix
 
 OUTCOME_PLUS = "+"
 OUTCOME_MINUS = "-"
@@ -259,7 +259,7 @@ class _Evaluator:
     """Vectorized quantum-value kernel for a fixed expression and state.
 
     Works in the real Pauli basis: the state is its tensor T (see
-    ``qstate.pauli_tensor``), the expression its coefficient tensor W, and T
+    ``DensityMatrix.pauli_tensor``), the expression its coefficient tensor W, and T
     is contracted with one party's units (``_units``) at a time, then with W.
     Angles carry a leading start axis: thetas and phis of shape (S, n, s)
     evaluate S independent settings at once, and every result keeps that
@@ -270,19 +270,19 @@ class _Evaluator:
     def __init__(
         self,
         expr: BellExpression,
-        rho: DensityMatrix | np.ndarray,
+        rho: DensityMatrix,
         etas: Sequence[float],
         convention: Convention,
     ) -> None:
         n = expr.n_parties
+        if not isinstance(rho, DensityMatrix):  # the one checked state input
+            raise TypeError(f"the state must be a DensityMatrix, got {type(rho).__name__}")
         etas = np.array([validate_efficiency(e) for e in etas], dtype=float)
         if etas.shape != (n,):
             raise ValueError(f"expected {n} efficiencies, got {etas.shape}")
-        is_state = isinstance(rho, DensityMatrix)
-        matrix = rho.matrix if is_state else np.asarray(rho, dtype=complex)
-        if matrix.shape != (2**n, 2**n):
-            raise ValueError(f"state dimension {matrix.shape} does not match {n} parties")
-        self.tensor = rho.pauli_tensor if is_state else pauli_tensor(matrix)
+        if rho.n_qubits != n:
+            raise ValueError(f"a state of {rho.n_qubits} qubits does not match {n} parties")
+        self.tensor = rho.pauli_tensor
         self.coefficients = _coefficient_tensor(expr, etas, convention)
         self.n_parties, self.settings_per_party = n, expr.settings_per_party
 
@@ -355,8 +355,10 @@ class _Evaluator:
         derivatives.
         """
         n, s = self.n_parties, self.settings_per_party
-        units = _units(thetas, phis)
         jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
+        units = np.zeros(thetas.shape[:2] + (s + 1, 4))
+        units[:, :, 0, 0] = 1.0
+        units[:, :, 1:, 1:] = -curl[..., 0, 0]  # n = -d2n/dt2, bit for bit: no second sin/cos
         c = np.empty(thetas.shape + (3,))
         if n == 1:  # no pairs: the party's own partial
             c[:, 0] = self._partial(units, (0,))[:, 1:, 1:].transpose(0, 2, 1)
@@ -393,13 +395,11 @@ def _units(thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
     return units
 
 
-def _bloch_derivatives(
-    thetas: np.ndarray, phis: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _bloch_derivatives(thetas: np.ndarray, phis: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """First and second derivatives of n = (sin t cos p, sin t sin p, cos t)
     in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
-    phi = np.zeros_like(thetas) if phis is None else phis
-    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phi), np.sin(phi)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    cp, sp = (1.0, 0.0) if phis is None else (np.cos(phis), np.sin(phis))  # p = 0 without phis
     shape = thetas.shape + (3,) + (1 if phis is None else 2,) * 2
     first, second = np.zeros(shape[:-1]), np.zeros(shape)
     first[..., 0, 0], first[..., 1, 0], first[..., 2, 0] = ct * cp, ct * sp, -st
@@ -414,7 +414,7 @@ def _bloch_derivatives(
 
 def quantum_value(
     expr: BellExpression,
-    rho: DensityMatrix | np.ndarray,
+    rho: DensityMatrix,
     settings: Sequence[Sequence[MeasurementSetting]],
     etas: Sequence[float],
     convention: Convention = Convention.FOLD,
@@ -473,7 +473,7 @@ class OptimizeOptions:
 
 def optimize_settings(
     expr: BellExpression,
-    rho: DensityMatrix | np.ndarray,
+    rho: DensityMatrix,
     etas: Sequence[float],
     convention: Convention = Convention.FOLD,
     options: OptimizeOptions | None = None,

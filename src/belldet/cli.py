@@ -2,9 +2,10 @@
 
 Reports are JSON documents with top-level keys ``inputs``, ``result`` and
 ``diagnostics``; sweeps can emit CSV. Exit codes: 0 success, 2 config
-parse/validation error, 3 solver found no threshold (status "not_found":
-no violation; "not_converged": the residual stayed above its
-tolerance) or a zero-weight projection.
+parse/validation error, 3 no threshold ("not_found": no violation;
+"not_converged": the residual stayed above its tolerance), a zero-weight
+projection or a degenerate scenario (zero success probability, a number
+beyond the float range).
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
 
 def _json_report(inputs: dict, result: dict, diagnostics: dict) -> str:
     report = {"inputs": inputs, "result": result, "diagnostics": diagnostics}
-    return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+    except ValueError as exc:  # inf or NaN, which JSON does not have
+        raise ArithmeticError(f"the report holds a non-finite number ({exc})") from exc
 
 
 def _diagnostics(config: ScenarioConfig, args, **extra) -> dict:
@@ -149,7 +153,7 @@ def _run_eval(doc, args) -> tuple[str, int]:
     config = _parse_scenario(doc, args)
     lhs, parts = protocol.composite_parts(config, restarts=args.restarts, seed=args.seed)
     diagnostics = _diagnostics(config, args, settings=parts.pop("settings"))
-    result = {"composite_lhs": lhs, "violated": bool(lhs > 0.0), **parts}
+    result = {"composite_lhs": lhs, **parts}
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
 
 
@@ -245,7 +249,8 @@ def _run_validate(doc, args) -> tuple[str, int]:
         else:
             config = _parse_scenario(doc, args)
     except ConfigurationError as exc:
-        return _json_report({"raw": doc}, {"violations": exc.violations}, {}), EXIT_OK
+        raw = json.loads(json.dumps(doc), parse_constant=str)  # json read 1e400 as inf
+        return _json_report({"raw": raw}, {"violations": exc.violations}, {}), EXIT_OK
     return _json_report(config.to_json_dict(), {"violations": []}, {}), EXIT_OK
 
 
@@ -296,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ZeroProjectionError as exc:
         print(f"zero-weight projection: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except ZeroDivisionError as exc:
+    except ArithmeticError as exc:  # zero success probability, or beyond the float range
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
     if args.out is None:

@@ -264,7 +264,7 @@ def _project_factor(
 
 def resolve_settings(
     expr: BellExpression,
-    rho: DensityMatrix | np.ndarray,
+    rho: DensityMatrix,
     etas: Sequence[float],
     convention: Convention,
     fixed: Sequence[Sequence[MeasurementSetting]] | None,
@@ -294,25 +294,26 @@ def composite_parts(
 ) -> tuple[float, dict]:
     """Left side of the composite expression, and the pieces it is built from.
 
-    The value is eta_L^(number of projecting parties) * prod(p_i) * (Q - L),
-    where Q is the Bell value on the projected state at eta_H-dressed
-    settings. A positive value certifies a violation; the eta_L factor never
-    changes the sign, which is why the low efficiencies only need to be
-    nonzero. The dict carries the probabilities, Q, L, the eta_L exponent
-    and the settings, for reports.
+    The value is eta_L^m prod(p_i) (Q - L), m the number of projecting
+    parties and Q the Bell value on the projected state at eta_H-dressed
+    settings. Its scale is positive for any eta_L > 0, so the low efficiencies
+    need only be nonzero, but may round to 0.0: the verdict ``violated`` is
+    Q > L at eta_L > 0 (or m = 0). The dict carries it, the probabilities,
+    Q, L, the eta_L exponent and the settings, for reports.
     """
     p_list, rho_prime = projected_state(config)
     settings, q = resolve_settings(
         config.bell, rho_prime, [config.eta_H] * config.k, config.convention, config.settings,
         restarts, seed,
     )
-    p_prod = float(np.prod(p_list))
-    lhs = config.eta_L**config.n_projections * p_prod * (q - config.bell.classical_bound)
+    p_prod, m = float(np.prod(p_list)), config.n_projections
+    lhs = config.eta_L**m * p_prod * (q - config.bell.classical_bound)
     parts = {
         "projection_probs": p_list,
         "bell_value": q,
         "classical_bound": config.bell.classical_bound,
-        "eta_L_exponent": config.n_projections,
+        "eta_L_exponent": m,
+        "violated": q > config.bell.classical_bound and (config.eta_L > 0.0 or not m),
         "settings": [[s.to_json_dict() for s in party] for party in settings],
     }
     return lhs, parts
@@ -464,17 +465,17 @@ def critical_visibility(
 
     The state is projected once, at v = 1. White noise stays maximally
     mixed under projection (the closed form ``_project_factor`` carries),
-    so the composite is exactly affine in v:
-    eta_L^m [v prod(p) (Q(rho') - L) + (1 - v) 2^-m (Q(I/d) - L)], with
-    rho' the noise-free projected state. Q(I/d) is the corner W[0, ..., 0]
-    of the expression's coefficient tensor, which no measurement direction
+    so the composite over eta_L^m, whose roots eta_L never moves, is affine
+    in v: v prod(p) (Q(rho') - L) + (1 - v) 2^-m (Q(I/d) - L), with rho'
+    the noise-free projected state. Q(I/d) is the corner W[0, ..., 0] of
+    the expression's coefficient tensor, which no measurement direction
     changes, so the settings that maximize Q(rho') maximize the composite at
     every v and v* is the root of one affine function, read off directly (a
-    composite down to -RESIDUAL_TOL at v = 1 puts it at v = 1). AUTO settings
-    come from ``restarts`` starts, then one refinement from _REFINE_RESTARTS
-    more (so ``restarts=0`` still searches). The residual Q(rho(v*)) - L is
-    checked on the projection path's own state at v*, against the slope of
-    Q(rho(v)) there. eta_H stays at the configured value.
+    gap Q(rho') - L down to -RESIDUAL_TOL puts it at v = 1; below, "not_found"
+    with ``value_at_one``). AUTO settings come from ``restarts`` starts, then
+    one refinement from _REFINE_RESTARTS more (so ``restarts=0`` still
+    searches). The residual Q(rho(v*)) - L is checked on the projection path's
+    own state at v*, against the slope of Q(rho(v)) there, at the configured eta_H.
     """
     config.require_valid()
     p_list, rho_prime = projected_state(replace(config, visibility=1.0))
@@ -484,9 +485,8 @@ def critical_visibility(
     q = partial(quantum_value, expr, etas=etas, convention=config.convention)  # q(rho, settings)
     resolve = partial(resolve_settings, expr, rho_prime, etas, config.convention, config.settings)
     settings, q_pure = resolve(restarts, seed)
-    composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
-    if composite_at_one < -RESIDUAL_TOL:
-        return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
+    if q_pure - bound < -RESIDUAL_TOL:
+        return _not_found("no violation at v = 1", value_at_one=q_pure)
     settings, q_pure = resolve(_REFINE_RESTARTS, seed + 1, settings)
     q_noise = float(_coefficient_tensor(expr, etas, config.convention).flat[0])
     at_zero, at_one = 2.0**-m * (q_noise - bound), p_prod * (q_pure - bound)

@@ -33,6 +33,9 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 
+# sigma_mu for mu = I, X, Y, Z.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 
 class QubitCapacityError(ValueError):
     """A state would have more qubits than ``QUBIT_CAP``."""
@@ -107,19 +110,10 @@ class DensityMatrix:
 
     @cached_property
     def pauli_tensor(self) -> np.ndarray:
-        """``pauli_tensor(self.matrix)``, computed once per state."""
-        return pauli_tensor(self.matrix)
+        """T[mu_1, ..., mu_n] = Tr(rho sigma_mu_1 (x) ... (x) sigma_mu_n), computed once:
+        the real coordinates of rho = 2^-n sum_mu T_mu sigma_mu (Horodecki's T for n = 2)."""
+        t = self.matrix.reshape([2] * (2 * self.n_qubits))
+        for left in range(self.n_qubits, 0, -1):  # trace the leading qubit against each sigma
+            t = np.tensordot(t, _PAULI, axes=([0, left], [2, 1]))  # mu goes last
+        return np.ascontiguousarray(t.real)
 
-
-# sigma_mu for mu = I, X, Y, Z.
-_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def pauli_tensor(matrix: np.ndarray) -> np.ndarray:
-    """T[mu_1, ..., mu_n] = Tr(rho sigma_mu_1 (x) ... (x) sigma_mu_n), the real
-    coordinates of rho = 2^-n sum_mu T_mu sigma_mu (Horodecki's T for n = 2)."""
-    n = len(matrix).bit_length() - 1
-    t = matrix.reshape([2] * (2 * n))
-    for left in range(n, 0, -1):  # trace the leading qubit against each sigma; mu goes last
-        t = np.tensordot(t, _PAULI, axes=([0, left], [2, 1]))
-    return np.ascontiguousarray(t.real)

@@ -123,7 +123,7 @@ def dense_quantum_value(expr, rho, settings, etas, convention):
         op = np.eye(1)
         for i, (j, label) in enumerate(zip(term.settings, labels)):
             op = np.kron(op, dressed(settings[i][j], etas[i], convention)[label])
-        total += term.weight * float(np.trace(rho @ op).real)
+        total += term.weight * float(np.trace(rho.matrix @ op).real)
     return total
 
 
@@ -131,7 +131,7 @@ def random_mixed_state(rng, n):
     dim = 2**n
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = raw @ raw.conj().T
-    return rho / np.trace(rho).real
+    return DensityMatrix(n, rho / np.trace(rho).real)
 
 
 def mermin_expression(n):
@@ -434,7 +434,7 @@ class TestQuantumValue:
         terms = (BellTerm((0,) * n, 1.0), BellTerm((1,) + (0,) * (n - 1), 0.5))
         expr = BellExpression(n, 2, BellForm.CORRELATION, terms, 1.0)
         settings = [[MeasurementSetting(0.0), MeasurementSetting(math.pi / 2)]] * n
-        value = quantum_value(expr, np.outer(ket, ket), settings, [1.0] * n)
+        value = quantum_value(expr, DensityMatrix(n, np.outer(ket, ket)), settings, [1.0] * n)
         assert value == pytest.approx(1.0 if n % 2 == 0 else 0.0, abs=1e-12)
 
     def test_separable_states_stay_local_on_chsh(self):
@@ -455,7 +455,7 @@ PAULI = (
 
 def correlation_matrix(rho):
     """T_ij = Tr(rho sigma_i (x) sigma_j)."""
-    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in PAULI] for a in PAULI])
+    return np.array([[np.trace(rho.matrix @ np.kron(a, b)).real for b in PAULI] for a in PAULI])
 
 
 # Optima found by the earlier Nelder-Mead optimizer (restarts=64, seed=0)
@@ -523,7 +523,7 @@ class TestOptimizeSettings:
         """One party at eta = 1: each folded setting reaches |r|, the
         length of the state's Bloch vector, whatever the sign of its weight."""
         rho = random_mixed_state(np.random.default_rng(8), 1)
-        bloch = [np.trace(rho @ sigma).real for sigma in PAULI]
+        bloch = [np.trace(rho.matrix @ sigma).real for sigma in PAULI]
         terms = (BellTerm((0,), 1.0), BellTerm((1,), -0.5))
         expr = BellExpression(1, 2, BellForm.CORRELATION, terms, 1.5)
         _, value = optimize_settings(expr, rho, [1.0], options=OptimizeOptions(include_phi=True))
@@ -548,24 +548,33 @@ class TestOptimizeSettings:
         assert value == pytest.approx(EBERHARD_OPTIMA[eta], abs=1e-12)
 
 
-class TestStateInput:
-    """A DensityMatrix carries its Pauli tensor; a raw matrix gets one on the
-    fly. Both inputs must give the same numbers."""
+def _pair_projector(ket):
+    ket = np.array(ket) / math.sqrt(2.0)
+    return np.outer(ket, ket)
 
-    def test_quantum_value_is_the_same_on_the_state_and_its_matrix(self):
-        rng = np.random.default_rng(12)
-        for convention, name in ((Convention.FOLD, "CHSH"), (Convention.TRINARY, "EBERHARD_CH")):
-            rho = DensityMatrix(2, random_mixed_state(rng, 2))
-            settings = random_settings(rng)
-            on_state = quantum_value(preset(name), rho, settings, [0.9, 0.8], convention)
-            on_matrix = quantum_value(preset(name), rho.matrix, settings, [0.9, 0.8], convention)
-            assert on_matrix == on_state
 
-    def test_optimize_settings_is_the_same_on_the_state_and_its_matrix(self):
-        expr, rho, convention = eberhard_state()
-        opts = OptimizeOptions(restarts=6, seed=4, include_phi=True)
-        on_state = optimize_settings(expr, rho, [0.9, 0.9], convention, opts)
-        assert optimize_settings(expr, rho.matrix, [0.9, 0.9], convention, opts) == on_state
+# 1.5 |Phi+><Phi+| - 0.5 |psi-><psi-|: trace one, lowest eigenvalue -0.5. A raw
+# matrix once skipped every state check, and the optimizer returned 4 sqrt 2 on it.
+NOT_A_STATE = 1.5 * _pair_projector([1, 0, 0, 1]) - 0.5 * _pair_projector([0, 1, -1, 0])
+
+
+class TestStateType:
+    """The kernel takes the checked DensityMatrix only: a raw matrix, a state's
+    own or one no DensityMatrix accepts, is a TypeError."""
+
+    def test_the_repro_matrix_is_no_state(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            DensityMatrix(2, NOT_A_STATE)
+
+    @pytest.mark.parametrize("matrix", [bell_phi_plus().density().matrix, NOT_A_STATE])
+    def test_quantum_value_rejects_a_raw_matrix(self, matrix):
+        with pytest.raises(TypeError, match="DensityMatrix"):
+            quantum_value(preset("CHSH"), matrix, CHSH_SETTINGS, [1.0, 1.0])
+
+    @pytest.mark.parametrize("matrix", [bell_phi_plus().density().matrix, NOT_A_STATE])
+    def test_optimize_settings_rejects_a_raw_matrix(self, matrix):
+        with pytest.raises(TypeError, match="DensityMatrix"):
+            optimize_settings(preset("CHSH"), matrix, [1.0, 1.0])
 
 
 class TestJsonRoundTrip:
@@ -760,6 +769,27 @@ class TestSeeSaw:
         got, want = evaluator.derivatives(*split(x)), chained_derivatives(evaluator, *split(x))
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("include_phi", [False, True])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_one_trig_pass_keeps_the_derivatives_bit_identical(self, k, include_phi, monkeypatch):
+        """``derivatives`` takes one pass of sines and cosines and reads its units
+        off the second derivative, n = -d2n/dt2: the units equal ``_units``', and
+        the derivatives, gradient and Hessian those of the stacked reference,
+        bit for bit."""
+        rng = np.random.default_rng(20 * k + include_phi)
+        evaluator = random_evaluator(rng, BellForm.PROBABILITY, k, 2, 12)
+        split = angle_split(evaluator, include_phi)
+        x = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(5, 2 * k * (2 if include_phi else 1)))
+        thetas, phis = split(x)
+        first, second = bell._bloch_derivatives(thetas, phis)
+        for got, want in zip((first, second), stacked_bloch_derivatives(thetas, phis)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(-second[..., 0, 0], bell._units(thetas, phis)[:, :, 1:, 1:])
+        shared = evaluator.derivatives(thetas, phis)
+        monkeypatch.setattr(bell, "_bloch_derivatives", stacked_bloch_derivatives)
+        for got, want in zip(shared, evaluator.derivatives(thetas, phis)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_partials_per_sweep_and_per_derivatives_call(self, k, monkeypatch):

@@ -37,10 +37,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(name):
+    raise AssertionError(f"the report holds {name}, which JSON does not have")
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_not_json)
 
 
 def test_lhv_bound_command(capsys):
@@ -73,6 +77,25 @@ def test_eval_command(capsys):
         0.01 * 0.25 * (2 * math.sqrt(2) - 2), abs=1e-8
     )
     assert report["result"]["projection_probs"] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_eval_verdict_is_the_sign_of_the_bell_gap(capsys, tmp_path, n):
+    """Two efficient detectors suffice and the others may be arbitrarily poor:
+    Q > L decides at every eta_L > 0, also where eta_L^(N-2) prod(p) (Q - L)
+    rounds to 0.0, which is still reported as computed. At eta_L = 0 no
+    trial counts."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["state"]["n"] = n
+    path = tmp_path / "ghz.json"
+    for eta_L, violated in ((1e-3, True), (1e-100, True), (1e-300, True), (0.0, False)):
+        path.write_text(json.dumps({**doc, "eta_L": eta_L}))
+        result = run_json(capsys, "eval", "--config", str(path), "--restarts", "2")["result"]
+        assert result["violated"] is violated, eta_L
+        gap = result["bell_value"] - result["classical_bound"]
+        assert gap == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, abs=1e-9)
+        scale = eta_L ** (n - 2) * math.prod(result["projection_probs"])
+        assert result["composite_lhs"] == pytest.approx(scale * gap, rel=1e-12, abs=0.0)
 
 
 def test_duration_command(capsys):
@@ -708,6 +731,20 @@ def test_duration_with_a_blind_detector_exits_3(capsys, tmp_path, eta_L, eta_H):
     code, out, err = run(capsys, "duration", "--config", str(path))
     assert (code, out) == (EXIT_NOT_FOUND, "")
     assert err == "degenerate scenario: projected-scenario success probability is zero\n"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [{"eta_L": 1e-51, "eta_H": 1e-51, "target_successes": 1000}, {"eta_L": 1e-80}],
+    ids=["infinite expected trials", "n-prime overflow"],
+)
+def test_duration_beyond_the_float_range_exits_3(capsys, tmp_path, edit):
+    doc = json.loads((CONFIG_DIR / "ghz6.json").read_text())
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**doc, **edit}))
+    code, out, err = run(capsys, "duration", "--config", str(path))
+    assert (code, out) == (EXIT_NOT_FOUND, "")
+    assert err.startswith("degenerate scenario: ") and err.count("\n") == 1, err
 
 
 def _projector_theta(value):

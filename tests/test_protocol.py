@@ -314,6 +314,29 @@ class TestCriticalVisibility:
         result = critical_visibility(config, restarts=12)
         assert not result.found
 
+    @pytest.mark.parametrize("eta_L", [1.0, 0.1, 0.01, 1e-300])
+    def test_no_violation_at_full_visibility_whatever_eta_L(self, eta_L):
+        """GHZ_6 at eta_H = 0.8: Q = 2 sqrt(2) 0.64 + 2 (0.2)^2 = 1.890 < 2 at v = 1.
+        The guard reads Q - L, which eta_L^4 prod(p) once shrank past -1e-9."""
+        config = ScenarioConfig(
+            state=StateSpec("GHZ", 6), k=2, eta_L=eta_L, eta_H=0.8, bell=preset("CHSH")
+        )
+        result = critical_visibility(config, restarts=4)
+        assert result.status == "not_found"
+        assert result.diagnostics["reason"] == "no violation at v = 1"
+        expected = 2.0 * math.sqrt(2.0) * 0.64 + 2.0 * 0.2**2
+        assert result.diagnostics["value_at_one"] == pytest.approx(expected, abs=1e-9)
+
+    def test_threshold_does_not_depend_on_eta_L(self):
+        doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+        config = ScenarioConfig.from_json_dict(doc)
+        results = [
+            critical_visibility(replace(config, eta_L=eta_L), restarts=4)
+            for eta_L in (1.0, 0.1, 0.01, 1e-300)
+        ]
+        assert {r.status for r in results} == {"ok"}
+        assert len({r.critical_value for r in results}) == 1
+
     def test_residual_is_checked_on_the_projection_paths_state(self, monkeypatch):
         # A projection path that dropped the noise would leave Q - L = 2 sqrt(2) - 2
         # at the closed-form root: the solve must report it, not "ok".
@@ -390,9 +413,9 @@ def engine_critical_visibility(
     etas = [config.eta_H] * config.k
     p_prod = float(np.prod(p_list))
     pure = rho_prime.matrix
-    noise = np.eye(len(pure), dtype=complex) / len(pure)
+    noise = DensityMatrix(config.k, np.eye(len(pure), dtype=complex) / len(pure))
 
-    def q(rho: DensityMatrix | np.ndarray, settings: SettingsAssignment) -> float:
+    def q(rho: DensityMatrix, settings: SettingsAssignment) -> float:
         return quantum_value(expr, rho, settings, etas, config.convention)
 
     def endpoints(settings: SettingsAssignment) -> tuple[float, float]:
@@ -403,9 +426,10 @@ def engine_critical_visibility(
         at_zero, at_one = endpoints(settings)
         return (1.0 - v) * at_zero + v * at_one
 
-    def mixed(v: float) -> np.ndarray:
+    def mixed(v: float) -> DensityMatrix:
         pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
-        return (pure_weight * pure + noise_weight * noise) / (pure_weight + noise_weight)
+        matrix = (pure_weight * pure + noise_weight * noise.matrix) / (pure_weight + noise_weight)
+        return DensityMatrix(config.k, matrix)
 
     optimized: list[SettingsAssignment] = []
 
@@ -420,9 +444,8 @@ def engine_critical_visibility(
     settings, q_pure = resolve_settings(
         expr, rho_prime, etas, config.convention, config.settings, restarts, seed
     )
-    composite_at_one = config.eta_L**m * p_prod * (q_pure - bound)
-    if composite_at_one < -RESIDUAL_TOL:
-        return _not_found("no violation at v = 1", composite_at_one=composite_at_one)
+    if q_pure - bound < -RESIDUAL_TOL:
+        return _not_found("no violation at v = 1", value_at_one=q_pure)
     at_zero, at_one = endpoints(settings)
     if at_zero == at_one:
         return _not_found("composite does not depend on v")

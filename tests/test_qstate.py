@@ -8,7 +8,6 @@ import pytest
 
 from belldet import DensityMatrix, PureState, bell_phi_plus, cluster4, ghz, preset, quantum_value
 from belldet.detmodel import MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO
-from belldet.qstate import pauli_tensor
 from reference import partial_trace, project_leading
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,9 +126,13 @@ class TestPauliTensor:
         np.testing.assert_allclose(rebuilt / 2**n, rho.matrix, rtol=0, atol=1e-12)
 
     def test_cached_on_the_state_and_equal_to_the_raw_matrix_tensor(self):
+        """Computed once, and equal to Tr(rho sigma_mu) traced densely on the matrix."""
         rho = random_density(3, np.random.default_rng(9))
         assert rho.pauli_tensor is rho.pauli_tensor
-        np.testing.assert_array_equal(rho.pauli_tensor, pauli_tensor(rho.matrix))
+        paulis = (np.eye(2), SX, SY, SZ)
+        for mu in itertools.product(range(4), repeat=3):
+            op = functools.reduce(np.kron, [paulis[m] for m in mu])
+            assert rho.pauli_tensor[mu] == pytest.approx(np.trace(rho.matrix @ op).real, abs=1e-12)
 
 
 class TestValidation:
