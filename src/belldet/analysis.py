@@ -52,7 +52,13 @@ class TrialStats:
 def n_prime_from_ratio(p_projections: float, eta_ratio: float, n_projections: int) -> float:
     """How many times more trials the projected scenario needs: n' = eta_H^N / p_succ
     = (prod p_i)^(-1) (eta_L/eta_H)^(-(N-k)), the factor 20 at p = (1/2, 1/2), ratio 0.45."""
-    return p_projections**-1 * eta_ratio**-n_projections
+    try:
+        return p_projections**-1 * eta_ratio**-n_projections
+    except OverflowError as exc:  # pow's own message names neither n' nor its inputs
+        raise OverflowError(
+            f"n' is beyond the float range: eta_L/eta_H = {eta_ratio!r} to the power "
+            f"-{n_projections}, prod p_i = {p_projections!r}"
+        ) from exc
 
 
 def trial_stats(config: ScenarioConfig) -> TrialStats:

@@ -21,6 +21,7 @@ OUTCOME_MINUS = "-"
 OUTCOME_NONE = "0"  # no click (trinary bookkeeping)
 OUTCOME_ANY = "*"  # marginalized party
 _OUTCOME_LABELS = (OUTCOME_PLUS, OUTCOME_MINUS, OUTCOME_NONE, OUTCOME_ANY)
+_OUTCOME_SET = frozenset(_OUTCOME_LABELS)
 _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
@@ -77,7 +78,7 @@ class BellExpression:
         for term in self.terms:
             if len(term.settings) != self.n_parties:
                 raise ValueError(f"term {term} does not cover {self.n_parties} parties")
-            if any(not 0 <= j < self.settings_per_party for j in term.settings):
+            if not (0 <= min(term.settings) and max(term.settings) < self.settings_per_party):
                 raise ValueError(f"term {term} uses a setting index out of range")
             if self.form == BellForm.CORRELATION:
                 if term.outcomes is not None:
@@ -85,7 +86,7 @@ class BellExpression:
             else:
                 if term.outcomes is None or len(term.outcomes) != self.n_parties:
                     raise ValueError(f"probability term {term} needs one outcome per party")
-                if any(o not in _OUTCOME_LABELS for o in term.outcomes):
+                if not _OUTCOME_SET.issuperset(term.outcomes):
                     raise ValueError(f"term {term} uses an unknown outcome label")
 
     def to_json_dict(self) -> dict:
@@ -114,9 +115,12 @@ class BellExpression:
                 isinstance(outcomes, (list, tuple)) and all(isinstance(o, str) for o in outcomes)
             ):
                 raise ValueError(f"outcomes must be a list of labels, got {outcomes!r}")
+            settings = tuple(item["settings"])
+            if not {int}.issuperset(map(type, settings)):  # bools, fractions and strings raise
+                settings = tuple(json_int(j, "term settings") for j in settings)
             terms.append(
                 BellTerm(
-                    settings=tuple(json_int(j, "term settings") for j in item["settings"]),
+                    settings=settings,
                     weight=json_float(item["weight"], "weight"),
                     outcomes=None if outcomes is None else tuple(outcomes),
                 )
@@ -172,11 +176,13 @@ def _expression_tensor(expr: BellExpression) -> np.ndarray:
     n, labels = expr.n_parties, _CELL_LABELS[expr.form]
     width = len(labels)
     cells = expr.settings_per_party * width
-    code = {label: l for l, label in enumerate(labels)}
-    settings = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n)
-    # a correlation term measures the folded label at every party
-    codes = np.array([[code[o] for o in t.outcomes or labels * n] for t in expr.terms], dtype=int)
-    flat = (settings * width + codes.reshape(-1, n)) @ cells ** np.arange(n - 1, -1, -1)
+    term_cells = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n) * width
+    # a correlation term measures the folded label, code 0, at every party
+    if expr.form == BellForm.PROBABILITY:
+        code = {label: l for l, label in enumerate(labels)}
+        codes = np.array([[code[o] for o in t.outcomes] for t in expr.terms], dtype=int)
+        term_cells += codes.reshape(-1, n)
+    flat = term_cells @ cells ** np.arange(n - 1, -1, -1)
     weights = np.array([t.weight for t in expr.terms], dtype=float)
     return np.bincount(flat, weights, minlength=cells**n).reshape((cells,) * n)
 
@@ -188,6 +194,19 @@ def _lhv_basis(form: BellForm) -> np.ndarray:
     basis = np.array([outcome_factor[label] for label in _CELL_LABELS[form]])
     basis.setflags(write=False)
     return basis
+
+
+@functools.cache
+def _strategy_matrix(form: BellForm, s: int) -> np.ndarray:
+    """strategies[r, (j, l)]: label l's factor at the answer that a party's deterministic
+    strategy r (an outcome index per setting) gives at setting j. lhv_bound needs it only
+    with two or more parties, where STRATEGY_LIMIT keeps it to at most 1000 rows."""
+    basis = _lhv_basis(form)
+    width, n_outcomes = basis.shape
+    table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
+    strategies = basis.T[table].reshape(len(table), s * width)
+    strategies.setflags(write=False)
+    return strategies
 
 
 def _strategy_count(expr: BellExpression) -> int:
@@ -216,15 +235,11 @@ def lhv_bound(expr: BellExpression) -> float:
             f"limit is {STRATEGY_LIMIT}"
         )
     s, basis = expr.settings_per_party, _lhv_basis(expr.form)
-    width, n_outcomes = basis.shape
-    # One row per deterministic strategy of a party: an outcome index per setting.
-    table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
-    # strategies[r, (j, l)]: label l's factor at the answer strategy r gives at setting j.
-    strategies = basis.T[table].reshape(len(table), s * width)
+    width = basis.shape[0]
     x = _expression_tensor(expr).reshape(s * width, -1)
     for _ in range(expr.n_parties - 1):
         # the leading party's cells become its strategies, moved to the back
-        x = (x.T @ strategies.T).reshape(s * width, -1)
+        x = (x.T @ _strategy_matrix(expr.form, s).T).reshape(s * width, -1)
     # acc[j, o, r]: the value at the last party's setting j when it answers o
     # there and the other parties play joint strategy r.
     acc = basis.T @ x.reshape(s, width, -1)
@@ -545,9 +560,13 @@ def optimize_settings(
             newton_steps[rows] += 1
             active[rows] = np.abs(g).max(axis=1) > _GRADIENT_TOL
         rows = np.flatnonzero(active)
+        if not rows.size:  # every gradient is negligible
+            break
         lhs = curvature[rows] + damping[rows, None, None] * np.eye(dim)
         step = np.linalg.solve(lhs, gradient[rows][..., None])[..., 0]
         moving = np.abs(step).max(axis=1) > _STEP_TOL
+        if not moving.any():  # every step is negligible
+            break
         active[rows[~moving]] = False
         rows, moved = rows[moving], x[rows[moving]] + step[moving]
         trial = evaluator.sweep(*split(moved))  # back onto the crest of a curved ridge

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from io import StringIO
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -123,17 +125,70 @@ def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
     half_steps = (stop - start) / step + 0.5
     if not half_steps < MAX_SWEEP_ROWS:  # also catches a quotient that overflows to inf
         raise ConfigurationError(f"grid has more than {MAX_SWEEP_ROWS} rows")
+    rows = int(half_steps) + 1
+    # the ratios rise with the row, and _run_sweep drops those that are not positive
+    if not round(start + (rows - 1) * step, 12) > 0.0:
+        raise ConfigurationError("grid has no positive eta_L/eta_H ratio at 12 decimal places")
     try:
         analysis.require_no_lost(config)
     except ValueError as exc:  # the trial ratio needs every qubit present
         raise ConfigurationError(str(exc)) from exc
-    return config, (round(start + i * step, 12) for i in range(int(half_steps) + 1))
+    return config, (round(start + i * step, 12) for i in range(rows))
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")  # json's message
+
+
+# Exact types first; subclasses (str and int enums, numpy.float64) fall through to isinstance.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _encode(o, indent: str) -> str:
+    """``o`` as json.dumps(indent=2, sort_keys=True, default=float, allow_nan=False) writes
+    it at nesting ``indent``, byte for byte, without json's pure-Python indenting encoder.
+    Dict keys must be strings, as in every report. No class is both a container and a str,
+    int or float, so containers go first."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    inner = indent + "  "
+    # a container looks its leaves up inline, which saves a call of _encode per leaf
+    if isinstance(o, (list, tuple)):
+        items = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _encode(v, inner) for v in o]
+        brackets = "[]"
+    elif isinstance(o, dict):
+        items = [
+            f"{encode_basestring_ascii(k)}: "
+            f"{leaf(v) if (leaf := _LEAVES.get(type(v))) else _encode(v, inner)}"
+            for k, v in sorted(o.items())
+        ]
+        brackets = "{}"
+    elif isinstance(o, str):
+        return encode_basestring_ascii(o)
+    elif isinstance(o, int):
+        return int.__repr__(o)
+    elif isinstance(o, float):
+        return _float_text(o)
+    else:
+        return _encode(float(o), indent)  # json's default=float
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _json_report(inputs: dict, result: dict, diagnostics: dict) -> str:
     report = {"inputs": inputs, "result": result, "diagnostics": diagnostics}
     try:
-        return json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+        return _encode(report, "") + "\n"
     except ValueError as exc:  # inf or NaN, which JSON does not have
         raise ArithmeticError(f"the report holds a non-finite number ({exc})") from exc
 

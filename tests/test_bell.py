@@ -597,6 +597,59 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             BellExpression.from_json_dict(doc)
 
+    # (preset, edit of its second term, exception type, message): exact ints are taken as
+    # given, every other setting goes through json_int
+    TERM_CASES = {
+        "bool setting": ("CHSH", {"settings": [0, True]}, ValueError,
+                         "term settings must be an integer, got True"),
+        "fractional setting": ("CHSH", {"settings": [0, 1.5]}, ValueError,
+                               "term settings must be an integer, got 1.5"),
+        "string setting": ("CHSH", {"settings": [0, "1"]}, ValueError,
+                           "term settings must be an integer, got '1'"),
+        "settings string": ("CHSH", {"settings": "01"}, ValueError,
+                            "term settings must be an integer, got '0'"),
+        "settings number": ("CHSH", {"settings": 1}, TypeError, "'int' object is not iterable"),
+        "setting above range": (
+            "CHSH", {"settings": [0, 2]}, ValueError,
+            "term BellTerm(settings=(0, 2), weight=1.0, outcomes=None) uses a setting index "
+            "out of range",
+        ),
+        "negative setting": (
+            "CHSH", {"settings": [-1, 0]}, ValueError,
+            "term BellTerm(settings=(-1, 0), weight=1.0, outcomes=None) uses a setting index "
+            "out of range",
+        ),
+        "short term": (
+            "CHSH", {"settings": [0]}, ValueError,
+            "term BellTerm(settings=(0,), weight=1.0, outcomes=None) does not cover 2 parties",
+        ),
+        "unknown label": (
+            "EBERHARD_CH", {"outcomes": ["+", "?"]}, ValueError,
+            "term BellTerm(settings=(0, 1), weight=1.0, outcomes=('+', '?')) uses an unknown "
+            "outcome label",
+        ),
+        "short outcomes": (
+            "EBERHARD_CH", {"outcomes": ["+"]}, ValueError,
+            "probability term BellTerm(settings=(0, 1), weight=1.0, outcomes=('+',)) needs one "
+            "outcome per party",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(TERM_CASES))
+    def test_bad_term_raises_its_own_error(self, case):
+        name, edit, error, message = self.TERM_CASES[case]
+        doc = preset(name).to_json_dict()
+        doc["terms"][1].update(edit)
+        with pytest.raises(error) as caught:
+            BellExpression.from_json_dict(doc)
+        assert str(caught.value) == message
+
+    def test_integral_float_setting_is_read_as_an_int(self):
+        doc = preset("CHSH").to_json_dict()
+        doc["terms"][1].update(settings=[0, 1.0])
+        settings = BellExpression.from_json_dict(doc).terms[1].settings
+        assert settings == (0, 1) and all(type(j) is int for j in settings)
+
     @pytest.mark.parametrize("outcomes", ["++", [0, "+"], ["+", None], "+"])
     def test_outcomes_must_be_a_list_of_labels(self, outcomes):
         # a string would split into characters and 0 would become the label "0"

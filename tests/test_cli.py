@@ -1,14 +1,19 @@
 import argparse
+import enum
 import importlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from belldet import QubitCapacityError, ScenarioConfig, StateSpec, make_state, preset
+from belldet import bell, cli
 from belldet.analysis import n_prime_from_ratio
-from belldet.cli import EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, build_parser, main
+from belldet.cli import (
+    COMMANDS, EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, build_parser, main,
+)
 from belldet.qstate import QUBIT_CAP
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -158,6 +163,29 @@ class TestSweep:
     def test_json_output(self, capsys):
         report = run_json(capsys, "sweep", "--config", str(CONFIG_DIR / "fig2.json"))
         assert len(report["result"]["rows"]) == 20
+
+    def test_grid_that_starts_at_zero_drops_only_the_zero_ratio(self, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+        doc["grid"].update(start=0.0)
+        path = tmp_path / "from_zero.json"
+        path.write_text(json.dumps(doc))
+        rows = run_json(capsys, "sweep", "--config", str(path))["result"]["rows"]
+        assert [row["ratio"] for row in rows[:2]] == [0.05, 0.1] and len(rows) == 20
+
+    @pytest.mark.parametrize("bound", [1e-154, 4e-13, 0.0])
+    @pytest.mark.parametrize("output", ["json", "csv"])
+    def test_grid_without_a_positive_ratio_is_a_config_error(self, capsys, tmp_path, bound,
+                                                             output):
+        # each ratio is rounded to 12 decimal places, and ratios <= 0 are dropped
+        doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+        doc["grid"].update(start=bound, stop=bound)
+        path = tmp_path / "tiny_grid.json"
+        path.write_text(json.dumps(doc))
+        message = "grid has no positive eta_L/eta_H ratio at 12 decimal places"
+        code, out, err = run(capsys, "sweep", "--config", str(path), "--output", output)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+        report = run_json(capsys, "validate", "--config", str(path))
+        assert report["result"]["violations"] == [message]
 
     def test_writes_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "rows.csv"
@@ -747,6 +775,18 @@ def test_duration_beyond_the_float_range_exits_3(capsys, tmp_path, edit):
     assert err.startswith("degenerate scenario: ") and err.count("\n") == 1, err
 
 
+def test_n_prime_overflow_names_n_prime_and_its_inputs(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "ghz6.json").read_text())
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({**doc, "eta_L": 1e-80}))
+    code, out, err = run(capsys, "duration", "--config", str(path))
+    assert (code, out) == (EXIT_NOT_FOUND, "")
+    assert err == (
+        "degenerate scenario: n' is beyond the float range: "
+        "eta_L/eta_H = 1e-80 to the power -4, prod p_i = 0.0625\n"
+    )
+
+
 def _projector_theta(value):
     return lambda doc: doc["projectors"][0].update(theta=value)
 
@@ -937,3 +977,75 @@ def test_memory_budget_boundary(capsys, tmp_path, k, s, restarts, fits, form):
     path.write_text(json.dumps(_ghz_one_term(k, s, form)))
     report = run_json(capsys, "validate", "--config", str(path), "--restarts", str(restarts))
     assert (report["result"]["violations"] == []) == fits
+
+
+def _reference_report(inputs, result, diagnostics):
+    """What reports were before belldet wrote them with its own encoder."""
+    report = {"inputs": inputs, "result": result, "diagnostics": diagnostics}
+    return json.dumps(report, indent=2, sort_keys=True, default=float, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_reports_are_what_json_dumps_writes(capsys, monkeypatch, name, command):
+    real, reports = cli._json_report, []
+
+    def checked(inputs, result, diagnostics):
+        reports.append((real(inputs, result, diagnostics), (inputs, result, diagnostics)))
+        return reports[-1][0]
+
+    monkeypatch.setattr(cli, "_json_report", checked)
+    code, out, _ = run(capsys, command, "--config", str(CONFIG_DIR / name), "--restarts", "2")
+    assert [text for text, _ in reports] == ([out] if out else [])
+    for text, parts in reports:
+        assert text == _reference_report(*parts)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Tag(str, enum.Enum):
+    A = "aé"
+
+
+EDGE_DOCUMENTS = {
+    "empty list": [],
+    "empty dict": {},
+    "nested empties": {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}]},
+    "tuples": (1, (2.5, "x"), (), [()]),
+    "non-ASCII": {"été": "日本 \U0001f600  ", "\ud800": "lone"},
+    "escapes": ['quote " backslash \\ newline \n tab \t', "\x00\x1f\x7f", "/"],
+    "constants": [True, False, None, {"t": True, "n": None}],
+    "numpy scalars": [np.float64(0.1), np.int64(3), np.bool_(True), np.bool_(False),
+                      np.float32(0.5), {"x": np.float64(-2.0)}],
+    "enums": [_Level.LOW, _Tag.A, {"form": bell.BellForm.PROBABILITY}],
+    "floats": [-0.0, 0.0, 1e300, -1e300, 5e-324, 1e16, 0.1, 1.0 / 3.0],
+    "ints": [0, -1, 10**30, -(10**30)],
+    "keys": {"b": 1, "a": 2, "é": 3, "A": 4, "": 5, _Tag.A: 6, "\n": 7},
+    "deep": {"a": [{"b": [{"c": [1, [2, [3, {"d": None}]]]}]}]},
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_DOCUMENTS))
+def test_report_encoder_matches_json_dumps_on_edge_documents(case):
+    doc = EDGE_DOCUMENTS[case]
+    assert cli._json_report(doc, {"r": doc}, {}) == _reference_report(doc, {"r": doc}, {})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, -math.inf, math.nan, np.float64(math.nan), [1.0, {"x": math.inf}]],
+    ids=["inf", "-inf", "nan", "numpy nan", "nested inf"],
+)
+def test_non_finite_report_is_an_arithmetic_error(value):
+    with pytest.raises(ValueError) as reference:
+        _reference_report({}, {"value": value}, {})
+    with pytest.raises(ArithmeticError, match="non-finite") as caught:
+        cli._json_report({}, {"value": value}, {})
+    assert str(caught.value.__cause__) == str(reference.value)
+
+
+def test_report_keys_must_be_strings():
+    with pytest.raises(TypeError):
+        cli._json_report({}, {1: "one"}, {})
