@@ -29,12 +29,16 @@ _BLOCK_FLOATS = 2**22  # floats in each array the quantum kernel makes per block
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
-# or the step is negligible.
+# or the step is negligible, or the step's predicted rise is within rounding
+# (_RISE_TOL relative to the value) on curvature concave to rounding
+# (_CONCAVE_TOL relative to the largest eigenvalue).
 _MAX_SWEEPS = 10
 _SWEEP_GAIN = 1e-15
 _MAX_NEWTON = 100
 _GRADIENT_TOL = 1e-13
 _STEP_TOL = 1e-10
+_RISE_TOL = 4.0 * np.finfo(float).eps
+_CONCAVE_TOL = 1e-12
 _INITIAL_DAMPING = 1e-5
 
 
@@ -504,7 +508,12 @@ def optimize_settings(
     optimum is ill-conditioned (Eberhard's CH optimum below eta = 1) the
     sweeps crawl, so a damped Newton polish on the exact Hessian finishes
     every start; one sweep after each trial step puts it back onto the
-    crest of a curved ridge. All starts advance together along a leading
+    crest of a curved ridge. A start's polish stops on one of three rules:
+    its gradient is negligible, its step is negligible, or the quadratic
+    model predicts a rise g . s - s . C s / 2 within rounding of the value
+    on curvature C (minus the Hessian) that is positive semidefinite to
+    rounding, the Newton decrement test (Boyd & Vandenberghe, Convex
+    Optimization, section 9.5.1). All starts advance together along a leading
     start axis, each with its own stopping rules, damping and step count,
     so a start ends exactly where it would alone. The returned value is the
     first maximum over every start's own evaluation and end point, in start
@@ -526,10 +535,11 @@ def optimize_settings(
     seed = chsh_seed_angles(n, s)
     given = [(seed, np.zeros_like(seed)), *map(settings_to_angles, opts.warm_starts)]
     # The seed, the warm starts, then the random starts; phis follow thetas only if searched.
-    starts = [np.concatenate([t.ravel(), p.ravel()])[:dim] for t, p in given]
     rng = np.random.default_rng(opts.seed)
-    starts += [rng.uniform(0.0, 2.0 * math.pi, size=dim) for _ in range(opts.restarts)]
-    x0 = np.array(starts)
+    x0 = np.concatenate([
+        [np.concatenate([t.ravel(), p.ravel()])[:dim] for t, p in given],
+        rng.uniform(0.0, 2.0 * math.pi, size=(opts.restarts, dim)),
+    ])
     start_vals = evaluator.value(*split(x0))
 
     # See-saw: a start freezes once a sweep gains at most _SWEEP_GAIN.
@@ -562,10 +572,17 @@ def optimize_settings(
         rows = np.flatnonzero(active)
         if not rows.size:  # every gradient is negligible
             break
-        lhs = curvature[rows] + damping[rows, None, None] * np.eye(dim)
-        step = np.linalg.solve(lhs, gradient[rows][..., None])[..., 0]
-        moving = np.abs(step).max(axis=1) > _STEP_TOL
-        if not moving.any():  # every step is negligible
+        g, c = gradient[rows], curvature[rows]
+        step = np.linalg.solve(c + damping[rows, None, None] * np.eye(dim), g[..., None])[..., 0]
+        # The Newton decrement test: a start is done when its model predicts a
+        # rise g . s - s . C s / 2 within rounding and no direction curves upward.
+        rise = np.einsum("sd,sd->s", g, step) - 0.5 * np.einsum("sd,sde,se->s", step, c, step)
+        done = np.abs(rise) <= _RISE_TOL * np.maximum(1.0, np.abs(v[rows]))
+        if done.any():
+            eig = np.linalg.eigvalsh(c[done])
+            done[done] = eig[:, 0] >= -_CONCAVE_TOL * np.maximum(1.0, eig[:, -1])
+        moving = (np.abs(step).max(axis=1) > _STEP_TOL) & ~done
+        if not moving.any():  # every step is negligible or promises no rise
             break
         active[rows[~moving]] = False
         rows, moved = rows[moving], x[rows[moving]] + step[moving]

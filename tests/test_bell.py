@@ -13,15 +13,19 @@ from belldet import (
     Convention,
     ConventionError,
     DensityMatrix,
+    DickeLossSpec,
     MeasurementSetting,
     OptimizeOptions,
     ScenarioConfig,
     bell_phi_plus,
+    damaged_state,
+    dicke,
     ghz,
     lhv_bound,
     optimize_settings,
     preset,
     projected_state,
+    psi_plus_weight,
     quantum_value,
 )
 from belldet import bell
@@ -953,3 +957,82 @@ class TestBatchedStarts:
             optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1.0, 1.0], options=opts)
             counts.append(len(calls))
         assert counts[1] <= 1.5 * counts[0]
+
+
+def post_loss_dicke_states():
+    """(spec, state) for every DickeLossSpec with n = 4, 5 and positive psi+ weight."""
+    for n in (4, 5):
+        for e, lost in itertools.product(range(1, n), range(n - 2)):
+            for u in range(n - lost - 1):
+                spec = DickeLossSpec(n, e, lost, u)
+                if psi_plus_weight(spec) > 0.0:
+                    yield spec, damaged_state(dicke(n, e).density(), lost, spec.projectors())
+
+
+class TestStoppingRules:
+    @pytest.mark.parametrize("sweeps", range(4))
+    def test_flat_saddles_do_not_stop_a_start(self, sweeps, monkeypatch):
+        """With the see-saw cut to 0-3 sweeps, the Newton polish starts far
+        from the optimum on the post-loss Dicke states, whose value is flat to
+        rounding in some directions. A start stops on a predicted rise within
+        rounding only where no direction curves upward, so every run still
+        reaches the Horodecki value 2 sqrt(m1 + m2); a rule that also stopped
+        on predicted falls, with no curvature test, missed it in 60 of 368."""
+        monkeypatch.setattr(bell, "_MAX_SWEEPS", sweeps)
+        misses = []
+        for spec, rho in post_loss_dicke_states():
+            t = correlation_matrix(rho)
+            eig = np.linalg.eigvalsh(t.T @ t)
+            horodecki = 2.0 * math.sqrt(eig[-1] + eig[-2])
+            for seed in range(4):
+                opts = OptimizeOptions(restarts=4, include_phi=True, seed=seed)
+                _, value = optimize_settings(preset("CHSH"), rho, [1.0, 1.0], options=opts)
+                if abs(value - horodecki) > 1e-9:
+                    misses.append((spec, seed, value - horodecki))
+        assert misses == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_start_next_to_a_saddle_escapes(self, seed, monkeypatch):
+        """CHSH on the singlet has a saddle at all angles 0 (value -2). A start
+        1e-9 from it, with no see-saw sweeps, has a predicted rise below 1e-17
+        but the value curves upward in two directions (Hessian eigenvalues 3.2
+        and 2), so it keeps stepping and reaches Tsirelson's bound; the seed
+        start sits at the minimum, -2 sqrt 2."""
+        monkeypatch.setattr(bell, "_MAX_SWEEPS", 0)
+        ket = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        singlet = DensityMatrix(2, np.outer(ket, ket))
+        near = np.random.default_rng(seed).normal(scale=1e-9, size=(2, 2))
+        opts = OptimizeOptions(restarts=0, warm_starts=(angles_to_settings(near),))
+        _, value = optimize_settings(preset("CHSH"), singlet, [1.0, 1.0], options=opts)
+        assert value == pytest.approx(TSIRELSON, abs=1e-9)
+
+    def test_a_start_with_no_predicted_rise_takes_no_trial_step(self, monkeypatch):
+        """Once the model predicts a rise within rounding on curvature
+        concave to rounding, a start stops instead of trying damped steps
+        until they fall below _STEP_TOL. Before this rule, CHSH on
+        DickeLossSpec(5, 2, 1, 1)'s post-loss state (4 restarts, phi on,
+        seed 0) took 19 sweeps and 10 solves, and Eberhard's CH expression
+        at eta = 0.9 (4 restarts, seed 0) 27 sweeps and 18 solves."""
+        calls = {"sweep": 0, "solve": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(_Evaluator, "sweep")
+        counting(bell.np.linalg, "solve")
+        spec = DickeLossSpec(5, 2, 1, 1)
+        post = damaged_state(dicke(5, 2).density(), 1, spec.projectors())
+        expr, rho, convention = eberhard_state()
+        for args, include_phi, (sweeps, solves) in [
+            ((preset("CHSH"), post, [1.0, 1.0], Convention.FOLD), True, (19, 10)),
+            ((expr, rho, [0.9, 0.9], convention), False, (27, 18)),
+        ]:
+            calls.update(sweep=0, solve=0)
+            optimize_settings(*args, OptimizeOptions(restarts=4, include_phi=include_phi, seed=0))
+            assert calls["sweep"] < sweeps and calls["solve"] < solves, calls

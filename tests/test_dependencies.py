@@ -1,4 +1,5 @@
 import ctypes
+import importlib
 import os
 import subprocess
 import sys
@@ -43,3 +44,20 @@ def test_blas_runs_one_thread_unless_the_environment_says_otherwise():
         assert get_num_threads() == int(os.environ["OPENBLAS_NUM_THREADS"])
         return
     pytest.skip("numpy does not bundle OpenBLAS here")
+
+
+def test_the_console_script_entry_point_resolves_to_main():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"belldet": "belldet.cli:main"}
+    module, _, attr = scripts["belldet"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_the_cli_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "belldet.cli", "validate", "--config", "configs/ghz4.json"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
