@@ -279,11 +279,13 @@ class _Evaluator:
 
     Works in the real Pauli basis: the state is its tensor T (see
     ``DensityMatrix.pauli_tensor``), the expression its coefficient tensor W, and T
-    is contracted with one party's units (``_units``) at a time, then with W.
-    Angles carry a leading start axis: thetas and phis of shape (S, n, s)
-    evaluate S independent settings at once, and every result keeps that
-    axis first. The settings optimizer also runs see-saw sweeps (``sweep``)
-    and reads the exact angle derivatives (``derivatives``).
+    is contracted with one party's units at a time, then with W. Units
+    (S, n, s + 1, 4), made from angles by ``_units``, carry a leading start axis:
+    each party's identity (1, 0, 0, 0), then each setting's Pauli vector (0, n),
+    n its unit Bloch vector. Every result keeps the start axis first. The
+    settings optimizer also runs see-saw sweeps on the units in place
+    (``sweep``) and reads the exact derivatives along great circles
+    (``derivatives``).
     """
 
     def __init__(
@@ -328,61 +330,48 @@ class _Evaluator:
             parts.append(np.einsum(x, axes, self.coefficients, list(range(1, n + 1)), kept))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def value(self, thetas: np.ndarray, phis: np.ndarray | None = None) -> np.ndarray:
+    def value(self, units: np.ndarray) -> np.ndarray:
         """The expression's value at each start, shape (S,)."""
-        return self._partial(_units(thetas, phis))
+        return self._partial(units)
 
-    def sweep(self, thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
-        """One see-saw sweep in place, returning the value after it, (S,). With
-        the other parties fixed, the value is the identity corner of party i's
+    def sweep(self, units: np.ndarray, plane: bool) -> np.ndarray:
+        """One see-saw sweep on ``units`` in place, returning the value after it, (S,).
+        With the other parties fixed, the value is the identity corner of party i's
         one-party partial plus sum_j c_j . n_ij over its Bloch fields c_j (the
         setting units' block), so each party in turn takes n_ij = c_j / |c_j|
-        and the value after the last one is that corner plus sum_j |c_j|. The
-        angles are read back from the units once; a setting no term reaches
-        keeps its angles. Without ``phis`` the fields' y parts are dropped."""
-        units = _units(thetas, phis)
-        moves = np.zeros(thetas.shape, dtype=bool)
+        and the value after the last one is that corner plus sum_j |c_j|. A
+        setting no term reaches (c_j = 0) keeps its unit. In the x-z ``plane``
+        the fields' y parts are dropped."""
         for i in range(self.n_parties):
             part = self._partial(units, (i,))
             c = part[:, 1:, 1:].transpose(0, 2, 1)  # (S, s, 3)
-            if phis is None:
+            if plane:  # x-z
                 c[..., 1] = 0.0
             norm = np.sqrt(np.einsum("sjx,sjx->sj", c, c))
-            moves[:, i] = norm > 0.0
-            np.divide(c, norm[..., None], out=units[:, i, 1:, 1:], where=moves[:, i, :, None])
-        bx, by, bz = units[:, :, 1:, 1:].transpose(3, 0, 1, 2)
-        if phis is None:
-            np.copyto(thetas, np.arctan2(bx, bz), where=moves)
-        else:
-            np.copyto(thetas, np.arctan2(np.hypot(bx, by), bz), where=moves)
-            np.copyto(phis, np.arctan2(by, bx), where=moves)
+            np.divide(c, norm[..., None], out=units[:, i, 1:, 1:], where=norm[..., None] > 0.0)
         return part[:, 0, 0] + norm.sum(axis=1)
 
-    def derivatives(
-        self, thetas: np.ndarray, phis: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gradient (S, D) and Hessian (S, D, D) of the value in the
-        angles, ordered as the thetas (n, s) followed by the phis (n, s) when
-        ``phis`` is given (D = n s or 2 n s).
+    def derivatives(self, units: np.ndarray, tangents: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Exact gradient (S, D) and Hessian (S, D, D) of the value in tangent
+        coordinates: ``tangents`` (S, n, s, 3, A) holds A orthonormal directions
+        e_a tangent to each setting's Bloch vector n, and coordinates t (ordered
+        as party, setting, a; D = n s A) move n along its great circle to
+        n cos|xi| + xi sin|xi| / |xi|, xi = sum_a t_a e_a.
 
         The value is multilinear in the Bloch vectors n_ij with no second
         derivative within one party (each product holds one unit per party).
-        Each cross-party block comes from one two-party partial per party pair.
         Each party's Bloch fields c_j = d value / d n_ij are the first pair
-        partial that holds the party, contracted with the other party's units;
-        the within-party blocks are those fields against n_ij's second
-        derivatives.
+        partial that holds the party, contracted with the other party's units,
+        and the gradient is c_j . e_a. Each cross-party block e_a . B e_b comes
+        from the Bloch block B of one two-party partial per party pair. Along
+        every great circle d2n/dt2 = -n, so a setting's own block is -(c_j . n) I.
         """
-        n, s = self.n_parties, self.settings_per_party
-        jac, curl = _bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
-        units = np.zeros(thetas.shape[:2] + (s + 1, 4))
-        units[:, :, 0, 0] = 1.0
-        units[:, :, 1:, 1:] = -curl[..., 0, 0]  # n = -d2n/dt2, bit for bit: no second sin/cos
-        c = np.empty(thetas.shape + (3,))
+        n, s, width = self.n_parties, self.settings_per_party, tangents.shape[-1]
+        c = np.empty(tangents.shape[:-1])  # (S, n, s, 3)
         if n == 1:  # no pairs: the party's own partial
             c[:, 0] = self._partial(units, (0,))[:, 1:, 1:].transpose(0, 2, 1)
-        # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
-        hessian = np.zeros((len(units),) + (jac.shape[-1], n, s) * 2)
+        # hessian[:, i, j, a, k, l, b]: direction a of setting (i, j) against b of (k, l)
+        hessian = np.zeros((len(units),) + (n, s, width) * 2)
         for i, k in itertools.combinations(range(n), 2):
             pair = self._partial(units, (i, k))
             if i == 0:  # party k's first pair, and for k = 1 party 0's
@@ -390,45 +379,42 @@ class _Evaluator:
                 if k == 1:
                     c[:, 0] = np.einsum("sxyjl,sly->sjx", pair[:, 1:, :, 1:], units[:, 1])
             bloch = pair[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
-            block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
-            hessian[:, :, i, :, :, k] = block
-            hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
+            block = np.einsum("sjxa,sxyjl,slyb->sjalb", tangents[:, i], bloch, tangents[:, k])
+            hessian[:, i, :, :, k] = block
+            hessian[:, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
         party, setting = np.arange(n)[:, None], np.arange(s)
-        hessian[:, :, party, setting, :, party, setting] = np.einsum("sijx,sijxab->ijsab", c, curl)
-        gradient = np.einsum("sijx,sijxa->saij", c, jac)
+        within = np.einsum("sijx,sijx->ijs", c, units[:, :, 1:, 1:])
+        hessian[:, party, setting, :, party, setting] = -within[..., None, None] * np.eye(width)
+        gradient = np.einsum("sijx,sijxa->sija", c, tangents)
         dim = math.prod(gradient.shape[1:])  # from the shape: a batch may have no starts
         return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
 
 
-def _units(thetas: np.ndarray, phis: np.ndarray | None) -> np.ndarray:
+def _units(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """u (S, parties, s + 1, 4): each party's identity (1, 0, 0, 0), then each setting's
-    Pauli vector (0, n), n = (sin t cos p, sin t sin p, cos t); p = 0 without phis."""
+    Pauli vector (0, n), n = (sin t cos p, sin t sin p, cos t)."""
     units = np.zeros(thetas.shape[:2] + (thetas.shape[2] + 1, 4))
     units[:, :, 0, 0] = 1.0
     bloch = units[:, :, 1:, 1:]
     sin_t = np.sin(thetas, out=bloch[..., 0])
-    if phis is not None:
-        np.multiply(sin_t, np.sin(phis), out=bloch[..., 1])
-        sin_t *= np.cos(phis)
+    np.multiply(sin_t, np.sin(phis), out=bloch[..., 1])
+    sin_t *= np.cos(phis)
     np.cos(thetas, out=bloch[..., 2])
     return units
 
 
-def _bloch_derivatives(thetas: np.ndarray, phis: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """First and second derivatives of n = (sin t cos p, sin t sin p, cos t)
-    in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
-    ct, st = np.cos(thetas), np.sin(thetas)
-    cp, sp = (1.0, 0.0) if phis is None else (np.cos(phis), np.sin(phis))  # p = 0 without phis
-    shape = thetas.shape + (3,) + (1 if phis is None else 2,) * 2
-    first, second = np.zeros(shape[:-1]), np.zeros(shape)
-    first[..., 0, 0], first[..., 1, 0], first[..., 2, 0] = ct * cp, ct * sp, -st
-    second[..., 0, 0, 0], second[..., 1, 0, 0], second[..., 2, 0, 0] = -st * cp, -st * sp, -ct
-    if phis is not None:  # n_z does not depend on p
-        first[..., 0, 1], first[..., 1, 1] = -st * sp, st * cp
-        second[..., 0, 0, 1] = second[..., 0, 1, 0] = -ct * sp
-        second[..., 1, 0, 1] = second[..., 1, 1, 0] = ct * cp
-        second[..., 0, 1, 1], second[..., 1, 1, 1] = -st * cp, -st * sp
-    return first, second
+def _tangents(bloch: np.ndarray, plane: bool) -> np.ndarray:
+    """Orthonormal directions (..., 3, A) tangent to the unit Bloch vectors n (..., 3):
+    in the x-z ``plane`` the one direction (n_z, 0, -n_x) = dn/dtheta, on the sphere
+    the branch-free frame of Duff et al., J. Comput. Graph. Tech. 6(1), 1 (2017)."""
+    if plane:  # x-z
+        return (bloch[..., ::-1] * (1.0, 0.0, -1.0))[..., None]
+    x, y, z = np.moveaxis(bloch, -1, 0)
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    first = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
+    return np.stack([first, np.stack([b, sign + y * y * a, -y], axis=-1)], axis=-1)
 
 
 def quantum_value(
@@ -449,16 +435,16 @@ def quantum_value(
     if any(len(party) != expr.settings_per_party for party in settings):
         raise ValueError(f"every party needs {expr.settings_per_party} settings")
     thetas, phis = settings_to_angles(settings)
-    return float(_Evaluator(expr, rho, etas, convention).value(thetas[None], phis[None])[0])
+    units = _units(thetas[None], phis[None])
+    return float(_Evaluator(expr, rho, etas, convention).value(units)[0])
 
 
 def angles_to_settings(
-    thetas: np.ndarray, phis: np.ndarray | None = None
+    thetas: np.ndarray, phis: np.ndarray | float = 0.0
 ) -> list[list[MeasurementSetting]]:
     """Pack per-party, per-setting angles into MeasurementSetting lists."""
     thetas = np.asarray(thetas, dtype=float)
-    if phis is None:
-        phis = np.zeros_like(thetas)
+    phis = np.broadcast_to(phis, thetas.shape)  # float(p) below rejects a None
     return [
         [MeasurementSetting(float(t), float(p)) for t, p in zip(row_t, row_p)]
         for row_t, row_p in zip(thetas, phis)
@@ -497,75 +483,74 @@ def optimize_settings(
     convention: Convention = Convention.FOLD,
     options: OptimizeOptions | None = None,
 ) -> tuple[list[list[MeasurementSetting]], float]:
-    """Maximize the quantum value over measurement angles.
+    """Maximize the quantum value over measurement settings.
 
     Every start (the CHSH seed, any warm starts and ``restarts`` random
-    starts) runs see-saw sweeps (Liang & Doherty, PRA 75, 042103 (2007)):
-    the value is affine in each projector, so each party in turn takes the
-    exact best projector for every setting given the others, the unit
-    vector c/|c| of the setting's Bloch field c, and each sweep's value is
-    read off the last party's field norms (``_Evaluator.sweep``). Where the
-    optimum is ill-conditioned (Eberhard's CH optimum below eta = 1) the
-    sweeps crawl, so a damped Newton polish on the exact Hessian finishes
-    every start; one sweep after each trial step puts it back onto the
-    crest of a curved ridge. A start's polish stops on one of three rules:
-    its gradient is negligible, its step is negligible, or the quadratic
+    starts) becomes units once, and the search runs on each setting's unit
+    Bloch vector. See-saw sweeps come first (Liang & Doherty, PRA 75, 042103
+    (2007)): the value is affine in each projector, so each party in turn
+    takes the exact best projector for every setting given the others, the
+    unit vector c/|c| of the setting's Bloch field c (``_Evaluator.sweep``).
+    Where the optimum is ill-conditioned (Eberhard's CH optimum below
+    eta = 1) the sweeps crawl, so a damped Newton polish finishes every
+    start on the product of spheres (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds (2008), ch. 6): the exact gradient and
+    Hessian in each setting's tangent plane, a step along great circles,
+    then one sweep back onto the crest of a curved ridge. A start's polish
+    stops once its gradient or its step is negligible, or once the quadratic
     model predicts a rise g . s - s . C s / 2 within rounding of the value
-    on curvature C (minus the Hessian) that is positive semidefinite to
-    rounding, the Newton decrement test (Boyd & Vandenberghe, Convex
-    Optimization, section 9.5.1). All starts advance together along a leading
-    start axis, each with its own stopping rules, damping and step count,
-    so a start ends exactly where it would alone. The returned value is the
-    first maximum over every start's own evaluation and end point, in start
-    order, so it never falls below the value at the seed. Angles stay in
-    the real (x-z) Bloch plane unless ``include_phi`` is set.
+    on curvature C (minus the Hessian) positive semidefinite to rounding,
+    the Newton decrement test (Boyd & Vandenberghe, Convex Optimization,
+    section 9.5.1). All starts advance together along a leading start axis,
+    each with its own stopping rules, damping and step count, so a start
+    ends exactly where it would alone. The returned value is the first
+    maximum over every start's own evaluation and end point, in start order,
+    so it never falls below the value at the seed. Angles are read once,
+    from the winning units; a setting whose unit never moved keeps its start
+    angles. Settings stay in the real (x-z) Bloch plane unless
+    ``include_phi`` is set; there a great-circle step by t is theta + t.
     """
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
     evaluator = _Evaluator(expr, rho, etas, convention)
-    n_theta = n * s
-
-    def split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Views of starts x (S, D) as thetas and phis (S, n, s)."""
-        thetas = x[:, :n_theta].reshape(-1, n, s)
-        phis = x[:, n_theta:].reshape(-1, n, s) if opts.include_phi else None
-        return thetas, phis
-
-    dim = n_theta * (2 if opts.include_phi else 1)
+    plane = not opts.include_phi  # the x-z search: every site that reads it is marked x-z
+    width = 1 if plane else 2  # x-z: the angles and tangent directions of one setting
     seed = chsh_seed_angles(n, s)
     given = [(seed, np.zeros_like(seed)), *map(settings_to_angles, opts.warm_starts)]
-    # The seed, the warm starts, then the random starts; phis follow thetas only if searched.
+    # The seed, the warm starts, then the random starts: thetas, and phis only if searched.
     rng = np.random.default_rng(opts.seed)
-    x0 = np.concatenate([
-        [np.concatenate([t.ravel(), p.ravel()])[:dim] for t, p in given],
-        rng.uniform(0.0, 2.0 * math.pi, size=(opts.restarts, dim)),
-    ])
-    start_vals = evaluator.value(*split(x0))
+    angles = np.zeros((len(given) + opts.restarts, 2, n, s))
+    angles[: len(given), :width] = np.array(given)[:, :width]
+    angles[len(given) :, :width] = rng.uniform(0.0, 2.0 * math.pi, (opts.restarts, width, n, s))
+    start_units = _units(angles[:, 0], angles[:, 1])
+    start_vals = evaluator.value(start_units)
 
     # See-saw: a start freezes once a sweep gains at most _SWEEP_GAIN.
-    x, v = x0.copy(), start_vals.copy()
-    active = np.ones(len(x), dtype=bool)
+    units, v = start_units.copy(), start_vals.copy()
+    active = np.ones(len(units), dtype=bool)
     for _ in range(_MAX_SWEEPS):
         rows = np.flatnonzero(active)
-        moved = x[rows]
-        swept = evaluator.sweep(*split(moved))
+        moved = units[rows]
+        swept = evaluator.sweep(moved, plane)
         active[rows] = swept - v[rows] > _SWEEP_GAIN
-        x[rows], v[rows] = moved, swept
+        units[rows], v[rows] = moved, swept
         if not active.any():
             break
 
     # Levenberg-Marquardt polish on the exact gradient and Hessian, each step
-    # accepted only when the value rises; a start's derivatives are rebuilt
-    # only after it accepted a step.
-    damping = np.full(len(x), _INITIAL_DAMPING)
-    newton_steps = np.zeros(len(x), dtype=int)
-    gradient, curvature = np.zeros_like(x), np.zeros((len(x), dim, dim))
-    active = np.ones(len(x), dtype=bool)
-    fresh = active.copy()
+    # accepted only when the value rises; a start's tangent frame and
+    # derivatives are rebuilt only after it accepted a step.
+    dim = n * s * width
+    damping = np.full(len(units), _INITIAL_DAMPING)
+    newton_steps = np.zeros(len(units), dtype=int)
+    gradient, curvature = np.zeros((len(units), dim)), np.zeros((len(units), dim, dim))
+    tangents = np.zeros((len(units), n, s, 3, width))
+    active, fresh = np.ones((2, len(units)), dtype=bool)
     while active.any():
         rows = np.flatnonzero(fresh)
         if rows.size:
-            g, hessian = evaluator.derivatives(*split(x[rows]))
+            tangents[rows] = _tangents(units[rows, :, 1:, 1:], plane)
+            g, hessian = evaluator.derivatives(units[rows], tangents[rows])
             gradient[rows], curvature[rows] = g, -hessian
             newton_steps[rows] += 1
             active[rows] = np.abs(g).max(axis=1) > _GRADIENT_TOL
@@ -585,11 +570,17 @@ def optimize_settings(
         if not moving.any():  # every step is negligible or promises no rise
             break
         active[rows[~moving]] = False
-        rows, moved = rows[moving], x[rows[moving]] + step[moving]
-        trial = evaluator.sweep(*split(moved))  # back onto the crest of a curved ridge
+        rows, moved = rows[moving], units[rows[moving]]
+        # Each unit n turns along its great circle to n cos|t| + xi sin|t| / |t|, xi = t . e.
+        t = step[moving].reshape(-1, n, s, width)
+        turn = np.sqrt(np.einsum("sija,sija->sij", t, t))[..., None]
+        t *= np.divide(np.sin(turn), turn, out=np.zeros_like(turn), where=turn > 0.0)
+        xi = np.einsum("sija,sijxa->sijx", t, tangents[rows])
+        moved[:, :, 1:, 1:] = moved[:, :, 1:, 1:] * np.cos(turn) + xi
+        trial = evaluator.sweep(moved, plane)  # back onto the crest of a curved ridge
         rises = trial > v[rows]
         up, down = rows[rises], rows[~rises]
-        x[up], v[up] = moved[rises], trial[rises]
+        units[up], v[up] = moved[rises], trial[rises]
         damping[up] *= 0.1
         damping[down] *= 10.0
         active[up] = newton_steps[up] < _MAX_NEWTON
@@ -599,5 +590,13 @@ def optimize_settings(
     # Start 0, end 0, start 1, end 1, ...: the order a start-by-start run meets them.
     values = np.stack([start_vals, v], axis=1).ravel()
     best = int(np.argmax(values))
-    thetas, phis = split(np.stack([x0, x], axis=1).reshape(-1, dim)[best : best + 1])
-    return angles_to_settings(thetas[0], None if phis is None else phis[0]), float(values[best])
+    thetas, phis = angles[best // 2]
+    bloch = (start_units, units)[best % 2][best // 2, :, 1:, 1:]
+    moved = np.any(bloch != start_units[best // 2, :, 1:, 1:], axis=-1)
+    x, y, z = np.moveaxis(bloch, -1, 0)
+    if plane:  # x-z: a signed theta, and phi stays 0
+        np.copyto(thetas, np.arctan2(x, z), where=moved)
+    else:
+        np.copyto(thetas, np.arctan2(np.hypot(x, y), z), where=moved)
+        np.copyto(phis, np.arctan2(y, x), where=moved)
+    return angles_to_settings(thetas, phis), float(values[best])

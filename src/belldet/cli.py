@@ -76,8 +76,10 @@ def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
     correlation form or 4 in probability form), its first contraction ((s + 1) (s L)^(k-1)
     floats) and the coefficient tensor W ((s + 1)^k floats), two arrays of one block
     of starts (bell._BLOCK_FLOATS floats, or one start's max(s + 1, 4)^k), and the
-    optimizer's (starts, D, D) Hessian, D = 2 k s. The threshold solvers re-optimize
-    from protocol._REFINE_RESTARTS random starts; each run adds two more starts."""
+    optimizer's (starts, D, D) Hessian over D = 2 k s tangent directions, which
+    outweighs its (starts, k, s, 3, 2) tangent frames for k s >= 2. The threshold
+    solvers re-optimize from protocol._REFINE_RESTARTS random starts; each run adds
+    two more starts."""
     k, s = config.k, config.bell.settings_per_party
     cells = s * len(bell._CELL_LABELS[config.bell.form])
     tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k

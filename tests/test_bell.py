@@ -523,6 +523,44 @@ class TestOptimizeSettings:
         )
         assert plane == pytest.approx(2.0 * np.linalg.norm(t[np.ix_((0, 2), (0, 2))]), abs=1e-9)
 
+    def test_x_z_optimum_is_the_horodecki_value_of_the_x_z_block(self):
+        """In the x-z plane the CHSH maximum at eta = 1 is 2 sqrt(l1 + l2), l1, l2
+        the eigenvalues of B^T B for T's x-z block B, and every phi stays 0."""
+        misses = []
+        for seed in range(40):
+            rho = random_mixed_state(np.random.default_rng(1000 + seed), 2)
+            block = correlation_matrix(rho)[np.ix_((0, 2), (0, 2))]
+            oracle = 2.0 * math.sqrt(np.linalg.eigvalsh(block.T @ block).sum())
+            settings, value = optimize_settings(
+                preset("CHSH"), rho, [1.0, 1.0], options=OptimizeOptions(restarts=8, seed=seed)
+            )
+            phis = [m.phi for party in settings for m in party]
+            if abs(value - oracle) > 1e-9 or any(phi != 0.0 for phi in phis):
+                misses.append((seed, value - oracle, phis))
+        assert misses == []
+
+    @pytest.mark.parametrize("include_phi", [False, True])
+    def test_a_setting_no_term_reaches_returns_its_start_angles(self, include_phi):
+        """Party 0's setting 1 is in no term, and the warm start's angles lie in
+        (2 pi, 4 pi), where reading them back from a Bloch vector would change
+        them. On T = diag(1/2, -1/4, 0) at eta = 1 the CHSH seed's fields are
+        exactly 0, so it stays at value 0 and the warm start, reaching 1, wins."""
+        terms = (BellTerm((0, 0), 1.0), BellTerm((0, 1), 1.0))
+        expr = BellExpression(2, 2, BellForm.CORRELATION, terms, 2.0)
+        x, y, _ = PAULI
+        rho = DensityMatrix(2, (np.eye(4) + 0.5 * np.kron(x, x) - 0.25 * np.kron(y, y)) / 4.0)
+        rng = np.random.default_rng(3)
+        thetas = rng.uniform(2.0 * math.pi, 4.0 * math.pi, (2, 2))
+        phis = rng.uniform(2.0 * math.pi, 4.0 * math.pi, (2, 2)) if include_phi else 0.0
+        opts = OptimizeOptions(
+            restarts=0, include_phi=include_phi, warm_starts=(angles_to_settings(thetas, phis),)
+        )
+        settings, value = optimize_settings(expr, rho, [1.0, 1.0], options=opts)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        unreached = angles_to_settings(thetas, phis)[0][1]
+        assert settings[0][1] == unreached  # every angle bit for bit
+        assert settings[0][0].theta != thetas[0, 0]  # a reached setting's angles are read back
+
     def test_single_party_optimum_is_the_bloch_length(self):
         """One party at eta = 1: each folded setting reaches |r|, the
         length of the state's Bloch vector, whatever the sign of its weight."""
@@ -663,56 +701,52 @@ class TestJsonRoundTrip:
             BellExpression.from_json_dict(doc)
 
 
-def angle_split(evaluator, include_phi):
-    """Views of angle rows x (S, D) as the evaluator's thetas and phis."""
-    n, s = evaluator.n_parties, evaluator.settings_per_party
-
-    def split(x):
-        phis = x[:, n * s :].reshape(-1, n, s) if include_phi else None
-        return x[:, : n * s].reshape(-1, n, s), phis
-
-    return split
+def random_units(rng, evaluator, starts, include_phi, low=0.0, high=2.0 * math.pi):
+    """Units (S, n, s + 1, 4) of angles drawn from [low, high); phi 0 in the x-z plane."""
+    shape = (starts, evaluator.n_parties, evaluator.settings_per_party)
+    thetas = rng.uniform(low, high, shape)
+    phis = rng.uniform(low, high, shape) if include_phi else np.zeros(shape)
+    return bell._units(thetas, phis)
 
 
-def chained_derivatives(evaluator, thetas, phis):
-    """Reference: the exact derivatives as the optimizer first built them, one
-    one-party partial per party for the Bloch fields and one two-party
-    partial per pair, the within-party blocks placed by an einsum against
-    two identity matrices."""
-    n, s = evaluator.n_parties, evaluator.settings_per_party
-    units = bell._units(thetas, phis)
+def frames(units, include_phi):
+    """The optimizer's tangent frames (S, n, s, 3, A) at the units' Bloch vectors."""
+    return bell._tangents(units[:, :, 1:, 1:], not include_phi)
+
+
+def along_great_circles(units, tangents, t):
+    """Reference: units (1, n, s + 1, 4) moved by each row of tangent coordinates t
+    (M, D), ordered as party, setting, direction: every Bloch vector n goes to
+    n cos|xi| + xi sin|xi| / |xi|, xi = sum_a t_a e_a."""
+    n, s, _, width = tangents.shape[1:]
+    xi = np.einsum("mija,ijxa->mijx", t.reshape(-1, n, s, width), tangents[0])
+    turn = np.linalg.norm(xi, axis=-1, keepdims=True)
+    moved = np.repeat(units, len(t), axis=0)
+    moved[:, :, 1:, 1:] = units[:, :, 1:, 1:] * np.cos(turn) + xi * np.sinc(turn / np.pi)
+    return moved
+
+
+def chained_derivatives(evaluator, units, tangents):
+    """Reference: the exact derivatives in tangent coordinates, one one-party
+    partial per party for the Bloch fields c and one two-party partial per
+    pair, the within-setting blocks -(c . n) I placed by an einsum against
+    three identity matrices."""
+    n, s, width = evaluator.n_parties, evaluator.settings_per_party, tangents.shape[-1]
     c = np.stack(  # (S, n, s, 3)
         [evaluator._partial(units, (i,))[:, 1:, 1:].transpose(0, 2, 1) for i in range(n)], axis=1
     )
-    jac, curl = stacked_bloch_derivatives(thetas, phis)  # (S, n, s, 3, A), (S, n, s, 3, A, A)
-    gradient = np.einsum("sijx,sijxa->saij", c, jac)
-    within = np.einsum("sijx,sijxab->sijab", c, curl)
-    # hessian[:, a, i, j, b, k, l]: angle a of setting (i, j) against angle b of (k, l)
-    hessian = np.einsum("sijab,ik,jl->saijbkl", within, np.eye(n), np.eye(s))
+    gradient = np.einsum("sijx,sijxa->sija", c, tangents)
+    within = -np.einsum("sijx,sijx->sij", c, units[:, :, 1:, 1:])
+    eyes = np.eye(n), np.eye(s), np.eye(width)
+    # hessian[:, i, j, a, k, l, b]: direction a of setting (i, j) against b of (k, l)
+    hessian = np.einsum("sij,ik,jl,ab->sijaklb", within, *eyes)
     for i, k in itertools.combinations(range(n), 2):
         bloch = evaluator._partial(units, (i, k))[:, 1:, 1:, 1:, 1:]  # d2 value / d n_ijx d n_kly
-        block = np.einsum("sjxa,sxyjl,slyb->sajbl", jac[:, i], bloch, jac[:, k])
-        hessian[:, :, i, :, :, k] = block
-        hessian[:, :, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
+        block = np.einsum("sjxa,sxyjl,slyb->sjalb", tangents[:, i], bloch, tangents[:, k])
+        hessian[:, i, :, :, k] = block
+        hessian[:, k, :, :, i] = block.transpose(0, 3, 4, 1, 2)
     dim = math.prod(gradient.shape[1:])  # from the shape: a batch may have no starts
     return gradient.reshape(-1, dim), hessian.reshape(-1, dim, dim)
-
-
-def stacked_bloch_derivatives(thetas, phis):
-    """Reference: first and second derivatives of n = (sin t cos p, sin t sin p, cos t)
-    in the angles (t, or t and p), shapes (..., 3, A) and (..., 3, A, A)."""
-    phi = np.zeros_like(thetas) if phis is None else phis
-    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phi), np.sin(phi)
-    zero = np.zeros_like(ct)
-    d_t = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    d_tt = -np.stack([st * cp, st * sp, ct], axis=-1)
-    if phis is None:
-        return d_t[..., None], d_tt[..., None, None]
-    d_p = np.stack([-st * sp, st * cp, zero], axis=-1)
-    d_tp = np.stack([-ct * sp, ct * cp, zero], axis=-1)
-    d_pp = np.stack([-st * cp, -st * sp, zero], axis=-1)
-    second = np.stack([np.stack([d_tt, d_tp], -1), np.stack([d_tp, d_pp], -1)], -1)
-    return np.stack([d_t, d_p], axis=-1), second
 
 
 def random_evaluator(rng, form, n, s, n_terms):
@@ -759,28 +793,48 @@ class TestExactDerivatives:
         ],
     )
     def test_hessian_matches_central_second_differences(self, expr, convention, include_phi):
+        """Second differences of the value along great circles n cos t + e sin t."""
         rng = np.random.default_rng(5)
         n, s = expr.n_parties, expr.settings_per_party
         evaluator = _Evaluator(expr, random_mixed_state(rng, n), rng.uniform(0.6, 1.0, n), convention)
-        split = angle_split(evaluator, include_phi)
         dim = n * s * (2 if include_phi else 1)
         h = 1e-4
         for _ in range(2):
-            x = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-            gradient, hessian = evaluator.derivatives(*split(x[None]))
+            units = random_units(rng, evaluator, 1, include_phi)
+            tangents = frames(units, include_phi)
+            gradient, hessian = evaluator.derivatives(units, tangents)
             shifts = h * np.eye(dim)
             corners = [
-                x + sa * shifts[a] + sb * shifts[b]
+                sa * shifts[a] + sb * shifts[b]
                 for a in range(dim)
                 for b in range(dim)
                 for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))
             ]
-            v = evaluator.value(*split(np.array(corners))).reshape(dim, dim, 4)
+            v = evaluator.value(along_great_circles(units, tangents, np.array(corners)))
+            v = v.reshape(dim, dim, 4)
             reference = (v[..., 0] - v[..., 1] - v[..., 2] + v[..., 3]) / (4.0 * h * h)
             np.testing.assert_allclose(hessian[0], reference, rtol=0, atol=1e-6)
-            sides = evaluator.value(*split(np.concatenate([x + shifts, x - shifts])))
+            sides = evaluator.value(along_great_circles(units, tangents, np.vstack([shifts, -shifts])))
             slope = (sides[:dim] - sides[dim:]) / (2.0 * h)
             np.testing.assert_allclose(gradient[0], slope, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("include_phi", [False, True])
+    def test_tangent_frames_are_orthonormal_and_tangent(self, include_phi):
+        """The sphere's frame has no pole: the axes and their negatives are
+        among the Bloch vectors. The x-z plane's one direction is dn/dtheta."""
+        rng = np.random.default_rng(7)
+        thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (40,))
+        phis = rng.uniform(0.0, 2.0 * math.pi, (40,)) if include_phi else np.zeros(40)
+        bloch = bell._units(thetas[None, :, None], phis[None, :, None])[0, :, 1, 1:]
+        if include_phi:
+            bloch = np.vstack([bloch, np.eye(3), -np.eye(3)])
+        e = bell._tangents(bloch, not include_phi)
+        gram = np.einsum("sxa,sxb->sab", e, e)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(e.shape[-1]), gram.shape), atol=1e-15)
+        np.testing.assert_allclose(np.einsum("sx,sxa->sa", bloch, e), 0.0, atol=1e-15)
+        if not include_phi:
+            d_theta = np.stack([np.cos(thetas), np.zeros(40), -np.sin(thetas)], axis=-1)
+            np.testing.assert_allclose(e[..., 0], d_theta, rtol=0, atol=1e-15)
 
 
 class TestSeeSaw:
@@ -790,29 +844,26 @@ class TestSeeSaw:
     def test_sweep_returns_the_value_at_the_angles_it_leaves(self, k, form, include_phi):
         rng = np.random.default_rng(10 * k + include_phi)
         evaluator = random_evaluator(rng, form, k, 2, 12)
-        split = angle_split(evaluator, include_phi)
-        x = rng.uniform(0.0, 2.0 * math.pi, size=(6, 2 * k * (2 if include_phi else 1)))
-        before = evaluator.value(*split(x))
-        swept = evaluator.sweep(*split(x))
-        np.testing.assert_allclose(swept, evaluator.value(*split(x)), rtol=0, atol=1e-14)
+        units = random_units(rng, evaluator, 6, include_phi)
+        before = evaluator.value(units)
+        swept = evaluator.sweep(units, not include_phi)
+        np.testing.assert_allclose(swept, evaluator.value(units), rtol=0, atol=1e-14)
         assert np.all(swept >= before - 1e-14)  # each best response keeps or raises the value
+        np.testing.assert_allclose(np.linalg.norm(units[:, :, 1:, 1:], axis=-1), 1.0, atol=1e-15)
 
     @pytest.mark.parametrize("include_phi", [False, True])
     def test_a_setting_no_term_reaches_keeps_its_angles(self, include_phi):
-        """Party 0's setting 1 is in no term. Its angles start above 2 pi, where
-        reading them back from a Bloch vector would change them."""
+        """Party 0's setting 1 is in no term: the unit made from its angles
+        stays bit for bit, while the reached setting moves."""
         terms = (BellTerm((0, 0), 1.0), BellTerm((0, 1), -0.8))
         expr = BellExpression(2, 2, BellForm.CORRELATION, terms, 2.0)
         rng = np.random.default_rng(12)
         evaluator = _Evaluator(expr, random_mixed_state(rng, 2), [0.9, 0.8], Convention.FOLD)
-        split = angle_split(evaluator, include_phi)
-        start = rng.uniform(2.0 * math.pi, 4.0 * math.pi, size=(5, 4 * (2 if include_phi else 1)))
-        x = start.copy()
-        evaluator.sweep(*split(x))
-        for got, was in zip(split(x), split(start)):
-            if got is not None:
-                np.testing.assert_array_equal(got[:, 0, 1], was[:, 0, 1])
-                assert not np.any(got[:, 0, 0] == was[:, 0, 0])  # the reached setting moves
+        start = random_units(rng, evaluator, 5, include_phi, 2.0 * math.pi, 4.0 * math.pi)
+        units = start.copy()
+        evaluator.sweep(units, not include_phi)
+        np.testing.assert_array_equal(units[:, 0, 2], start[:, 0, 2])
+        assert not np.any(np.all(units[:, 0, 1] == start[:, 0, 1], axis=-1))
 
     @pytest.mark.parametrize("include_phi", [False, True])
     @pytest.mark.parametrize("form", list(BellForm))
@@ -821,32 +872,11 @@ class TestSeeSaw:
         rng = np.random.default_rng(100 * k + include_phi)
         s = 3 if k <= 3 else 2
         evaluator = random_evaluator(rng, form, k, s, 16)
-        split = angle_split(evaluator, include_phi)
-        x = rng.uniform(0.0, 2.0 * math.pi, size=(4, k * s * (2 if include_phi else 1)))
-        got, want = evaluator.derivatives(*split(x)), chained_derivatives(evaluator, *split(x))
-        for g, w in zip(got, want):
+        units = random_units(rng, evaluator, 4, include_phi)
+        tangents = frames(units, include_phi)
+        got = evaluator.derivatives(units, tangents)
+        for g, w in zip(got, chained_derivatives(evaluator, units, tangents)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("include_phi", [False, True])
-    @pytest.mark.parametrize("k", range(1, 5))
-    def test_one_trig_pass_keeps_the_derivatives_bit_identical(self, k, include_phi, monkeypatch):
-        """``derivatives`` takes one pass of sines and cosines and reads its units
-        off the second derivative, n = -d2n/dt2: the units equal ``_units``', and
-        the derivatives, gradient and Hessian those of the stacked reference,
-        bit for bit."""
-        rng = np.random.default_rng(20 * k + include_phi)
-        evaluator = random_evaluator(rng, BellForm.PROBABILITY, k, 2, 12)
-        split = angle_split(evaluator, include_phi)
-        x = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, size=(5, 2 * k * (2 if include_phi else 1)))
-        thetas, phis = split(x)
-        first, second = bell._bloch_derivatives(thetas, phis)
-        for got, want in zip((first, second), stacked_bloch_derivatives(thetas, phis)):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(-second[..., 0, 0], bell._units(thetas, phis)[:, :, 1:, 1:])
-        shared = evaluator.derivatives(thetas, phis)
-        monkeypatch.setattr(bell, "_bloch_derivatives", stacked_bloch_derivatives)
-        for got, want in zip(shared, evaluator.derivatives(thetas, phis)):
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_partials_per_sweep_and_per_derivatives_call(self, k, monkeypatch):
@@ -859,17 +889,16 @@ class TestSeeSaw:
             calls.append(open_parties)
             return partial(self, units, open_parties)
 
-        def no_value(self, thetas, phis=None):
+        def no_value(self, units):
             raise AssertionError("the sweep evaluated the value anew")
 
         monkeypatch.setattr(_Evaluator, "_partial", counting)
         monkeypatch.setattr(_Evaluator, "value", no_value)
-        split = angle_split(evaluator, include_phi=True)
-        x = np.random.default_rng(k).uniform(0.0, 2.0 * math.pi, size=(3, 4 * k))
-        evaluator.sweep(*split(x))
+        units = random_units(np.random.default_rng(k), evaluator, 3, include_phi=True)
+        evaluator.sweep(units, False)
         assert calls == [(i,) for i in range(k)]
         calls.clear()
-        evaluator.derivatives(*split(x))
+        evaluator.derivatives(units, frames(units, include_phi=True))
         assert calls == list(itertools.combinations(range(k), 2))
 
 
@@ -904,7 +933,7 @@ class TestBatchedStarts:
         alone = []
         for x in draws:
             thetas = x[:n_theta].reshape(expr.n_parties, -1)
-            phis = x[n_theta:].reshape(expr.n_parties, -1) if include_phi else None
+            phis = x[n_theta:].reshape(expr.n_parties, -1) if include_phi else 0.0
             opts = OptimizeOptions(
                 restarts=0, include_phi=include_phi, warm_starts=(angles_to_settings(thetas, phis),)
             )
@@ -919,16 +948,16 @@ class TestBatchedStarts:
         rng = np.random.default_rng(9)
         args = THREE_PARTY_PROBABILITY, random_mixed_state(rng, 3), [0.9, 0.8, 0.7]
         evaluator = _Evaluator(*args, Convention.TRINARY)
-        split = angle_split(evaluator, include_phi=True)
-        x = rng.uniform(0.0, 2.0 * math.pi, size=(5, 12))
-        batch = [evaluator.value(*split(x)), *evaluator.derivatives(*split(x))]
+        units = random_units(rng, evaluator, 5, include_phi=True)
+        tangents = frames(units, include_phi=True)
+        batch = [evaluator.value(units), *evaluator.derivatives(units, tangents)]
         monkeypatch.setattr(bell, "_BLOCK_FLOATS", 1)
         blocked = _Evaluator(*args, Convention.TRINARY)
         np.testing.assert_allclose(blocked.coefficients, evaluator.coefficients, rtol=0, atol=1e-15)
-        for got, want in zip([blocked.value(*split(x)), *blocked.derivatives(*split(x))], batch):
+        for got, want in zip([blocked.value(units), *blocked.derivatives(units, tangents)], batch):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-        assert blocked.value(*split(x[:0])).shape == (0,)
-        assert blocked.sweep(*split(x[:0])).shape == (0,)
+        assert blocked.value(units[:0]).shape == (0,)
+        assert blocked.sweep(units[:0], False).shape == (0,)
 
     @pytest.mark.parametrize("include_phi", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -936,8 +965,8 @@ class TestBatchedStarts:
         rho = random_mixed_state(np.random.default_rng(k), k)
         evaluator = _Evaluator(mermin_expression(k), rho, [0.9] * k, Convention.FOLD)
         dim = 2 * k * (2 if include_phi else 1)
-        thetas, phis = angle_split(evaluator, include_phi)(np.zeros((0, dim)))
-        gradient, hessian = evaluator.derivatives(thetas, phis)
+        units = random_units(np.random.default_rng(k), evaluator, 0, include_phi)
+        gradient, hessian = evaluator.derivatives(units, frames(units, include_phi))
         assert (gradient.shape, hessian.shape) == ((0, dim), (0, dim, dim))
 
     def test_einsum_calls_do_not_grow_with_the_starts(self, monkeypatch):
