@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -25,6 +25,7 @@ _OUTCOME_SET = frozenset(_OUTCOME_LABELS)
 _OUTCOME_FOLDED = "±"  # the folded observable of every correlation term
 
 STRATEGY_LIMIT = 1_000_000
+_PRINTED_DIGITS = 4300  # the most digits of an int Python converts to text by default
 _BLOCK_FLOATS = 2**22  # floats in each array the quantum kernel makes per block of starts
 
 # Stopping rules for every start of the settings optimizer: see-saw sweeps
@@ -93,6 +94,29 @@ class BellExpression:
                 if not _OUTCOME_SET.issuperset(term.outcomes):
                     raise ValueError(f"term {term} uses an unknown outcome label")
 
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """C over every party's cells (setting j, label l), shape (s L,) * n with
+        L = len(_CELL_LABELS[form]): the expression's weights, free of any detector
+        model, each term's weight added to exactly one cell. Built on first use, never
+        at construction, and kept, read-only, as long as the expression: it has
+        (s L)^n floats, so the strategy limit (``lhv_bound``) and the CLI's memory
+        budget must be able to reject the expression before it exists."""
+        n, labels = self.n_parties, _CELL_LABELS[self.form]
+        width = len(labels)
+        size = self.settings_per_party * width  # cells per party
+        term_cells = np.array([t.settings for t in self.terms], dtype=int).reshape(-1, n) * width
+        # a correlation term measures the folded label, code 0, at every party
+        if self.form == BellForm.PROBABILITY:
+            code = {label: l for l, label in enumerate(labels)}
+            codes = np.array([[code[o] for o in t.outcomes] for t in self.terms], dtype=int)
+            term_cells += codes.reshape(-1, n)
+        flat = term_cells @ size ** np.arange(n - 1, -1, -1)
+        weights = np.array([t.weight for t in self.terms], dtype=float)
+        tensor = np.bincount(flat, weights, minlength=size**n).reshape((size,) * n)
+        tensor.setflags(write=False)
+        return tensor
+
     def to_json_dict(self) -> dict:
         terms = []
         for term in self.terms:
@@ -137,7 +161,8 @@ class BellExpression:
             classical_bound=json_float(doc.get("classical_bound", 0.0), "classical_bound"),
         )
         if "classical_bound" not in doc:
-            expr = replace(expr, classical_bound=lhv_bound(expr))
+            # set in place: dataclasses.replace would check every term again and drop C
+            object.__setattr__(expr, "classical_bound", lhv_bound(expr))
         return expr
 
 
@@ -173,24 +198,6 @@ def expression_from_json_dict(doc: dict) -> BellExpression:
     return BellExpression.from_json_dict(doc)
 
 
-def _expression_tensor(expr: BellExpression) -> np.ndarray:
-    """C over every party's cells (setting j, label l), shape (s L,) * n with
-    L = len(_CELL_LABELS[form]): the expression's weights, free of any
-    detector model. Each term adds its weight to exactly one cell."""
-    n, labels = expr.n_parties, _CELL_LABELS[expr.form]
-    width = len(labels)
-    cells = expr.settings_per_party * width
-    term_cells = np.array([t.settings for t in expr.terms], dtype=int).reshape(-1, n) * width
-    # a correlation term measures the folded label, code 0, at every party
-    if expr.form == BellForm.PROBABILITY:
-        code = {label: l for l, label in enumerate(labels)}
-        codes = np.array([[code[o] for o in t.outcomes] for t in expr.terms], dtype=int)
-        term_cells += codes.reshape(-1, n)
-    flat = term_cells @ cells ** np.arange(n - 1, -1, -1)
-    weights = np.array([t.weight for t in expr.terms], dtype=float)
-    return np.bincount(flat, weights, minlength=cells**n).reshape((cells,) * n)
-
-
 @functools.cache
 def _lhv_basis(form: BellForm) -> np.ndarray:
     """basis[l, o]: the factor of cell label l (``_CELL_LABELS``) when a party answers o."""
@@ -213,10 +220,21 @@ def _strategy_matrix(form: BellForm, s: int) -> np.ndarray:
     return strategies
 
 
-def _strategy_count(expr: BellExpression) -> int:
-    # a party's deterministic strategy answers each of its settings with one outcome
+def _check_strategy_count(expr: BellExpression) -> None:
+    """ValueError if enumeration would visit more than STRATEGY_LIMIT joint strategies,
+    n_outcomes^(s n): a party's deterministic strategy answers each of its s settings
+    with one outcome. Decided without forming a count beyond the limit, which has
+    up to millions of digits; the message prints the count while Python can."""
     n_outcomes = _lhv_basis(expr.form).shape[1]
-    return (n_outcomes**expr.settings_per_party) ** expr.n_parties
+    exponent = expr.settings_per_party * expr.n_parties
+    # n_outcomes >= 2, so a count with exponent STRATEGY_LIMIT.bit_length() is already above
+    if n_outcomes ** min(exponent, STRATEGY_LIMIT.bit_length()) <= STRATEGY_LIMIT:
+        return
+    if exponent < _PRINTED_DIGITS / math.log10(n_outcomes):  # an exact int-float comparison
+        count = f"{n_outcomes**exponent}"
+    else:
+        count = f"{n_outcomes}^{exponent}"
+    raise ValueError(f"enumeration would visit {count} strategies, limit is {STRATEGY_LIMIT}")
 
 
 def lhv_bound(expr: BellExpression) -> float:
@@ -226,21 +244,18 @@ def lhv_bound(expr: BellExpression) -> float:
     assigns one of {+, -, no-click}. The maximum over this finite set is
     the classical bound of the local polytope. The value is multilinear in
     the parties' strategies: a strategy gives each cell (setting j, label l)
-    of the expression tensor C (``_expression_tensor``) the factor of l at
-    the strategy's answer to j. The first n-1 parties are contracted with
+    of the expression's tensor C (``BellExpression.cells``) the factor of l
+    at the strategy's answer to j. The first n-1 parties are contracted with
     their strategy matrices one at a time, which enumerates their joint
     strategies; the value is then a sum over the last party's settings,
     each with its own outcome, so the last party takes its best outcome per
-    setting in closed form.
+    setting in closed form. Above STRATEGY_LIMIT it raises ValueError before
+    C is read.
     """
-    if _strategy_count(expr) > STRATEGY_LIMIT:
-        raise ValueError(
-            f"enumeration would visit {_strategy_count(expr)} strategies, "
-            f"limit is {STRATEGY_LIMIT}"
-        )
+    _check_strategy_count(expr)
     s, basis = expr.settings_per_party, _lhv_basis(expr.form)
     width = basis.shape[0]
-    x = _expression_tensor(expr).reshape(s * width, -1)
+    x = expr.cells.reshape(s * width, -1)
     for _ in range(expr.n_parties - 1):
         # the leading party's cells become its strategies, moved to the back
         x = (x.T @ _strategy_matrix(expr.form, s).T).reshape(s * width, -1)
@@ -257,9 +272,9 @@ def _coefficient_tensor(
     q = 0 the identity and q = j + 1 the Pauli vector n_j . sigma of setting j.
     A dressed operator a Pi+ + b I, (a, b) from the detector model at the
     party's eta, is (b + a/2) I + (a/2) n_j . sigma, so each party's cells
-    (j, l) of the expression tensor C map to its units by the dressing matrix
-    D[(j, l), q], contracted one party at a time. W[0, ..., 0] is the value
-    on white noise."""
+    (j, l) of the expression's tensor C (``BellExpression.cells``, built once
+    per expression) map to its units by the dressing matrix D[(j, l), q],
+    contracted one party at a time. W[0, ..., 0] is the value on white noise."""
     n, s = expr.n_parties, expr.settings_per_party
     # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
     a, b = _coefficients(convention, np.array(_CELL_LABELS[expr.form])[:, None], etas)
@@ -267,7 +282,7 @@ def _coefficient_tensor(
     units = np.eye(s + 1)  # row 0 the identity, row j + 1 setting j's Pauli vector
     # dressing[i, j, l, q]: party i's cell (j, l) on its unit q
     dressing = (b + 0.5 * a) * units[0] + 0.5 * a * units[1:, None]
-    tensor = _expression_tensor(expr)
+    tensor = expr.cells
     for d in dressing.reshape(n, -1, s + 1):
         # the leading party's cells become its units, moved to the back
         tensor = tensor.reshape(len(d), -1).T @ d

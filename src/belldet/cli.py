@@ -71,21 +71,30 @@ def _load_json(path: str) -> dict:
 
 def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
     """Peak bytes a command may hold for ``config`` (k parties, s settings each):
-    copies of the k-qubit complex density matrix (16 * 4^k bytes each), the Bell
-    kernel's expression tensor C ((s L)^k floats, L = 1 cell label per setting in
-    correlation form or 4 in probability form), its first contraction ((s + 1) (s L)^(k-1)
-    floats) and the coefficient tensor W ((s + 1)^k floats), two arrays of one block
-    of starts (bell._BLOCK_FLOATS floats, or one start's max(s + 1, 4)^k), and the
-    optimizer's (starts, D, D) Hessian over D = 2 k s tangent directions, which
-    outweighs its (starts, k, s, 3, 2) tangent frames for k s >= 2. The threshold
-    solvers re-optimize from protocol._REFINE_RESTARTS random starts; each run adds
-    two more starts."""
+    copies of the k-qubit complex density matrix (16 * 4^k bytes each), the expression's
+    cell tensor C (``bell.BellExpression.cells``, (s L)^k floats, L = 1 cell label per
+    setting in correlation form or 4 in probability form), which the expression keeps
+    from its first use to the end of the command, its first contraction
+    ((s + 1) (s L)^(k-1) floats) and the coefficient tensor W ((s + 1)^k floats), two
+    arrays of one block of starts (bell._BLOCK_FLOATS floats, or one start's
+    max(s + 1, 4)^k), and the optimizer's (starts, D, D) Hessian over D = 2 k s tangent
+    directions, which outweighs its (starts, k, s, 3, 2) tangent frames for k s >= 2.
+    The threshold solvers re-optimize from protocol._REFINE_RESTARTS random starts;
+    each run adds two more starts."""
     k, s = config.k, config.bell.settings_per_party
     cells = s * len(bell._CELL_LABELS[config.bell.form])
     tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k
     starts = max(restarts, protocol._REFINE_RESTARTS) + 2
     block = 2 * max(bell._BLOCK_FLOATS, max(s + 1, 4) ** k)
     return _STATE_COPIES * 16 * 4**k + 8 * (tensors + block + starts * (2 * k * s) ** 2)
+
+
+def _mebibytes(n_bytes: int) -> str:
+    """``n_bytes`` in MiB to the nearest integer; beyond the float range, as a power of ten."""
+    try:
+        return f"{n_bytes / 2**20:.0f}"
+    except OverflowError:
+        return f"10^{math.log10(n_bytes) - 20 * math.log10(2):.0f}"
 
 
 def _parse_scenario(doc, args) -> ScenarioConfig:
@@ -104,8 +113,8 @@ def _parse_scenario(doc, args) -> ScenarioConfig:
         if needed > MEMORY_BUDGET_BYTES:
             violations.append(
                 f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "
-                f"about {needed / 2**20:.0f} MiB, above the budget "
-                f"{MEMORY_BUDGET_BYTES / 2**20:.0f} MiB"
+                f"about {_mebibytes(needed)} MiB, above the budget "
+                f"{_mebibytes(MEMORY_BUDGET_BYTES)} MiB"
             )
     if violations:
         raise ConfigurationError("config violates invariants: " + "; ".join(violations), violations)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -35,8 +36,6 @@ from belldet.bell import (
     _CELL_LABELS,
     _Evaluator,
     _coefficient_tensor,
-    _expression_tensor,
-    _strategy_count,
     angles_to_settings,
     chsh_seed_angles,
 )
@@ -66,15 +65,18 @@ def random_settings(rng, n=2, s=2):
     ]
 
 
+def strategy_count(form, n, s):
+    """Joint deterministic strategies: +/-1, or one of +, -, no-click, per setting and party."""
+    return (2 if form == BellForm.CORRELATION else 3) ** (s * n)
+
+
 def enumerated_lhv_bound(expr: BellExpression) -> float:
     """Reference: the plain enumeration of every deterministic strategy of
     all n parties, one Python loop over terms per strategy."""
-    if _strategy_count(expr) > STRATEGY_LIMIT:
-        raise ValueError(
-            f"enumeration would visit {_strategy_count(expr)} strategies, "
-            f"limit is {STRATEGY_LIMIT}"
-        )
     s = expr.settings_per_party
+    count = strategy_count(expr.form, expr.n_parties, s)
+    if count > STRATEGY_LIMIT:
+        raise ValueError(f"enumeration would visit {count} strategies, limit is {STRATEGY_LIMIT}")
     if expr.form == BellForm.CORRELATION:
         party_strategies = list(itertools.product((1.0, -1.0), repeat=s))
         best = -math.inf
@@ -188,6 +190,22 @@ class TestLhvBound:
         with pytest.raises(ValueError):
             lhv_bound(expr)
 
+    @pytest.mark.parametrize(
+        "form,n,s,count",
+        [(BellForm.CORRELATION, 20, 1, "1048576"), (BellForm.PROBABILITY, 13, 1, "1594323"),
+         (BellForm.CORRELATION, 7_000, 2, str(2**14_000)),  # 4,215 digits
+         (BellForm.CORRELATION, 10_000, 2, "2^20000")],  # beyond what Python prints
+    )
+    def test_strategy_limit_raises_before_the_cells_are_built(self, cell_builds, form, n, s, count):
+        """The count is printed while Python can and as a power beyond, never
+        formed above 4,300 digits. One party fewer fits (2^19 and 3^12 strategies)."""
+        labels = None if form == BellForm.CORRELATION else ("+",) * n
+        expr = BellExpression(n, s, form, (BellTerm((0,) * n, 1.0, labels),), 1.0)
+        with pytest.raises(ValueError) as info:
+            lhv_bound(expr)
+        assert str(info.value) == f"enumeration would visit {count} strategies, limit is 1000000"
+        assert cell_builds == []
+
     def test_stored_bound_matches_enumeration(self):
         for name in ("CHSH", "EBERHARD_CH"):
             expr = preset(name)
@@ -204,16 +222,35 @@ class TestExpressionTensor:
         expr = random_expression(rng, form, n, s, 30)
         assert form == BellForm.CORRELATION or any(OUTCOME_ANY in t.outcomes for t in expr.terms)
         width = len(_CELL_LABELS[form])
-        tensor = _expression_tensor(expr)
+        tensor = expr.cells
         assert tensor.shape == (s * width,) * n
         assert tensor.sum() == pytest.approx(sum(t.weight for t in expr.terms), abs=1e-12)
         for term in expr.terms:
-            single = _expression_tensor(BellExpression(n, s, form, (term,), 0.0))
+            single = BellExpression(n, s, form, (term,), 0.0).cells
             labels = term.outcomes or _CELL_LABELS[form] * n
             cell = tuple(j * width + _CELL_LABELS[form].index(o)
                          for j, o in zip(term.settings, labels))
             assert np.flatnonzero(single).tolist() == [np.ravel_multi_index(cell, single.shape)]
             assert single[cell] == term.weight
+
+    def test_cells_are_read_only_and_built_once(self, cell_builds):
+        """C is built on first use and kept: a second read, the LHV bound and
+        every kernel on the expression read the same read-only array."""
+        expr = mermin_expression(4)
+        assert cell_builds == []
+        cells = expr.cells
+        assert expr.cells is cells
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[(0,) * 4] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            expr.cells = np.zeros_like(cells)
+        rho = ghz(4).density()
+        settings = angles_to_settings(chsh_seed_angles(4, 2))
+        assert lhv_bound(expr) == 4.0
+        quantum_value(expr, rho, settings, [0.9] * 4)
+        optimize_settings(expr, rho, [1.0] * 4, options=OptimizeOptions(restarts=2))
+        assert len(cell_builds) == 1 and cell_builds[0] is expr
 
     @pytest.mark.parametrize("convention", list(Convention))
     def test_marginal_cells_dress_to_the_identity(self, convention):
@@ -222,7 +259,7 @@ class TestExpressionTensor:
         puts its weight in W's white-noise corner and nowhere else."""
         term = BellTerm((1, 0, 1), 2.5, (OUTCOME_ANY,) * 3)
         expr = BellExpression(3, 2, BellForm.PROBABILITY, (term,), 0.0)
-        assert np.count_nonzero(_expression_tensor(expr)) == 1
+        assert np.count_nonzero(expr.cells) == 1
         w = _coefficient_tensor(expr, [0.3, 0.7, 1.0], convention)
         expected = np.zeros((3, 3, 3))
         expected[0, 0, 0] = 2.5
@@ -236,7 +273,7 @@ class TestBestResponse:
     def test_matches_the_enumeration_on_random_expressions(self, form, n, s):
         rng = np.random.default_rng(1000 * n + 10 * s + (form == BellForm.PROBABILITY))
         # the reference visits every strategy; fewer draws where that is slow
-        draws = 1 if _strategy_count(BellExpression(n, s, form, (), 0.0)) > 50_000 else 12
+        draws = 1 if strategy_count(form, n, s) > 50_000 else 12
         for _ in range(draws):
             expr = random_expression(rng, form, n, s, int(rng.integers(1, 9)))
             assert lhv_bound(expr) == pytest.approx(enumerated_lhv_bound(expr), abs=1e-12)
@@ -283,7 +320,7 @@ class TestBestResponse:
         product of the parties' +/-1 answers, so the bound is |sum of weights|."""
         rng = np.random.default_rng(23)
         expr = random_expression(rng, BellForm.CORRELATION, 19, 1, 200)
-        assert _strategy_count(expr) <= STRATEGY_LIMIT
+        assert strategy_count(expr.form, 19, 1) <= STRATEGY_LIMIT
         total = sum(t.weight for t in expr.terms)
         assert lhv_bound(expr) == pytest.approx(abs(total), abs=1e-12)
 
@@ -632,6 +669,19 @@ class TestJsonRoundTrip:
         doc = preset("CHSH").to_json_dict()
         del doc["classical_bound"]
         assert BellExpression.from_json_dict(doc).classical_bound == 2.0
+
+    def test_missing_bound_constructs_one_expression(self, monkeypatch, cell_builds):
+        """The computed bound is stored on the expression that was checked, which
+        keeps the C that lhv_bound built."""
+        doc = mermin_expression(3).to_json_dict()
+        del doc["classical_bound"]
+        checked, check = [], BellExpression.__post_init__
+        monkeypatch.setattr(BellExpression, "__post_init__",
+                            lambda expr: checked.append(expr) or check(expr))
+        expr = BellExpression.from_json_dict(doc)
+        assert expr.classical_bound == 2.0
+        assert len(checked) == 1 and checked[0] is expr
+        assert len(cell_builds) == 1 and cell_builds[0] is expr
 
     def test_bad_outcome_label_rejected(self):
         doc = preset("EBERHARD_CH").to_json_dict()

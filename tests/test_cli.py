@@ -562,8 +562,8 @@ def test_non_numeric_bell_field_is_an_lhv_bound_config_error(capsys, tmp_path, f
 
 
 @pytest.mark.parametrize("stored", [False, True])
-def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, stored):
-    """With or without a stored bound, the enumeration limit exits 2."""
+def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, cell_builds, stored):
+    """With or without a stored bound, the enumeration limit exits 2 before C is built."""
     doc = {"n_parties": 8, "settings_per_party": 2, "form": "probability",
            "terms": [{"settings": [0] * 8, "weight": 1.0, "outcomes": ["+"] * 8}]}
     if stored:
@@ -573,6 +573,22 @@ def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, s
     code, out, err = run(capsys, "lhv-bound", "--config", str(path))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("config error:") and "limit is 1000000" in err
+    assert cell_builds == []
+
+
+@pytest.mark.parametrize("stored", [False, True])
+def test_lhv_bound_at_ten_thousand_parties_is_a_config_error(capsys, tmp_path, stored):
+    """2^20000 strategies, a count beyond the digits Python prints, exit 2 with the limit."""
+    doc = {"n_parties": 10_000, "settings_per_party": 2, "form": "correlation",
+           "terms": [{"settings": [1] * 10_000, "weight": 1.0}]}
+    if stored:
+        doc["classical_bound"] = 1.0
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lhv-bound", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == ("config error: config does not describe a Bell expression: "
+                   "enumeration would visit 2^20000 strategies, limit is 1000000\n")
 
 
 @pytest.mark.parametrize("grid", [{"start": "0.5"}, {"step": True}, {"stop": None}])
@@ -896,7 +912,9 @@ OVER_BUDGET = {
 
 
 @pytest.mark.parametrize("case", list(OVER_BUDGET))
-def test_working_set_above_the_memory_budget_is_a_config_error(capsys, monkeypatch, tmp_path, case):
+def test_working_set_above_the_memory_budget_is_a_config_error(
+    capsys, monkeypatch, tmp_path, cell_builds, case
+):
     def fail(spec):
         raise AssertionError("the state was built")
 
@@ -912,6 +930,32 @@ def test_working_set_above_the_memory_budget_is_a_config_error(capsys, monkeypat
         code, out, err = run(capsys, command, "--config", str(path), *flags)
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert err == f"config error: config violates invariants: {violation}\n"
+    assert cell_builds == []  # C is (s L)^k floats: never built to check the budget
+
+
+def test_working_set_beyond_the_float_range_is_a_config_error(capsys, tmp_path, cell_builds):
+    """10^200 settings per party need about 8.4e403 bytes, a MiB count no float holds."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_ghz_one_term(2, 10**200)))
+    [violation] = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violation == (f"k = 2 with {10**200} settings per party needs about 10^398 MiB, "
+                         "above the budget 1024 MiB")
+    code, out, err = run(capsys, "eval", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: config violates invariants: {violation}\n"
+    assert cell_builds == []
+
+
+@pytest.mark.parametrize("n_bytes", [2**19, 2**19 + 1, 10**300, 2**1043])
+def test_mebibytes_match_float_division_where_it_fits(n_bytes):
+    assert cli._mebibytes(n_bytes) == f"{n_bytes / 2**20:.0f}"
+
+
+@pytest.mark.parametrize("name", ["eberhard_alpha005.json", "ghz4.json"])
+def test_critical_eta_builds_the_cell_tensor_once(capsys, cell_builds, name):
+    """Every efficiency the threshold search visits dresses the one C of the config's expression."""
+    run_json(capsys, "critical-eta", "--config", str(CONFIG_DIR / name), "--restarts", "8")
+    assert len(cell_builds) == 1
 
 
 def _at_n(kind, n):
