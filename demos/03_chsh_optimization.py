@@ -23,7 +23,7 @@ for eta in (1.0, 0.9, eta_crit, 0.8, 0.7):
     print(f"  eta = {eta:.6f}: value = {q:.6f}{marker}")
 
 print()
-result = bd.symmetric_critical_eta(chsh, rho)
+result = bd.critical_eta(chsh, rho)
 print(f"solved symmetric critical efficiency: {result.critical_value:.9f}")
 print(f"  residual {result.achieved_residual:.2e} after {result.iterations} rounds")
 print(f"  2/(1+sqrt(2)) = {eta_crit:.9f}")

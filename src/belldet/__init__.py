@@ -42,11 +42,11 @@ from .protocol import (
     ScenarioConfig,
     SolveResult,
     composite_parts,
+    critical_eta,
     critical_eta_high,
     critical_visibility,
     default_projectors,
     projected_state,
-    symmetric_critical_eta,
 )
 from .qstate import (
     DensityMatrix,
@@ -91,6 +91,7 @@ __all__ = [
     "bernoulli_pmf",
     "cluster4",
     "composite_parts",
+    "critical_eta",
     "critical_eta_high",
     "critical_visibility",
     "damaged_state",
@@ -109,7 +110,6 @@ __all__ = [
     "psi_plus_weight",
     "quantum_value",
     "success_probability",
-    "symmetric_critical_eta",
     "trial_ratio",
     "trial_stats",
     "w_state",

@@ -382,22 +382,33 @@ def _solve_threshold(
     return SolveResult("not_converged", root, rounds, bracket, residual, {"reason": reason})
 
 
-def _critical_eta(
+def critical_eta(
     expr: BellExpression,
     state: DensityMatrix,
-    pins: Sequence[float | None],
-    convention: Convention,
-    restarts: int,
-    seed: int,
+    pins: Sequence[float | None] | None = None,
+    convention: Convention = Convention.FOLD,
+    restarts: int = 64,
+    seed: int = 0,
     fixed: Sequence[Sequence[MeasurementSetting]] | None = None,
-    name: str = "eta",
-    **solved_diagnostics,
 ) -> SolveResult:
-    """The pinned-eta path: parties pinned to None share the solved eta, so
-    Q(eta) has degree pins.count(None). ``fixed`` settings skip the optimizer."""
+    """Critical efficiency of the free detectors.
+
+    ``pins`` lists one efficiency per party; parties pinned to None share
+    the solved eta, so Q(eta) has degree pins.count(None). ``pins=None``
+    frees every party. ``fixed`` settings skip the optimizer. NOT_FOUND when
+    there is no violation with the free parties at eta = 1.
+    """
+    n = expr.n_parties
+    pins = [None] * n if pins is None else list(pins)
+    degree = pins.count(None)
+    if len(pins) != n:
+        raise ValueError(f"pins must list {n} entries, one per party, got {len(pins)}")
+    if not degree:
+        raise ValueError("pins must leave at least one party free (None)")
+    pins = [None if pin is None else validate_efficiency(pin) for pin in pins]
 
     def etas(eta: float) -> list[float]:
-        return [eta if pin is None else validate_efficiency(pin) for pin in pins]
+        return [eta if pin is None else pin for pin in pins]
 
     def value_at(eta: float, settings: SettingsAssignment) -> float:
         return quantum_value(expr, state, settings, etas(eta), convention)
@@ -409,11 +420,9 @@ def _critical_eta(
 
     settings, q_one = resolve_settings(expr, state, etas(1.0), convention, fixed, restarts, seed)
     if q_one - expr.classical_bound <= 1e-11:
-        return _not_found(f"no violation at {name} = 1", value_at_one=q_one)
-    result = _solve_threshold(
-        value_at, list(pins).count(None), optimize_at, settings, expr.classical_bound
-    )
-    result.diagnostics.update(value_at_one=q_one, **solved_diagnostics)
+        return _not_found("no violation at eta_H = 1", value_at_one=q_one)
+    result = _solve_threshold(value_at, degree, optimize_at, settings, expr.classical_bound)
+    result.diagnostics["value_at_one"] = q_one
     return result
 
 
@@ -427,33 +436,14 @@ def critical_eta_high(
     Solves Q(eta_H) = L on (0, 1] for the Bell value on the projected
     state, with settings re-optimized against the shrinking efficiency when
     the config says AUTO. NOT_FOUND when there is no violation at eta_H = 1.
+    Every result carries the projection probabilities.
     """
     p_list, rho_prime = projected_state(config)
-    return _critical_eta(
-        config.bell, rho_prime, [None] * config.k, config.convention, restarts, seed,
-        config.settings, "eta_H", projection_probs=p_list,
+    result = critical_eta(
+        config.bell, rho_prime, None, config.convention, restarts, seed, config.settings
     )
-
-
-def symmetric_critical_eta(
-    expr: BellExpression,
-    state: DensityMatrix,
-    eta_fixed: Sequence[float | None] | None = None,
-    convention: Convention = Convention.FOLD,
-    restarts: int = 64,
-    seed: int = 0,
-) -> SolveResult:
-    """Critical efficiency when all free parties share one eta.
-
-    ``eta_fixed`` pins individual parties (None entries share the solved
-    eta); by default every detector is dressed equally. Settings are always
-    optimized (AUTO).
-    """
-    n = expr.n_parties
-    pins = list(eta_fixed) if eta_fixed is not None else [None] * n
-    if len(pins) != n:
-        raise ValueError(f"eta_fixed must list {n} entries")
-    return _critical_eta(expr, state, pins, convention, restarts, seed)
+    result.diagnostics["projection_probs"] = p_list
+    return result
 
 
 def critical_visibility(

@@ -26,6 +26,7 @@ from belldet import (
     bell_phi_plus,
     bell_psi_plus,
     composite_parts,
+    critical_eta,
     critical_eta_high,
     critical_visibility,
     damaged_state,
@@ -37,7 +38,6 @@ from belldet import (
     preset,
     psi_plus_fraction,
     psi_plus_weight,
-    symmetric_critical_eta,
     trial_ratio,
 )
 from belldet.cli import EXIT_OK, main as cli_main
@@ -361,11 +361,11 @@ def test_criterion_8_visibility_consistency():
 def test_criterion_9_external_expression_plumbing():
     # the literature comparison values cannot be reproduced here because the
     # referenced inequality families are not part of this package; the
-    # substitute check: a user-supplied JSON expression drives the symmetric
+    # substitute check: a user-supplied JSON expression drives the threshold
     # solver end to end and CHSH reproduces the two-detector threshold.
     doc = json.loads((CONFIG_DIR / "chsh.json").read_text())
     expr = BellExpression.from_json_dict(doc)
-    result = symmetric_critical_eta(expr, bell_phi_plus().density(), restarts=24)
+    result = critical_eta(expr, bell_phi_plus().density(), restarts=24)
     chsh_ok = result.found and abs(result.critical_value - ETA_CRIT) < 1e-6
 
     # a handmade 4-party expression exercises the same path; no reference
@@ -380,7 +380,7 @@ def test_criterion_9_external_expression_plumbing():
     )
     four_doc = json.loads(json.dumps(four_party.to_json_dict()))
     loaded = BellExpression.from_json_dict(four_doc)
-    run = symmetric_critical_eta(loaded, make_state(StateSpec("GHZ", 4)).density(), restarts=4)
+    run = critical_eta(loaded, make_state(StateSpec("GHZ", 4)).density(), restarts=4)
     plumbing_ok = run.status in ("ok", "not_found")
     if run.found:
         plumbing_ok = plumbing_ok and run.achieved_residual < 1e-9

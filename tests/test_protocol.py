@@ -16,6 +16,7 @@ from belldet import (
     ZeroProjectionError,
     bell_phi_plus,
     composite_parts,
+    critical_eta,
     critical_eta_high,
     critical_visibility,
     damaged_state,
@@ -24,7 +25,6 @@ from belldet import (
     preset,
     projected_state,
     quantum_value,
-    symmetric_critical_eta,
 )
 from belldet.bell import BellExpression, BellForm, BellTerm
 from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
@@ -232,7 +232,7 @@ class TestCriticalEta:
 
 class TestSymmetricCriticalEta:
     def test_chsh_on_bell_pair(self):
-        result = symmetric_critical_eta(preset("CHSH"), bell_phi_plus().density(), restarts=24)
+        result = critical_eta(preset("CHSH"), bell_phi_plus().density(), restarts=24)
         assert result.found
         assert result.critical_value == pytest.approx(ETA_CRIT, abs=1e-6)
 
@@ -242,9 +242,7 @@ class TestSymmetricCriticalEta:
         thresholds = []
         for alpha in (math.pi / 4, 0.2, 0.1):
             state = partial_pair(alpha).density()
-            result = symmetric_critical_eta(
-                preset("CHSH"), state, eta_fixed=[1.0, None], restarts=24
-            )
+            result = critical_eta(preset("CHSH"), state, pins=[1.0, None], restarts=24)
             assert result.found
             assert result.critical_value == pytest.approx(
                 pinned_threshold_closed_form(alpha), abs=1e-6
@@ -255,16 +253,84 @@ class TestSymmetricCriticalEta:
         assert 0.5 < min(thresholds) < 0.51
 
     def test_pinned_is_easier_than_symmetric(self):
-        pinned = symmetric_critical_eta(
-            preset("CHSH"), bell_phi_plus().density(), eta_fixed=[1.0, None], restarts=24
+        pinned = critical_eta(
+            preset("CHSH"), bell_phi_plus().density(), pins=[1.0, None], restarts=24
         )
         assert pinned.critical_value < ETA_CRIT
 
     def test_not_found_on_product_state(self):
-        result = symmetric_critical_eta(
-            preset("CHSH"), partial_pair(0.0).density(), restarts=12
-        )
+        result = critical_eta(preset("CHSH"), partial_pair(0.0).density(), restarts=12)
         assert not result.found
+        assert result.diagnostics["reason"] == "no violation at eta_H = 1"
+
+
+class TestPinnedCriticalEta:
+    @pytest.mark.parametrize(
+        "pins, message",
+        [
+            # every party pinned leaves no eta to solve for (a degree-0 interpolant)
+            ([1.0, 1.0], "at least one party free"),
+            ([0.9, 0.0], "at least one party free"),
+            ([None], "must list 2 entries"),
+            ([None, None, None], "must list 2 entries"),
+            ([1.0, None, None], "must list 2 entries"),
+            ([1.5, None], "outside"),
+            ([None, -0.1], "outside"),
+        ],
+    )
+    def test_bad_pins_are_an_error(self, pins, message):
+        with pytest.raises(ValueError, match=message):
+            critical_eta(preset("CHSH"), bell_phi_plus().density(), pins=pins)
+
+    def test_pins_are_checked_once_at_entry(self, monkeypatch):
+        calls = []
+        original = protocol.validate_efficiency
+
+        def counting(eta):
+            calls.append(eta)
+            return original(eta)
+
+        monkeypatch.setattr(protocol, "validate_efficiency", counting)
+        result = critical_eta(
+            preset("CHSH"), partial_pair(0.2).density(), pins=[1.0, None], restarts=4
+        )
+        assert result.found
+        assert calls == [1.0]
+
+    # ROADMAP item 8's CH table on cos(a)|00> + sin(a)|11>, party A pinned at eta = 1.
+    # The values are this solver's own, measured at 16 restarts: regressions, not oracles.
+    _CH_TABLE = {0.6: (0.6346940159015311, 0.7823664742540375),
+                 0.15: (0.5109321900215543, 0.6908046439354445)}
+
+    def test_ch_trinary_pinned_threshold_table(self):
+        ch = preset("EBERHARD_CH")
+        pinned_by_alpha = {}
+        for alpha, (pinned_expected, symmetric_expected) in self._CH_TABLE.items():
+            state = partial_pair(alpha).density()
+            pinned = critical_eta(ch, state, [1.0, None], Convention.TRINARY, restarts=16)
+            symmetric = critical_eta(ch, state, None, Convention.TRINARY, restarts=16)
+            assert pinned.found and symmetric.found
+            # the Cabello-Larsson limit 1/2 bounds a one-sided threshold from below
+            assert 0.5 < pinned.critical_value < symmetric.critical_value
+            assert pinned.critical_value == pytest.approx(pinned_expected, abs=1e-6)
+            assert symmetric.critical_value == pytest.approx(symmetric_expected, abs=1e-6)
+            pinned_by_alpha[alpha] = pinned.critical_value
+        assert pinned_by_alpha[0.15] < pinned_by_alpha[0.6]
+
+
+@pytest.mark.parametrize(
+    "filename", ["ghz4.json", "eberhard_alpha005.json", "dicke42_damaged.json"]
+)
+def test_critical_eta_high_is_critical_eta_on_the_projected_state(filename):
+    """The config adapter projects, solves with every party free and only adds
+    the projection probabilities, found or not."""
+    config = ScenarioConfig.from_json_dict(json.loads((CONFIG_DIR / filename).read_text()))
+    p_list, rho = projected_state(config)
+    adapted = critical_eta_high(config, restarts=8, seed=3)
+    direct = critical_eta(config.bell, rho, None, config.convention, 8, 3, config.settings)
+    assert adapted.found == (filename != "dicke42_damaged.json")
+    assert adapted.diagnostics.pop("projection_probs") == p_list
+    assert adapted == direct
 
 
 class TestCriticalVisibility:

@@ -12,11 +12,11 @@ KEPT = {
     "DickeLossSpec", "MeasurementSetting", "OptimizeOptions", "PureState", "QubitCapacityError",
     "ScenarioConfig", "SolveResult", "StateSpec", "TrialStats", "X_PLUS", "Z_ONE", "Z_ZERO",
     "ZeroProjectionError", "bell_phi_plus", "bell_psi_plus", "bernoulli_pmf", "cluster4",
-    "composite_parts", "critical_eta_high", "critical_visibility", "damaged_state",
+    "composite_parts", "critical_eta", "critical_eta_high", "critical_visibility", "damaged_state",
     "default_projectors", "dicke", "dicke_loss_mixture", "ghz", "lhv_bound", "make_state",
     "optimize_settings", "partial_pair", "pascal_expected_trials", "preset", "projected_state",
     "psi_plus_fraction", "psi_plus_weight", "quantum_value", "success_probability",
-    "symmetric_critical_eta", "trial_ratio", "trial_stats", "w_state",
+    "trial_ratio", "trial_stats", "w_state",
 }
 
 # The dense algebra that no command ran, by the module that held it.
