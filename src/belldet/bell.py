@@ -199,23 +199,16 @@ def expression_from_json_dict(doc: dict) -> BellExpression:
 
 
 @functools.cache
-def _lhv_basis(form: BellForm) -> np.ndarray:
-    """basis[l, o]: the factor of cell label l (``_CELL_LABELS``) when a party answers o."""
-    outcome_factor = _outcome_factors(_LHV_CONVENTION[form])
-    basis = np.array([outcome_factor[label] for label in _CELL_LABELS[form]])
-    basis.setflags(write=False)
-    return basis
-
-
-@functools.cache
 def _strategy_matrix(form: BellForm, s: int) -> np.ndarray:
     """strategies[r, (j, l)]: label l's factor at the answer that a party's deterministic
-    strategy r (an outcome index per setting) gives at setting j. lhv_bound needs it only
-    with two or more parties, where STRATEGY_LIMIT keeps it to at most 1000 rows."""
-    basis = _lhv_basis(form)
-    width, n_outcomes = basis.shape
-    table = np.array(list(itertools.product(range(n_outcomes), repeat=s)))
-    strategies = basis.T[table].reshape(len(table), s * width)
+    strategy r (an outcome index per setting) gives at setting j. With s = 1 its rows are
+    the answers o, so strategies[o, l] is label l's factor when a party answers o.
+    lhv_bound needs s > 1 only with two or more parties, where STRATEGY_LIMIT keeps it
+    to at most 1000 rows."""
+    outcome_factor = _outcome_factors(_LHV_CONVENTION[form])
+    answers = np.array([outcome_factor[label] for label in _CELL_LABELS[form]]).T
+    table = np.array(list(itertools.product(range(len(answers)), repeat=s)))
+    strategies = answers[table].reshape(len(table), -1)
     strategies.setflags(write=False)
     return strategies
 
@@ -225,7 +218,7 @@ def _check_strategy_count(expr: BellExpression) -> None:
     n_outcomes^(s n): a party's deterministic strategy answers each of its s settings
     with one outcome. Decided without forming a count beyond the limit, which has
     up to millions of digits; the message prints the count while Python can."""
-    n_outcomes = _lhv_basis(expr.form).shape[1]
+    n_outcomes = len(_strategy_matrix(expr.form, 1))
     exponent = expr.settings_per_party * expr.n_parties
     # n_outcomes >= 2, so a count with exponent STRATEGY_LIMIT.bit_length() is already above
     if n_outcomes ** min(exponent, STRATEGY_LIMIT.bit_length()) <= STRATEGY_LIMIT:
@@ -237,6 +230,17 @@ def _check_strategy_count(expr: BellExpression) -> None:
     raise ValueError(f"enumeration would visit {count} strategies, limit is {STRATEGY_LIMIT}")
 
 
+def _contract(cells: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """C contracted party by party: each (cells x basis) matrix in turn maps the
+    leading party's cell axis to its basis, which moves to the back. After m matrices
+    the axes are the other parties' cells, then the m bases, flattened to two with the
+    last basis alone on the second (C itself when m = 0)."""
+    x = cells
+    for m in matrices:
+        x = x.reshape(len(m), -1).T @ m
+    return x
+
+
 def lhv_bound(expr: BellExpression) -> float:
     """Exact maximum over all deterministic local strategies, by best response.
 
@@ -245,23 +249,18 @@ def lhv_bound(expr: BellExpression) -> float:
     the classical bound of the local polytope. The value is multilinear in
     the parties' strategies: a strategy gives each cell (setting j, label l)
     of the expression's tensor C (``BellExpression.cells``) the factor of l
-    at the strategy's answer to j. The first n-1 parties are contracted with
-    their strategy matrices one at a time, which enumerates their joint
-    strategies; the value is then a sum over the last party's settings,
-    each with its own outcome, so the last party takes its best outcome per
-    setting in closed form. Above STRATEGY_LIMIT it raises ValueError before
-    C is read.
+    at the strategy's answer to j. ``_contract`` maps the first n-1 parties'
+    cells to their strategies, which enumerates their joint strategies; the
+    value is then a sum over the last party's settings, each with its own
+    outcome, so the last party takes its best outcome per setting in closed
+    form. Above STRATEGY_LIMIT it raises ValueError before C is read.
     """
     _check_strategy_count(expr)
-    s, basis = expr.settings_per_party, _lhv_basis(expr.form)
-    width = basis.shape[0]
-    x = expr.cells.reshape(s * width, -1)
-    for _ in range(expr.n_parties - 1):
-        # the leading party's cells become its strategies, moved to the back
-        x = (x.T @ _strategy_matrix(expr.form, s).T).reshape(s * width, -1)
+    s, answers = expr.settings_per_party, _strategy_matrix(expr.form, 1)
+    x = _contract(expr.cells, [_strategy_matrix(expr.form, s).T] * (expr.n_parties - 1))
     # acc[j, o, r]: the value at the last party's setting j when it answers o
     # there and the other parties play joint strategy r.
-    acc = basis.T @ x.reshape(s, width, -1)
+    acc = answers @ x.reshape(s, answers.shape[1], -1)
     return float(acc.max(axis=1).sum(axis=0).max())
 
 
@@ -274,7 +273,8 @@ def _coefficient_tensor(
     party's eta, is (b + a/2) I + (a/2) n_j . sigma, so each party's cells
     (j, l) of the expression's tensor C (``BellExpression.cells``, built once
     per expression) map to its units by the dressing matrix D[(j, l), q],
-    contracted one party at a time. W[0, ..., 0] is the value on white noise."""
+    which ``_contract`` applies one party at a time. W[0, ..., 0] is the value
+    on white noise."""
     n, s = expr.n_parties, expr.settings_per_party
     # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
     a, b = _coefficients(convention, np.array(_CELL_LABELS[expr.form])[:, None], etas)
@@ -282,11 +282,7 @@ def _coefficient_tensor(
     units = np.eye(s + 1)  # row 0 the identity, row j + 1 setting j's Pauli vector
     # dressing[i, j, l, q]: party i's cell (j, l) on its unit q
     dressing = (b + 0.5 * a) * units[0] + 0.5 * a * units[1:, None]
-    tensor = expr.cells
-    for d in dressing.reshape(n, -1, s + 1):
-        # the leading party's cells become its units, moved to the back
-        tensor = tensor.reshape(len(d), -1).T @ d
-    return tensor.reshape((s + 1,) * n)
+    return _contract(expr.cells, dressing.reshape(n, -1, s + 1)).reshape((s + 1,) * n)
 
 
 class _Evaluator:
