@@ -201,10 +201,9 @@ def expression_from_json_dict(doc: dict) -> BellExpression:
 @functools.cache
 def _strategy_matrix(form: BellForm, s: int) -> np.ndarray:
     """strategies[r, (j, l)]: label l's factor at the answer that a party's deterministic
-    strategy r (an outcome index per setting) gives at setting j. With s = 1 its rows are
-    the answers o, so strategies[o, l] is label l's factor when a party answers o.
-    lhv_bound needs s > 1 only with two or more parties, where STRATEGY_LIMIT keeps it
-    to at most 1000 rows."""
+    strategy r (an outcome index per setting) gives at setting j; at s = 1, row r is
+    answer r. lhv_bound needs s > 1 only with two or more parties, where STRATEGY_LIMIT
+    keeps it to at most 1000 rows."""
     outcome_factor = _outcome_factors(_LHV_CONVENTION[form])
     answers = np.array([outcome_factor[label] for label in _CELL_LABELS[form]]).T
     table = np.array(list(itertools.product(range(len(answers)), repeat=s)))
@@ -272,9 +271,8 @@ def _coefficient_tensor(
     A dressed operator a Pi+ + b I, (a, b) from the detector model at the
     party's eta, is (b + a/2) I + (a/2) n_j . sigma, so each party's cells
     (j, l) of the expression's tensor C (``BellExpression.cells``, built once
-    per expression) map to its units by the dressing matrix D[(j, l), q],
-    which ``_contract`` applies one party at a time. W[0, ..., 0] is the value
-    on white noise."""
+    per expression) map to its units by the dressing matrix D[(j, l), q], which
+    ``_contract`` applies. W[0, ..., 0] is the value on white noise."""
     n, s = expr.n_parties, expr.settings_per_party
     # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
     a, b = _coefficients(convention, np.array(_CELL_LABELS[expr.form])[:, None], etas)

@@ -97,14 +97,21 @@ def _mebibytes(n_bytes: int) -> str:
         return f"10^{math.log10(n_bytes) - 20 * math.log10(2):.0f}"
 
 
+def _parse_error(exc: Exception) -> str:
+    """What a config parser's KeyError, TypeError or ValueError says: a KeyError is the
+    field the config lacks, not the bare key that its own text would be."""
+    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _parse_scenario(doc, args) -> ScenarioConfig:
     """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap
     and the memory budget (``_working_set_bytes``) at ``args.restarts``."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        message = f"config does not describe a valid scenario: {exc}"
-        raise ConfigurationError(message, [f"parse: {exc}"]) from exc
+        reason = _parse_error(exc)
+        message = f"config does not describe a valid scenario: {reason}"
+        raise ConfigurationError(message, [f"parse: {reason}"]) from exc
     violations = config.validate()
     if config.n_qubits > QUBIT_CAP:  # states.make_state builds no more than that
         violations.append(f"state uses {config.n_qubits} qubits, above the cap {QUBIT_CAP}")
@@ -300,7 +307,8 @@ def _run_lhv_bound(doc, args) -> tuple[str, int]:
         stored = "preset" in bell_doc or "classical_bound" in bell_doc
         bound = lhv_bound(expr) if stored else expr.classical_bound
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"config does not describe a Bell expression: {exc}") from exc
+        reason = _parse_error(exc)
+        raise ConfigurationError(f"config does not describe a Bell expression: {reason}") from exc
     diagnostics = {}
     if abs(bound - expr.classical_bound) > 1e-9:
         diagnostics["stored_bound_mismatch"] = expr.classical_bound

@@ -10,8 +10,6 @@ import numpy as np
 from .detmodel import json_float, json_int
 from .qstate import QUBIT_CAP, PureState, QubitCapacityError
 
-STATE_KINDS = ("GHZ", "Dicke", "W", "Cluster4", "BellPhiPlus", "BellPsiPlus", "PartialPair")
-
 # Kinds whose qubit count is fixed; used to fill defaults when parsing configs.
 _FIXED_N = {"Cluster4": 4, "BellPhiPlus": 2, "BellPsiPlus": 2, "PartialPair": 2}
 
@@ -121,24 +119,21 @@ def partial_pair(alpha: float) -> PureState:
     return PureState(2, np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)]))
 
 
+# Each kind's factory, on a spec that StateSpec has checked; STATE_KINDS lists its keys.
+_FACTORIES = {
+    "GHZ": lambda spec: ghz(spec.n),
+    "Dicke": lambda spec: dicke(spec.n, spec.excitations),
+    "W": lambda spec: w_state(spec.n),
+    "Cluster4": lambda spec: cluster4(),
+    "BellPhiPlus": lambda spec: bell_phi_plus(),
+    "BellPsiPlus": lambda spec: bell_psi_plus(),
+    "PartialPair": lambda spec: partial_pair(spec.alpha),
+}
+STATE_KINDS = tuple(_FACTORIES)
+
+
 def make_state(spec: StateSpec) -> PureState:
     """Build the state described by ``spec``, at most QUBIT_CAP qubits."""
     if spec.n > QUBIT_CAP:
         raise QubitCapacityError(f"state needs {spec.n} qubits, cap is {QUBIT_CAP}")
-    if spec.kind == "GHZ":
-        return ghz(spec.n)
-    if spec.kind == "Dicke":
-        assert spec.excitations is not None
-        return dicke(spec.n, spec.excitations)
-    if spec.kind == "W":
-        return w_state(spec.n)
-    if spec.kind == "Cluster4":
-        return cluster4()
-    if spec.kind == "BellPhiPlus":
-        return bell_phi_plus()
-    if spec.kind == "BellPsiPlus":
-        return bell_psi_plus()
-    if spec.kind == "PartialPair":
-        assert spec.alpha is not None
-        return partial_pair(spec.alpha)
-    raise ValueError(f"unknown state kind {spec.kind!r}")
+    return _FACTORIES[spec.kind](spec)

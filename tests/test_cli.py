@@ -576,6 +576,24 @@ def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, c
     assert cell_builds == []
 
 
+def test_a_missing_field_is_named_as_missing(capsys, tmp_path):
+    """A bare expression is no scenario: eval and validate name the absent "bell"
+    field, and lhv-bound names an expression's absent "form", not a bare key."""
+    chsh = str(CONFIG_DIR / "chsh.json")
+    code, out, err = run(capsys, "eval", "--config", chsh)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: config does not describe a valid scenario: missing field 'bell'\n"
+    violations = run_json(capsys, "validate", "--config", chsh)["result"]["violations"]
+    assert violations == ["parse: missing field 'bell'"]
+    doc = json.loads((CONFIG_DIR / "chsh.json").read_text())
+    del doc["form"]
+    path = tmp_path / "formless.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lhv-bound", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: config does not describe a Bell expression: missing field 'form'\n"
+
+
 @pytest.mark.parametrize("stored", [False, True])
 def test_lhv_bound_at_ten_thousand_parties_is_a_config_error(capsys, tmp_path, stored):
     """2^20000 strategies, a count beyond the digits Python prints, exit 2 with the limit."""
