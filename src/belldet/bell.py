@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,7 +229,7 @@ def _check_strategy_count(expr: BellExpression) -> None:
     raise ValueError(f"enumeration would visit {count} strategies, limit is {STRATEGY_LIMIT}")
 
 
-def _contract(cells: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+def _contract(cells: np.ndarray, matrices: Iterable[np.ndarray]) -> np.ndarray:
     """C contracted party by party: each (cells x basis) matrix in turn maps the
     leading party's cell axis to its basis, which moves to the back. After m matrices
     the axes are the other parties' cells, then the m bases, flattened to two with the
@@ -256,7 +256,8 @@ def lhv_bound(expr: BellExpression) -> float:
     """
     _check_strategy_count(expr)
     s, answers = expr.settings_per_party, _strategy_matrix(expr.form, 1)
-    x = _contract(expr.cells, [_strategy_matrix(expr.form, s).T] * (expr.n_parties - 1))
+    # lazy: a lone party builds no strategy matrix, which has 3^12 rows at s = 12
+    x = _contract(expr.cells, (_strategy_matrix(expr.form, s).T for _ in range(expr.n_parties - 1)))
     # acc[j, o, r]: the value at the last party's setting j when it answers o
     # there and the other parties play joint strategy r.
     acc = answers @ x.reshape(s, answers.shape[1], -1)

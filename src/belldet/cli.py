@@ -98,8 +98,7 @@ def _mebibytes(n_bytes: int) -> str:
 
 
 def _parse_error(exc: Exception) -> str:
-    """What a config parser's KeyError, TypeError or ValueError says: a KeyError is the
-    field the config lacks, not the bare key that its own text would be."""
+    """A config parser's error as text; a KeyError's names the missing field, not a bare key."""
     return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
@@ -137,7 +136,8 @@ def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
     try:
         start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {exc}') from exc
+        reason = _parse_error(exc)
+        raise ConfigurationError(f'grid needs numeric "start", "stop", "step": {reason}') from exc
     if not (step > 0.0 and stop >= start):
         raise ConfigurationError("grid must satisfy step > 0 and stop >= start")
     half_steps = (stop - start) / step + 0.5

@@ -361,6 +361,16 @@ class TestBestResponse:
         terms = (BellTerm((0,), 1.0), BellTerm((1,), -0.5), BellTerm((1,), 2.0))
         assert lhv_bound(BellExpression(1, 2, BellForm.CORRELATION, terms, 0.0)) == 2.5
 
+    def test_a_lone_party_builds_no_strategy_matrix(self, monkeypatch):
+        """3^12 strategies are within the limit, but one party best-responds per setting
+        in closed form: only the answers table (s = 1) is read."""
+        built, strategy_matrix = [], bell._strategy_matrix
+        monkeypatch.setattr(bell, "_strategy_matrix",
+                            lambda form, s: built.append(s) or strategy_matrix(form, s))
+        terms = tuple(BellTerm((j,), 1.0, ("+",)) for j in range(12))
+        assert lhv_bound(BellExpression(1, 12, BellForm.PROBABILITY, terms, 0.0)) == 12.0
+        assert set(built) <= {1}
+
     def test_single_party_probability(self):
         terms = (
             BellTerm((0,), -1.0, ("+",)),

@@ -578,7 +578,8 @@ def test_lhv_bound_over_the_strategy_limit_is_a_config_error(capsys, tmp_path, c
 
 def test_a_missing_field_is_named_as_missing(capsys, tmp_path):
     """A bare expression is no scenario: eval and validate name the absent "bell"
-    field, and lhv-bound names an expression's absent "form", not a bare key."""
+    field. lhv-bound names an expression's absent "form", and sweep a grid's
+    absent "start", each as a missing field, not a bare key."""
     chsh = str(CONFIG_DIR / "chsh.json")
     code, out, err = run(capsys, "eval", "--config", chsh)
     assert (code, out) == (EXIT_CONFIG, "")
@@ -592,6 +593,12 @@ def test_a_missing_field_is_named_as_missing(capsys, tmp_path):
     code, out, err = run(capsys, "lhv-bound", "--config", str(path))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == "config error: config does not describe a Bell expression: missing field 'form'\n"
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    del doc["grid"]["start"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.endswith('"step": missing field \'start\'\n')
 
 
 @pytest.mark.parametrize("stored", [False, True])

@@ -26,6 +26,7 @@ from belldet import (
     preset,
     quantum_value,
 )
+from belldet.bell import angles_to_settings
 from test_bell import random_expression, random_mixed_state
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -127,15 +128,13 @@ def test_lhv_bound_is_invariant_under_relabelings(form, n, s):
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_turns_local_unitaries_into_rotated_settings(form, convention, n):
     """Tr(U rho U^dagger n . sigma) = Tr(rho (R^T n) . sigma) party by party, at eta < 1."""
-    rng = np.random.default_rng(7 * n + (form == BellForm.PROBABILITY) + 2 * (convention == "trinary"))
+    rng = np.random.default_rng([n, form == BellForm.PROBABILITY, convention == Convention.TRINARY])
     for _ in range(5):
         expr = random_expression(rng, form, n, 2, 10)
         rho = random_mixed_state(rng, n)
         unitaries, total = local_unitary(rng, n)
-        settings = [
-            [MeasurementSetting(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)) for _ in range(2)]
-            for _ in range(n)
-        ]
+        thetas, phis = rng.uniform(0, math.pi, size=(n, 2)), rng.uniform(-math.pi, math.pi, (n, 2))
+        settings = angles_to_settings(thetas, phis)
         turned = [[rotated(m, rotation(u)) for m in party] for party, u in zip(settings, unitaries)]
         etas = rng.uniform(0.5, 0.99, size=n)
         value = quantum_value(expr, conjugated(rho, total), settings, etas, convention)
