@@ -16,8 +16,6 @@ from .analysis import (
     pascal_expected_trials,
     psi_plus_fraction,
     psi_plus_weight,
-    success_probability,
-    trial_ratio,
     trial_stats,
 )
 from .bell import (
@@ -109,8 +107,6 @@ __all__ = [
     "psi_plus_fraction",
     "psi_plus_weight",
     "quantum_value",
-    "success_probability",
-    "trial_ratio",
     "trial_stats",
     "w_state",
 ]

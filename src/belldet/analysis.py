@@ -70,21 +70,10 @@ def trial_stats(config: ScenarioConfig) -> TrialStats:
     )
 
 
-def success_probability(config: ScenarioConfig) -> tuple[float, float]:
-    """(p_succ, p_succ_standard) for one experimental trial."""
-    stats = trial_stats(config)
-    return stats.p_succ, stats.p_succ_standard
-
-
 def require_no_lost(config: ScenarioConfig) -> None:
     """Trial counts need every qubit present: a lost qubit raises ValueError."""
     if config.lost:
         raise ValueError("success probability is defined for scenarios without lost qubits")
-
-
-def trial_ratio(config: ScenarioConfig) -> float:
-    """n' of ``config`` (``n_prime_from_ratio``); ZeroDivisionError if p_succ is zero."""
-    return trial_stats(config).n_prime
 
 
 def pascal_expected_trials(r: int, p: float) -> float:
@@ -189,20 +178,13 @@ def psi_plus_weight(spec: DickeLossSpec) -> float:
 def psi_plus_fraction(spec: DickeLossSpec) -> float:
     """Normalized |psi+> fraction of the post-projection state.
 
-    The other surviving components are |00><00| (j = e-u) and |11><11|
-    (j = e-u-2); the unnormalized weights telescope so the fraction equals
-    2m(l+2-m) / ((l+1)(l+2)) with m = e-u, never above 2/3 for l >= 1 and
+    With m = e-u, the surviving components |psi+>, |00><00| (j = e-u) and
+    |11><11| (j = e-u-2) weigh 2 C(l, m-1), C(l, m) and C(l, m-2), which sum
+    to C(l+2, m), so the fraction is 2m(l+2-m) / ((l+1)(l+2)) for
+    1 <= m <= l+1 and zero otherwise: never above 2/3 for l >= 1 and
     therefore always below the 1/sqrt(2) a CHSH violation needs.
     """
-    e, u, l = spec.excitations, spec.u, spec.lost
-
-    def comb_or_zero(m: int, j: int) -> int:
-        return math.comb(m, j) if 0 <= j <= m else 0
-
-    q_psi = 2 * comb_or_zero(l, e - u - 1)
-    q_00 = comb_or_zero(l, e - u)
-    q_11 = comb_or_zero(l, e - u - 2)
-    total = q_psi + q_00 + q_11
-    if total == 0:
+    m, l = spec.excitations - spec.u, spec.lost
+    if not 1 <= m <= l + 1:
         return 0.0
-    return q_psi / total
+    return 2 * m * (l + 2 - m) / ((l + 1) * (l + 2))

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detmodel import Convention, MeasurementSetting, json_float, json_int, validate_efficiency
-from .detmodel import _coefficients, _outcome_factors
+from .detmodel import Convention, MeasurementSetting, json_float, json_int, json_object
+from .detmodel import _coefficients, _outcome_factors, validate_efficiency
 from .qstate import DensityMatrix
 
 OUTCOME_PLUS = "+"
@@ -137,8 +137,8 @@ class BellExpression:
         form = BellForm(doc["form"])
         terms = []
         for item in doc["terms"]:
-            # not item.get: a term that is no JSON object must fail with TypeError
-            outcomes = item["outcomes"] if "outcomes" in item else None
+            item = json_object(item, "term")
+            outcomes = item.get("outcomes")
             if outcomes is not None and not (
                 isinstance(outcomes, (list, tuple)) and all(isinstance(o, str) for o in outcomes)
             ):
@@ -193,7 +193,8 @@ def preset(name: str) -> BellExpression:
 
 def expression_from_json_dict(doc: dict) -> BellExpression:
     """A config's Bell section: ``{"preset": name}`` or an inline expression."""
-    if isinstance(doc, dict) and "preset" in doc:
+    doc = json_object(doc, "bell")
+    if "preset" in doc:
         return preset(doc["preset"])
     return BellExpression.from_json_dict(doc)
 

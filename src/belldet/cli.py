@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, bell, protocol
 from .bell import expression_from_json_dict, lhv_bound
-from .detmodel import json_float, json_int
+from .detmodel import json_float, json_int, json_object
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, ZeroProjectionError
 
@@ -132,8 +132,8 @@ def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
     if not isinstance(doc, dict) or "scenario" not in doc or "grid" not in doc:
         raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
     config = _parse_scenario(doc["scenario"], args)
-    grid = doc["grid"]
     try:
+        grid = json_object(doc["grid"], "grid")
         start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
     except (KeyError, TypeError, ValueError) as exc:
         reason = _parse_error(exc)
@@ -299,8 +299,9 @@ def _run_sweep(doc, args) -> tuple[str, int]:
 def _run_lhv_bound(doc, args) -> tuple[str, int]:
     """The bound of a sweep's ``scenario.bell``, a scenario's ``bell`` or a bare expression."""
     try:
+        doc = json_object(doc, "config")
         if "scenario" in doc:
-            doc = doc["scenario"]
+            doc = json_object(doc["scenario"], "scenario")
         bell_doc = doc["bell"] if "bell" in doc else doc
         expr = expression_from_json_dict(bell_doc)
         # An inline expression without a stored bound was given the computed one on parsing.

@@ -92,6 +92,15 @@ def json_float(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def json_object(value, name: str) -> dict:
+    """A section of a config that is indexed by field name: a JSON object.
+    An array is named, not printed, since it may hold a whole document."""
+    if isinstance(value, dict):
+        return value
+    got = "an array" if isinstance(value, list) else repr(value)
+    raise ValueError(f"{name} must be a JSON object, got {got}")
+
+
 def validate_efficiency(eta: float) -> float:
     """Check eta lies in [0, 1] and return it as a float."""
     value = float(eta)

@@ -16,7 +16,7 @@ from .bell import (
     optimize_settings, quantum_value,
 )
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int
-from .detmodel import validate_efficiency
+from .detmodel import json_object, validate_efficiency
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
 from .states import StateSpec, make_state
 
@@ -119,18 +119,23 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
+        doc = json_object(doc, "scenario")
         bell = expression_from_json_dict(doc["bell"])
         projectors_doc = doc.get("projectors", "default")
         if projectors_doc == "default" or projectors_doc is None:
             projectors = None
         else:
-            projectors = tuple(MeasurementSetting.from_json_dict(p) for p in projectors_doc)
+            projectors = tuple(
+                MeasurementSetting.from_json_dict(json_object(p, "projector"))
+                for p in projectors_doc
+            )
         settings_doc = doc.get("settings", "auto")
         if settings_doc == "auto" or settings_doc is None:
             settings = None
         else:
             settings = tuple(
-                tuple(MeasurementSetting.from_json_dict(s) for s in party) for party in settings_doc
+                tuple(MeasurementSetting.from_json_dict(json_object(s, "setting")) for s in party)
+                for party in settings_doc
             )
         return cls(
             state=StateSpec.from_json_dict(doc["state"]),

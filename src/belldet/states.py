@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detmodel import json_float, json_int
+from .detmodel import json_float, json_int, json_object
 from .qstate import QUBIT_CAP, PureState, QubitCapacityError
 
 # Kinds whose qubit count is fixed; used to fill defaults when parsing configs.
@@ -46,6 +46,7 @@ class StateSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StateSpec":
+        doc = json_object(doc, "state")
         kind = doc["kind"]
         excitations = doc.get("excitations")
         alpha = doc.get("alpha")
@@ -107,11 +108,13 @@ def cluster4() -> PureState:
 
 
 def bell_phi_plus() -> PureState:
-    return PureState(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    """(|00> + |11>)/sqrt(2), the two-qubit GHZ state."""
+    return ghz(2)
 
 
 def bell_psi_plus() -> PureState:
-    return PureState(2, np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0))
+    """(|01> + |10>)/sqrt(2), the two-qubit W state."""
+    return dicke(2, 1)
 
 
 def partial_pair(alpha: float) -> PureState:

@@ -38,7 +38,7 @@ from belldet import (
     preset,
     psi_plus_fraction,
     psi_plus_weight,
-    trial_ratio,
+    trial_stats,
 )
 from belldet.cli import EXIT_OK, main as cli_main
 from belldet.detmodel import X_PLUS, Z_ZERO
@@ -136,7 +136,7 @@ def test_criterion_3_eta_L_irrelevance():
 
 def test_criterion_4_duration(capsys):
     config = chsh_scenario(StateSpec("GHZ", 4), eta_L=0.45, eta_H=1.0)
-    ratio = trial_ratio(config)
+    ratio = trial_stats(config).n_prime
     exact = abs(ratio - 4.0 * 0.45**-2) < 1e-9
     near_twenty = abs(ratio - 20.0) < 0.5
 

@@ -23,8 +23,6 @@ from belldet import (
     projected_state,
     psi_plus_fraction,
     psi_plus_weight,
-    success_probability,
-    trial_ratio,
     trial_stats,
 )
 from belldet.analysis import n_prime_from_ratio
@@ -52,24 +50,23 @@ def brute_psi_plus_weight(n, excitations, lost, u):
 
 class TestSuccessProbability:
     def test_ideal_detectors(self):
-        p_succ, p_std = success_probability(ghz4_config(1.0, 1.0))
-        assert p_succ == pytest.approx(0.25, abs=1e-12)
-        assert p_std == pytest.approx(1.0, abs=1e-15)
+        stats = trial_stats(ghz4_config(1.0, 1.0))
+        assert stats.p_succ == pytest.approx(0.25, abs=1e-12)
+        assert stats.p_succ_standard == pytest.approx(1.0, abs=1e-15)
 
     def test_blind_low_detectors_never_succeed(self):
-        p_succ, _ = success_probability(ghz4_config(0.0, 1.0))
-        assert p_succ == 0.0
+        assert trial_stats(ghz4_config(0.0, 1.0)).p_succ == 0.0
 
     def test_mixed_efficiencies(self):
-        p_succ, p_std = success_probability(ghz4_config(0.1, 0.9))
-        assert p_succ == pytest.approx(0.25 * 0.01 * 0.81, abs=1e-15)
-        assert p_std == pytest.approx(0.9**4, abs=1e-15)
+        stats = trial_stats(ghz4_config(0.1, 0.9))
+        assert stats.p_succ == pytest.approx(0.25 * 0.01 * 0.81, abs=1e-15)
+        assert stats.p_succ_standard == pytest.approx(0.9**4, abs=1e-15)
 
 
 class TestTrialRatio:
     def test_quadratic_exponent_reproduces_the_20x_figure(self):
         # ratio 0.45 with two projecting parties: 4 * 0.45^-2, about 20
-        assert trial_ratio(ghz4_config(0.45, 1.0)) == pytest.approx(
+        assert trial_stats(ghz4_config(0.45, 1.0)).n_prime == pytest.approx(
             4.0 * 0.45**-2, abs=1e-9
         )
 
@@ -77,14 +74,14 @@ class TestTrialRatio:
         config = ScenarioConfig(
             state=StateSpec("BellPhiPlus", 2), k=2, eta_L=0.7, eta_H=0.7, bell=preset("CHSH")
         )
-        assert trial_ratio(config) == pytest.approx(1.0, abs=1e-12)
+        assert trial_stats(config).n_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_ratio_costs_only_the_projections(self):
-        assert trial_ratio(ghz4_config(1.0, 1.0)) == pytest.approx(4.0, abs=1e-12)
+        assert trial_stats(ghz4_config(1.0, 1.0)).n_prime == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_eta_L_guard(self):
         with pytest.raises(ZeroDivisionError):
-            trial_ratio(ghz4_config(0.0, 1.0))
+            trial_stats(ghz4_config(0.0, 1.0)).n_prime
 
     @pytest.mark.parametrize("eta_L,eta_H", [(0.45, 1.0), (0.1, 0.9), (0.9, 0.7)])
     def test_trial_ratio_is_the_one_formula(self, eta_L, eta_H):
@@ -98,11 +95,11 @@ class TestTrialRatio:
         config = ScenarioConfig(
             state=StateSpec("BellPhiPlus", 2), k=2, eta_L=0.0, eta_H=0.7, bell=preset("CHSH")
         )
-        assert trial_ratio(config) == 1.0
+        assert trial_stats(config).n_prime == 1.0
 
     def test_zero_eta_H_guard(self):
         with pytest.raises(ZeroDivisionError, match="success probability is zero"):
-            trial_ratio(ghz4_config(0.5, 0.0))
+            trial_stats(ghz4_config(0.5, 0.0)).n_prime
 
 
 class TestPascal:
@@ -129,7 +126,7 @@ class TestPascal:
         stats = trial_stats(config)
         for r in (10, 20):
             ratio_via_trials = stats.expected_trials(r) / stats.expected_trials_standard(r)
-            assert ratio_via_trials == pytest.approx(trial_ratio(config), rel=1e-12)
+            assert ratio_via_trials == pytest.approx(stats.n_prime, rel=1e-12)
         assert stats.expected_trials(20) == pytest.approx(
             2 * stats.expected_trials(10), rel=1e-12
         )
@@ -137,9 +134,9 @@ class TestPascal:
     def test_trial_stats_ties_the_pieces_together(self):
         config = ghz4_config(0.1, 0.9)
         stats = trial_stats(config)
-        p_succ, p_std = success_probability(config)
-        assert stats.p_succ == pytest.approx(p_succ, rel=1e-15)
-        assert stats.n_prime == pytest.approx(p_std / p_succ, rel=1e-12)
+        p_prod = float(np.prod(projected_state(config)[0]))
+        assert stats.p_succ == pytest.approx(p_prod * 0.1**2 * 0.9**2, rel=1e-15)
+        assert stats.n_prime == pytest.approx(stats.p_succ_standard / stats.p_succ, rel=1e-12)
 
 
 class TestBernoulliPmf:

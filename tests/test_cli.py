@@ -461,6 +461,17 @@ def test_duration_with_lost_qubits_is_a_config_error(capsys, name):
     assert err.startswith("config error:") and "lost qubits" in err
 
 
+def test_lhv_bound_reports_a_stored_bound_that_differs(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "chsh.json").read_text())
+    doc["classical_bound"] = 3.0
+    path = tmp_path / "chsh3.json"
+    path.write_text(json.dumps(doc))
+    report = run_json(capsys, "lhv-bound", "--config", str(path))
+    assert report["result"] == {"lhv_bound": 2.0}
+    assert report["diagnostics"] == {"stored_bound_mismatch": 3.0}
+    assert report["inputs"]["classical_bound"] == 3.0
+
+
 @pytest.mark.parametrize(
     "name,bound",
     [("ghz4.json", 2.0), ("eberhard_alpha005.json", 0.0), ("fig2.json", 2.0)],
@@ -696,6 +707,10 @@ VALIDATE_CASES = {
     "grid over the row limit": ("fig2.json", lambda doc: doc["grid"].update(step=1e-6), [], True),
     "lost in a sweep": ("fig2.json", lambda doc: doc["scenario"].update(lost=1), [], True),
     "bad sweep scenario": ("fig2.json", lambda doc: doc["scenario"].update(eta_L=-0.1), [], True),
+    "lost above N-k": ("ghz4.json", lambda doc: doc.update(lost=3), [], True),
+    "settings shape": (
+        "ghz4.json", lambda doc: doc.update(settings=[[{"theta": 0.0}], [{"theta": 0.0}]]), [], True
+    ),
     "sweep without a grid": ("fig2.json", lambda doc: doc.pop("grid"), [], True),
     "sweep over the cap": (
         "fig2.json", lambda doc: doc["scenario"].update(state={"kind": "GHZ", "n": QUBIT_CAP + 1}),
@@ -891,6 +906,68 @@ def test_terms_that_are_not_objects_are_a_config_error(capsys, tmp_path, terms):
         assert (code, out) == (EXIT_CONFIG, ""), (command, err)
     [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
     assert violation.startswith("parse:")
+
+
+# (edit, message): a section the parser indexes by field name holds another JSON type.
+WRONG_JSON_TYPES = {
+    "state": (lambda doc: doc.update(state="GHZ"), "state must be a JSON object, got 'GHZ'"),
+    "bell": (lambda doc: doc.update(bell="CHSH"), "bell must be a JSON object, got 'CHSH'"),
+    "projectors": (
+        lambda doc: doc.update(projectors=[1, 2]), "projector must be a JSON object, got 1"
+    ),
+    "settings": (
+        lambda doc: doc.update(settings=[[1, 2], [3, 4]]), "setting must be a JSON object, got 1"
+    ),
+    "terms": (
+        lambda doc: _inline_chsh(doc).update(terms=[1]), "term must be a JSON object, got 1"
+    ),
+    "document": (lambda doc: [doc], "scenario must be a JSON object, got an array"),
+    "number": (lambda doc: 5, "scenario must be a JSON object, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_JSON_TYPES))
+def test_a_section_of_the_wrong_json_type_is_named(capsys, tmp_path, case):
+    edit, message = WRONG_JSON_TYPES[case]
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(edit(doc) or doc))
+    code, out, err = run(capsys, "eval", "--config", str(path), "--restarts", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: config does not describe a valid scenario: {message}\n"
+    violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violations == [f"parse: {message}"]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (5, "config must be a JSON object, got 5"),
+        ([1], "config must be a JSON object, got an array"),
+        ({"scenario": "ghz4"}, "scenario must be a JSON object, got 'ghz4'"),
+        ({"bell": "CHSH"}, "bell must be a JSON object, got 'CHSH'"),
+    ],
+    ids=["number", "array", "scenario", "bell"],
+)
+def test_lhv_bound_names_a_section_of_the_wrong_json_type(capsys, tmp_path, doc, message):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lhv-bound", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: config does not describe a Bell expression: {message}\n"
+
+
+def test_a_sweep_grid_of_the_wrong_json_type_is_named(capsys, tmp_path):
+    doc = json.loads((CONFIG_DIR / "fig2.json").read_text())
+    doc["grid"] = [0.05, 1.0, 0.05]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    message = 'grid needs numeric "start", "stop", "step": grid must be a JSON object, got an array'
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: {message}\n"
+    violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violations == [message]
 
 
 def test_non_utf8_config_is_a_config_error(capsys, tmp_path):

@@ -418,6 +418,39 @@ class TestCriticalVisibility:
         assert result.critical_value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
         assert result.achieved_residual == pytest.approx(TSIRELSON - 2.0, abs=1e-9)
 
+    @staticmethod
+    def bell_pair(bell, convention=Convention.FOLD):
+        return ScenarioConfig(
+            state=StateSpec("BellPhiPlus", 2), k=2, eta_L=1.0, eta_H=1.0, bell=bell,
+            convention=convention,
+        )
+
+    def test_value_just_below_the_bound_at_full_visibility_is_a_root_at_one(self):
+        # Q - L = -5e-10 at v = 1 is within RESIDUAL_TOL of the bound, so v* = 1 itself
+        bell = replace(preset("CHSH"), classical_bound=TSIRELSON + 5e-10)
+        result = critical_visibility(self.bell_pair(bell), restarts=8)
+        assert result.status == "ok"
+        assert result.critical_value == 1.0
+        assert result.achieved_residual == pytest.approx(5e-10, abs=1e-12)
+
+    def test_violation_at_every_visibility_has_no_root(self):
+        # L = -10 lies below even the white-noise value Q(I/4) = 0
+        bell = replace(preset("CHSH"), classical_bound=-10.0)
+        result = critical_visibility(self.bell_pair(bell), restarts=8)
+        assert result.status == "not_found"
+        assert result.diagnostics["reason"] == "no sign change found below the upper end"
+        assert result.diagnostics["bell_value_noise"] == 0.0
+        assert result.diagnostics["bell_value_pure"] == pytest.approx(TSIRELSON, abs=1e-9)
+
+    def test_composite_that_ignores_the_state_has_no_root(self):
+        # P(*, *) = 1 on every state, so the composite is 1 - 0.5 at v = 0 and at v = 1
+        bell = BellExpression(
+            2, 2, BellForm.PROBABILITY, (BellTerm((0, 0), 1.0, ("*", "*")),), 0.5
+        )
+        result = critical_visibility(self.bell_pair(bell, Convention.TRINARY), restarts=8)
+        assert result.status == "not_found"
+        assert result.diagnostics == {"reason": "composite does not depend on v"}
+
     @pytest.mark.parametrize("eta_H", [1.0, 0.95, 0.9, 0.85])
     def test_auto_settings_reach_the_closed_form(self, eta_H):
         # CHSH(eta) = v 2 sqrt(2) eta^2 + 2 (1 - eta)^2 on the noisy Phi+ pair
@@ -610,6 +643,17 @@ class TestConfigValidation:
         config = ghz_chsh_config(convention=Convention.TRINARY)
         assert any("convention" in issue for issue in config.validate())
 
+    def test_lost_beyond_the_projecting_parties(self):
+        assert ghz_chsh_config(lost=3).validate() == [
+            "lost: must satisfy 0 <= lost <= N-k, got 3"
+        ]
+
+    def test_settings_shape_mismatch(self):
+        one_setting_each = ((X_PLUS,), (X_PLUS,))
+        assert ghz_chsh_config(settings=one_setting_each).validate() == [
+            "settings: shape does not match the Bell expression"
+        ]
+
     def test_valid_config_has_no_issues(self):
         assert ghz_chsh_config().validate() == []
 
@@ -684,6 +728,22 @@ class TestThresholdEngine:
         assert result.status == "ok"
         assert result.critical_value == pytest.approx(threshold, abs=1e-9)
         assert result.iterations == 2
+
+    def test_round_that_starts_below_the_bound_roots_at_its_upper_end(self):
+        # Round 1 roots at 0.5; the settings it returns put the value at 0.5 below
+        # the bound, so round 2 takes hi = 0.5 itself and the optimum there closes.
+        def value_at(x, settings):
+            return x - (0.5 if settings == 0 else 0.6)
+
+        def optimize_at(x, settings):
+            return settings + 1, 1.0 if settings == 0 else 0.0
+
+        result = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
+        assert result.status == "ok"
+        assert result.iterations == 2
+        assert result.critical_value == pytest.approx(0.5, abs=1e-12)
+        assert result.bracket == (0.0, result.critical_value)
+        assert result.achieved_residual == 0.0
 
     def test_root_below_the_floor_counts_as_none(self):
         # f turns non-negative at 1e-6, below the floor of 1e-4 of the upper end

@@ -15,8 +15,7 @@ KEPT = {
     "composite_parts", "critical_eta", "critical_eta_high", "critical_visibility", "damaged_state",
     "default_projectors", "dicke", "dicke_loss_mixture", "ghz", "lhv_bound", "make_state",
     "optimize_settings", "partial_pair", "pascal_expected_trials", "preset", "projected_state",
-    "psi_plus_fraction", "psi_plus_weight", "quantum_value", "success_probability",
-    "trial_ratio", "trial_stats", "w_state",
+    "psi_plus_fraction", "psi_plus_weight", "quantum_value", "trial_stats", "w_state",
 }
 
 # The dense algebra that no command ran, by the module that held it.
