@@ -27,7 +27,7 @@ p_list, rho = reduce_to_pair(bd.StateSpec("GHZ", 4), [X_PLUS, X_PLUS])
 for step, weight in enumerate(p_list):
     print(f"projection {step + 1}: weight = {weight:.4f}, {3 - step} qubits left")
 print("final state matches the phi+ Bell pair:",
-      np.allclose(rho.matrix, bd.bell_phi_plus().density().matrix, atol=1e-12))
+      np.allclose(rho.matrix, bd.ghz(2).density().matrix, atol=1e-12))
 
 print()
 print("=== Dicke(4,2), project |1> then |0> ===")
@@ -35,14 +35,14 @@ p_list, rho = reduce_to_pair(bd.StateSpec("Dicke", 4, excitations=2), [Z_ONE, Z_
 for weight in p_list:
     print(f"weight = {weight:.4f}")
 print("final state matches the psi+ Bell pair:",
-      np.allclose(rho.matrix, bd.bell_psi_plus().density().matrix, atol=1e-12))
+      np.allclose(rho.matrix, bd.dicke(2, 1).density().matrix, atol=1e-12))
 
 print()
 print("=== Cluster state: qubit 0 may even be lost entirely ===")
 p_list, final = reduce_to_pair(bd.StateSpec("Cluster4", 4), [Z_ZERO], lost=1)
 print(f"after losing qubit 0 and projecting |0>: weight = {p_list[0]:.4f}")
 print("Bell pair recovered:",
-      np.allclose(final.matrix, bd.bell_phi_plus().density().matrix, atol=1e-12))
+      np.allclose(final.matrix, bd.ghz(2).density().matrix, atol=1e-12))
 
 print()
 print("=== Tilting the first projector prepares a partially entangled pair ===")

@@ -5,7 +5,7 @@ import numpy as np
 import belldet as bd
 
 chsh = bd.preset("CHSH")
-rho = bd.bell_phi_plus().density()
+rho = bd.ghz(2).density()
 
 print(f"classical bound by best response over local strategies: {bd.lhv_bound(chsh)}")
 

@@ -50,18 +50,13 @@ from .qstate import (
     DensityMatrix,
     PureState,
     QubitCapacityError,
-    ZeroProjectionError,
-)
-from .states import (
     StateSpec,
-    bell_phi_plus,
-    bell_psi_plus,
+    ZeroProjectionError,
     cluster4,
     dicke,
     ghz,
     make_state,
     partial_pair,
-    w_state,
 )
 
 __all__ = [
@@ -84,8 +79,6 @@ __all__ = [
     "X_PLUS",
     "Z_ONE",
     "Z_ZERO",
-    "bell_phi_plus",
-    "bell_psi_plus",
     "bernoulli_pmf",
     "cluster4",
     "composite_parts",
@@ -108,7 +101,6 @@ __all__ = [
     "psi_plus_weight",
     "quantum_value",
     "trial_stats",
-    "w_state",
 ]
 
 __version__ = "0.1.0"

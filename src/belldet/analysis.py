@@ -10,8 +10,7 @@ import numpy as np
 
 from .detmodel import MeasurementSetting, Z_ONE, Z_ZERO
 from .protocol import ScenarioConfig, _project_factor, projected_state
-from .qstate import DensityMatrix
-from .states import StateSpec
+from .qstate import DensityMatrix, StateSpec
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detmodel import Convention, MeasurementSetting, json_float, json_int, json_object
+from .detmodel import Convention, MeasurementSetting, json_array, json_float, json_int, json_object
 from .detmodel import _coefficients, _outcome_factors, validate_efficiency
 from .qstate import DensityMatrix
 
@@ -136,14 +136,14 @@ class BellExpression:
     def from_json_dict(cls, doc: dict) -> "BellExpression":
         form = BellForm(doc["form"])
         terms = []
-        for item in doc["terms"]:
+        for item in json_array(doc["terms"], "terms"):
             item = json_object(item, "term")
             outcomes = item.get("outcomes")
             if outcomes is not None and not (
                 isinstance(outcomes, (list, tuple)) and all(isinstance(o, str) for o in outcomes)
             ):
                 raise ValueError(f"outcomes must be a list of labels, got {outcomes!r}")
-            settings = tuple(item["settings"])
+            settings = tuple(json_array(item["settings"], "term settings"))
             if not {int}.issuperset(map(type, settings)):  # bools, fractions and strings raise
                 settings = tuple(json_int(j, "term settings") for j in settings)
             terms.append(

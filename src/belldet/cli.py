@@ -24,7 +24,7 @@ from . import analysis, bell, protocol
 from .bell import expression_from_json_dict, lhv_bound
 from .detmodel import json_float, json_int, json_object
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, ZeroProjectionError
+from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, QubitCapacityError, ZeroProjectionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,8 +112,8 @@ def _parse_scenario(doc, args) -> ScenarioConfig:
         message = f"config does not describe a valid scenario: {reason}"
         raise ConfigurationError(message, [f"parse: {reason}"]) from exc
     violations = config.validate()
-    if config.n_qubits > QUBIT_CAP:  # states.make_state builds no more than that
-        violations.append(f"state uses {config.n_qubits} qubits, above the cap {QUBIT_CAP}")
+    if config.n_qubits > QUBIT_CAP:  # qstate.make_state builds no more than that
+        violations.append(str(QubitCapacityError(config.n_qubits)))
     elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
         needed = _working_set_bytes(config, args.restarts)
         if needed > MEMORY_BUDGET_BYTES:

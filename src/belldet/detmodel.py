@@ -101,6 +101,15 @@ def json_object(value, name: str) -> dict:
     raise ValueError(f"{name} must be a JSON object, got {got}")
 
 
+def json_array(value, name: str) -> list | tuple:
+    """A section of a config that is iterated: a JSON array (or a tuple, from
+    library callers). An object is named, not printed, as in ``json_object``."""
+    if isinstance(value, (list, tuple)):
+        return value
+    got = "an object" if isinstance(value, dict) else repr(value)
+    raise ValueError(f"{name} must be a JSON array, got {got}")
+
+
 def validate_efficiency(eta: float) -> float:
     """Check eta lies in [0, 1] and return it as a float."""
     value = float(eta)

@@ -16,9 +16,9 @@ from .bell import (
     optimize_settings, quantum_value,
 )
 from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int
-from .detmodel import json_object, validate_efficiency
-from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, ZeroProjectionError
-from .states import StateSpec, make_state
+from .detmodel import json_array, json_object, validate_efficiency
+from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, StateSpec, ZeroProjectionError
+from .qstate import make_state
 
 RESIDUAL_TOL = 1e-9
 _MAX_ROUNDS = 20
@@ -127,15 +127,18 @@ class ScenarioConfig:
         else:
             projectors = tuple(
                 MeasurementSetting.from_json_dict(json_object(p, "projector"))
-                for p in projectors_doc
+                for p in json_array(projectors_doc, "projectors")
             )
         settings_doc = doc.get("settings", "auto")
         if settings_doc == "auto" or settings_doc is None:
             settings = None
         else:
             settings = tuple(
-                tuple(MeasurementSetting.from_json_dict(json_object(s, "setting")) for s in party)
-                for party in settings_doc
+                tuple(
+                    MeasurementSetting.from_json_dict(json_object(s, "setting"))
+                    for s in json_array(party, "a party's settings")
+                )
+                for party in json_array(settings_doc, "settings")
             )
         return cls(
             state=StateSpec.from_json_dict(doc["state"]),

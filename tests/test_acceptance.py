@@ -23,8 +23,6 @@ from belldet import (
     OptimizeOptions,
     ScenarioConfig,
     StateSpec,
-    bell_phi_plus,
-    bell_psi_plus,
     composite_parts,
     critical_eta,
     critical_eta_high,
@@ -32,6 +30,7 @@ from belldet import (
     damaged_state,
     dicke,
     dicke_loss_mixture,
+    ghz,
     lhv_bound,
     make_state,
     optimize_settings,
@@ -217,7 +216,7 @@ def _chsh_grid_maximum_one_degree() -> float:
 
 
 def test_criterion_6_tsirelson_check():
-    _, value = optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1.0, 1.0])
+    _, value = optimize_settings(preset("CHSH"), ghz(2).density(), [1.0, 1.0])
     grid = _chsh_grid_maximum_one_degree()
     hit = abs(value - TSIRELSON) < 1e-6
     consistent = value >= grid - 1e-9 and value - grid < 1e-3
@@ -238,7 +237,7 @@ def _brute_psi_plus_weight(n: int, e: int, l: int, u: int) -> float:
     mat = partial_trace(dicke(n, e).density().matrix, range(l))
     for i in range(n - l - 2):
         mat = project_leading(mat, np.eye(2)[1 if i < u else 0])  # onto |1> or |0>
-    psi = bell_psi_plus().amplitudes
+    psi = dicke(2, 1).amplitudes
     return float(np.real(psi.conj() @ mat @ psi))
 
 
@@ -365,7 +364,7 @@ def test_criterion_9_external_expression_plumbing():
     # solver end to end and CHSH reproduces the two-detector threshold.
     doc = json.loads((CONFIG_DIR / "chsh.json").read_text())
     expr = BellExpression.from_json_dict(doc)
-    result = critical_eta(expr, bell_phi_plus().density(), restarts=24)
+    result = critical_eta(expr, ghz(2).density(), restarts=24)
     chsh_ok = result.found and abs(result.critical_value - ETA_CRIT) < 1e-6
 
     # a handmade 4-party expression exercises the same path; no reference

@@ -10,7 +10,6 @@ from belldet import (
     ScenarioConfig,
     StateSpec,
     ZeroProjectionError,
-    bell_psi_plus,
     bernoulli_pmf,
     damaged_state,
     dicke,
@@ -44,7 +43,7 @@ def brute_psi_plus_weight(n, excitations, lost, u):
     mat = partial_trace(dicke(n, excitations).density().matrix, range(lost))
     for i in range(n - lost - 2):
         mat = project_leading(mat, np.eye(2)[1 if i < u else 0])  # onto |1> or |0>
-    psi = bell_psi_plus().amplitudes
+    psi = dicke(2, 1).amplitudes
     return float(np.real(psi.conj() @ mat @ psi))
 
 
@@ -162,7 +161,7 @@ class TestBernoulliPmf:
 class TestDamagedState:
     def test_dicke42_one_lost_one_projector(self):
         post = damaged_state(dicke(4, 2).density(), 1, [Z_ONE])
-        psi = bell_psi_plus().amplitudes
+        psi = dicke(2, 1).amplitudes
         overlap = np.vdot(psi, post.matrix @ psi).real
         assert overlap == pytest.approx(2.0 / 3.0, abs=1e-12)
 

@@ -18,7 +18,6 @@ from belldet import (
     MeasurementSetting,
     OptimizeOptions,
     ScenarioConfig,
-    bell_phi_plus,
     damaged_state,
     dicke,
     ghz,
@@ -386,12 +385,12 @@ class TestBestResponse:
 
 class TestQuantumValue:
     def test_tsirelson_at_ideal_angles(self):
-        value = quantum_value(preset("CHSH"), bell_phi_plus().density(), CHSH_SETTINGS, [1, 1])
+        value = quantum_value(preset("CHSH"), ghz(2).density(), CHSH_SETTINGS, [1, 1])
         assert value == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_exactly_classical_at_threshold_efficiency(self):
         value = quantum_value(
-            preset("CHSH"), bell_phi_plus().density(), CHSH_SETTINGS, [ETA_CRIT, ETA_CRIT]
+            preset("CHSH"), ghz(2).density(), CHSH_SETTINGS, [ETA_CRIT, ETA_CRIT]
         )
         assert value == pytest.approx(2.0, abs=1e-12)
 
@@ -412,13 +411,13 @@ class TestQuantumValue:
     @pytest.mark.parametrize("form", list(BellForm))
     def test_no_terms_give_zero(self, form):
         expr = BellExpression(2, 2, form, (), 0.0)
-        assert quantum_value(expr, bell_phi_plus().density(), CHSH_SETTINGS, [1, 1]) == 0.0
+        assert quantum_value(expr, ghz(2).density(), CHSH_SETTINGS, [1, 1]) == 0.0
 
     def test_correlation_form_requires_fold(self):
         with pytest.raises(ConventionError):
             quantum_value(
                 preset("CHSH"),
-                bell_phi_plus().density(),
+                ghz(2).density(),
                 CHSH_SETTINGS,
                 [1, 1],
                 Convention.TRINARY,
@@ -426,7 +425,7 @@ class TestQuantumValue:
 
     def test_affine_in_each_party_efficiency(self):
         rng = np.random.default_rng(8)
-        rho = bell_phi_plus().density()
+        rho = ghz(2).density()
         settings = random_settings(rng)
         for party in (0, 1):
             values = []
@@ -522,7 +521,7 @@ EBERHARD_OPTIMA = {
 
 class TestOptimizeSettings:
     def test_tsirelson_point(self):
-        _, value = optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1, 1])
+        _, value = optimize_settings(preset("CHSH"), ghz(2).density(), [1, 1])
         assert value == pytest.approx(TSIRELSON, abs=1e-6)
 
     def test_product_state_has_no_quantum_advantage(self):
@@ -535,7 +534,7 @@ class TestOptimizeSettings:
     def test_below_threshold_no_violation(self):
         _, value = optimize_settings(
             preset("CHSH"),
-            bell_phi_plus().density(),
+            ghz(2).density(),
             [0.5, 0.5],
             options=OptimizeOptions(restarts=16),
         )
@@ -655,12 +654,12 @@ class TestStateType:
         with pytest.raises(ValueError, match="not PSD"):
             DensityMatrix(2, NOT_A_STATE)
 
-    @pytest.mark.parametrize("matrix", [bell_phi_plus().density().matrix, NOT_A_STATE])
+    @pytest.mark.parametrize("matrix", [ghz(2).density().matrix, NOT_A_STATE])
     def test_quantum_value_rejects_a_raw_matrix(self, matrix):
         with pytest.raises(TypeError, match="DensityMatrix"):
             quantum_value(preset("CHSH"), matrix, CHSH_SETTINGS, [1.0, 1.0])
 
-    @pytest.mark.parametrize("matrix", [bell_phi_plus().density().matrix, NOT_A_STATE])
+    @pytest.mark.parametrize("matrix", [ghz(2).density().matrix, NOT_A_STATE])
     def test_optimize_settings_rejects_a_raw_matrix(self, matrix):
         with pytest.raises(TypeError, match="DensityMatrix"):
             optimize_settings(preset("CHSH"), matrix, [1.0, 1.0])
@@ -709,8 +708,9 @@ class TestJsonRoundTrip:
         "string setting": ("CHSH", {"settings": [0, "1"]}, ValueError,
                            "term settings must be an integer, got '1'"),
         "settings string": ("CHSH", {"settings": "01"}, ValueError,
-                            "term settings must be an integer, got '0'"),
-        "settings number": ("CHSH", {"settings": 1}, TypeError, "'int' object is not iterable"),
+                            "term settings must be a JSON array, got '01'"),
+        "settings number": ("CHSH", {"settings": 1}, ValueError,
+                            "term settings must be a JSON array, got 1"),
         "setting above range": (
             "CHSH", {"settings": [0, 2]}, ValueError,
             "term BellTerm(settings=(0, 2), weight=1.0, outcomes=None) uses a setting index "
@@ -1043,7 +1043,7 @@ class TestBatchedStarts:
         for restarts in (4, 64):
             calls.clear()
             opts = OptimizeOptions(restarts=restarts, seed=3)
-            optimize_settings(preset("CHSH"), bell_phi_plus().density(), [1.0, 1.0], options=opts)
+            optimize_settings(preset("CHSH"), ghz(2).density(), [1.0, 1.0], options=opts)
             counts.append(len(calls))
         assert counts[1] <= 1.5 * counts[0]
 

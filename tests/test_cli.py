@@ -14,7 +14,7 @@ from belldet.analysis import n_prime_from_ratio
 from belldet.cli import (
     COMMANDS, EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, build_parser, main,
 )
-from belldet.qstate import QUBIT_CAP
+from belldet.qstate import QUBIT_CAP, STATE_KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_CONFIGS = [
@@ -908,7 +908,8 @@ def test_terms_that_are_not_objects_are_a_config_error(capsys, tmp_path, terms):
     assert violation.startswith("parse:")
 
 
-# (edit, message): a section the parser indexes by field name holds another JSON type.
+# (edit, message): a section the parser indexes by field name or iterates holds another
+# JSON type.
 WRONG_JSON_TYPES = {
     "state": (lambda doc: doc.update(state="GHZ"), "state must be a JSON object, got 'GHZ'"),
     "bell": (lambda doc: doc.update(bell="CHSH"), "bell must be a JSON object, got 'CHSH'"),
@@ -920,6 +921,28 @@ WRONG_JSON_TYPES = {
     ),
     "terms": (
         lambda doc: _inline_chsh(doc).update(terms=[1]), "term must be a JSON object, got 1"
+    ),
+    "projectors number": (
+        lambda doc: doc.update(projectors=5), "projectors must be a JSON array, got 5"
+    ),
+    "settings number": (lambda doc: doc.update(settings=5), "settings must be a JSON array, got 5"),
+    "party settings": (
+        lambda doc: doc.update(settings=[1, 2]), "a party's settings must be a JSON array, got 1"
+    ),
+    "terms number": (
+        lambda doc: _inline_chsh(doc).update(terms=5), "terms must be a JSON array, got 5"
+    ),
+    "terms object": (
+        lambda doc: _inline_chsh(doc).update(terms={"settings": [0, 0]}),
+        "terms must be a JSON array, got an object",
+    ),
+    "term settings": (
+        lambda doc: _inline_chsh(doc)["terms"][0].update(settings=0),
+        "term settings must be a JSON array, got 0",
+    ),
+    "kind": (
+        lambda doc: doc["state"].update(kind=["GHZ"]),
+        f"unknown state kind ['GHZ']; expected one of {STATE_KINDS}",
     ),
     "document": (lambda doc: [doc], "scenario must be a JSON object, got an array"),
     "number": (lambda doc: 5, "scenario must be a JSON object, got 5"),
@@ -937,6 +960,49 @@ def test_a_section_of_the_wrong_json_type_is_named(capsys, tmp_path, case):
     assert err == f"config error: config does not describe a valid scenario: {message}\n"
     violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
     assert violations == [f"parse: {message}"]
+
+
+@pytest.mark.parametrize(
+    "state,message",
+    [
+        ({"kind": "W", "n": 4, "excitations": 3}, "excitations is for Dicke states only, not W"),
+        ({"kind": "GHZ", "n": 4, "alpha": 0.3}, "alpha is for PartialPair states only, not GHZ"),
+    ],
+    ids=["W excitations", "GHZ alpha"],
+)
+def test_a_state_field_the_kind_ignores_is_a_config_error(capsys, tmp_path, state, message):
+    """No command builds one state and echoes a field that no factory read."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["state"] = state
+    path = tmp_path / "ignored.json"
+    path.write_text(json.dumps(doc))
+    for command in ("eval", "critical-eta", "critical-visibility", "duration", "damaged"):
+        code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2")
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert err == f"config error: config does not describe a valid scenario: {message}\n"
+    violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
+    assert violations == [f"parse: {message}"]
+
+
+def test_partial_pair_end_to_end(capsys, tmp_path):
+    """eval on cos(a)|00> + sin(a)|11> echoes alpha and reaches Horodecki's CHSH maximum
+    2 sqrt(1 + sin^2 2a); every kind's spec survives its JSON round trip."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc.update(state={"kind": "PartialPair", "alpha": 0.3}, k=2, eta_L=1.0)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    report = run_json(capsys, "eval", "--config", str(path), "--restarts", "8")
+    assert report["inputs"]["state"] == {"kind": "PartialPair", "n": 2, "alpha": 0.3}
+    horodecki = 2.0 * math.sqrt(1.0 + math.sin(0.6) ** 2)
+    assert report["result"]["bell_value"] == pytest.approx(horodecki, abs=1e-9)
+    specs = [
+        StateSpec("GHZ", 3), StateSpec("Dicke", 4, excitations=2), StateSpec("W", 3),
+        StateSpec("Cluster4", 4), StateSpec("BellPhiPlus", 2), StateSpec("BellPsiPlus", 2),
+        StateSpec("PartialPair", 2, alpha=0.3),
+    ]
+    assert {spec.kind for spec in specs} == set(STATE_KINDS)
+    for spec in specs:
+        assert StateSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 @pytest.mark.parametrize(
@@ -1071,7 +1137,7 @@ def _at_n(kind, n):
 def test_qubit_cap_boundary(capsys, monkeypatch, tmp_path, kind):
     """N = QUBIT_CAP validates and N = QUBIT_CAP + 1 is one config error for
     every command that reads a scenario, with no state built; make_state
-    itself stops at the same cap."""
+    itself stops at the same cap, with the same text."""
     def fail(spec):
         raise AssertionError("the state was built")
 
@@ -1095,8 +1161,9 @@ def test_qubit_cap_boundary(capsys, monkeypatch, tmp_path, kind):
     code, out, err = run(capsys, "sweep", "--config", str(path))
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == f"config error: config violates invariants: {violation}\n"
-    with pytest.raises(QubitCapacityError):
+    with pytest.raises(QubitCapacityError) as caught:
         make_state(StateSpec.from_json_dict(doc["state"]))
+    assert str(caught.value) == violation  # one text, whether built or validated
 
 
 def test_every_command_takes_the_same_five_flags():

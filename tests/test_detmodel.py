@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from belldet import MeasurementSetting, bell_phi_plus
+from belldet import MeasurementSetting, ghz
 from belldet.detmodel import (
     X_PLUS, Z_ONE, Z_ZERO, Convention, _coefficients, _outcome_factors, json_float,
     validate_efficiency,
@@ -113,7 +113,7 @@ class TestDressedObservable:
 
     def test_expectation_affine_in_eta(self):
         setting = MeasurementSetting(0.8)
-        rho = partial_trace(bell_phi_plus().density().matrix, [1])
+        rho = partial_trace(ghz(2).density().matrix, [1])
         values = [
             float(np.trace(rho @ table_operators(FOLD, "±", setting, eta)).real)
             for eta in (0.0, 0.5, 1.0)
@@ -138,7 +138,7 @@ class TestClickProbabilities:
         assert probs == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
 
     def test_point_nine_on_reduced_bell_pair(self):
-        rho = partial_trace(bell_phi_plus().density().matrix, [0])
+        rho = partial_trace(ghz(2).density().matrix, [0])
         probs = click_probabilities(MeasurementSetting(1.9), 0.9, rho)
         assert probs == pytest.approx((0.45, 0.45, 0.10), abs=1e-12)
 

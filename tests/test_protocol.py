@@ -14,13 +14,14 @@ from belldet import (
     ScenarioConfig,
     StateSpec,
     ZeroProjectionError,
-    bell_phi_plus,
     composite_parts,
     critical_eta,
     critical_eta_high,
     critical_visibility,
     damaged_state,
     default_projectors,
+    ghz,
+    make_state,
     partial_pair,
     preset,
     projected_state,
@@ -32,7 +33,6 @@ from belldet.protocol import (
     _REFINE_RESTARTS, RESIDUAL_TOL, SettingsAssignment, _not_found, _solve_threshold,
     resolve_settings,
 )
-from belldet.states import make_state
 from reference import partial_trace, project_leading, white_noise
 
 ETA_CRIT = 2.0 / (1.0 + math.sqrt(2.0))
@@ -56,7 +56,7 @@ class TestProjectedState:
     def test_ghz4_default_plus_projections(self):
         p_list, rho = projected_state(ghz_chsh_config())
         assert p_list == pytest.approx([0.5, 0.5], abs=1e-12)
-        np.testing.assert_allclose(rho.matrix, bell_phi_plus().density().matrix, atol=1e-12)
+        np.testing.assert_allclose(rho.matrix, ghz(2).density().matrix, atol=1e-12)
 
     def test_ghz_with_tilted_first_projector_leaves_partial_pair(self):
         alpha = 0.3
@@ -106,7 +106,7 @@ class TestProjectedState:
         )
         p_list, rho = projected_state(config)
         assert p_list == pytest.approx([0.5], abs=1e-12)
-        np.testing.assert_allclose(rho.matrix, bell_phi_plus().density().matrix, atol=1e-12)
+        np.testing.assert_allclose(rho.matrix, ghz(2).density().matrix, atol=1e-12)
 
 
 # States the dense reference can afford (N <= 8), each with every lost count k = 2 allows.
@@ -232,7 +232,7 @@ class TestCriticalEta:
 
 class TestSymmetricCriticalEta:
     def test_chsh_on_bell_pair(self):
-        result = critical_eta(preset("CHSH"), bell_phi_plus().density(), restarts=24)
+        result = critical_eta(preset("CHSH"), ghz(2).density(), restarts=24)
         assert result.found
         assert result.critical_value == pytest.approx(ETA_CRIT, abs=1e-6)
 
@@ -254,7 +254,7 @@ class TestSymmetricCriticalEta:
 
     def test_pinned_is_easier_than_symmetric(self):
         pinned = critical_eta(
-            preset("CHSH"), bell_phi_plus().density(), pins=[1.0, None], restarts=24
+            preset("CHSH"), ghz(2).density(), pins=[1.0, None], restarts=24
         )
         assert pinned.critical_value < ETA_CRIT
 
@@ -280,7 +280,7 @@ class TestPinnedCriticalEta:
     )
     def test_bad_pins_are_an_error(self, pins, message):
         with pytest.raises(ValueError, match=message):
-            critical_eta(preset("CHSH"), bell_phi_plus().density(), pins=pins)
+            critical_eta(preset("CHSH"), ghz(2).density(), pins=pins)
 
     def test_pins_are_checked_once_at_entry(self, monkeypatch):
         calls = []
@@ -492,10 +492,10 @@ def test_white_noise_value_does_not_depend_on_the_settings(expr, convention):
     etas = rng.uniform(0.3, 1.0, size=k)
     draws = [_random_settings(rng, k) for _ in range(8)]
     noise = DensityMatrix(k, np.eye(2**k) / 2**k)
-    ghz = make_state(StateSpec("GHZ", k)).density()
+    pure = ghz(k).density()
     assert np.ptp([quantum_value(expr, noise, s, etas, convention) for s in draws]) < 1e-14
     # the same settings do move the value on a pure state
-    assert np.ptp([quantum_value(expr, ghz, s, etas, convention) for s in draws]) > 1e-3
+    assert np.ptp([quantum_value(expr, pure, s, etas, convention) for s in draws]) > 1e-3
 
 
 def engine_critical_visibility(

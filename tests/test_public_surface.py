@@ -5,25 +5,28 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import belldet
 
 KEPT = {
     "BellExpression", "BellForm", "BellTerm", "Convention", "ConventionError", "DensityMatrix",
     "DickeLossSpec", "MeasurementSetting", "OptimizeOptions", "PureState", "QubitCapacityError",
     "ScenarioConfig", "SolveResult", "StateSpec", "TrialStats", "X_PLUS", "Z_ONE", "Z_ZERO",
-    "ZeroProjectionError", "bell_phi_plus", "bell_psi_plus", "bernoulli_pmf", "cluster4",
-    "composite_parts", "critical_eta", "critical_eta_high", "critical_visibility", "damaged_state",
-    "default_projectors", "dicke", "dicke_loss_mixture", "ghz", "lhv_bound", "make_state",
-    "optimize_settings", "partial_pair", "pascal_expected_trials", "preset", "projected_state",
-    "psi_plus_fraction", "psi_plus_weight", "quantum_value", "trial_stats", "w_state",
+    "ZeroProjectionError", "bernoulli_pmf", "cluster4", "composite_parts", "critical_eta",
+    "critical_eta_high", "critical_visibility", "damaged_state", "default_projectors", "dicke",
+    "dicke_loss_mixture", "ghz", "lhv_bound", "make_state", "optimize_settings", "partial_pair",
+    "pascal_expected_trials", "preset", "projected_state", "psi_plus_fraction", "psi_plus_weight",
+    "quantum_value", "trial_stats",
 }
 
-# The dense algebra that no command ran, by the module that held it.
+# The dense algebra that no command ran and the state factories that only forwarded to
+# ghz and dicke, by the module that holds or would hold them.
 REMOVED = {
     "qstate": ["Effect", "embed_operator", "_trace_out_one", "partial_trace", "project",
-               "expectation", "basis_state", "_EFFECT_EIG_TOL", "_IMAG_TOL"],
+               "expectation", "basis_state", "_EFFECT_EIG_TOL", "_IMAG_TOL", "add_white_noise",
+               "w_state", "bell_phi_plus", "bell_psi_plus"],
     "detmodel": ["_dressed", "dressed_effects", "dressed_observable", "click_probabilities"],
-    "states": ["add_white_noise"],
 }
 
 # What tests/reference.py may take from belldet: value types, no computation.
@@ -57,6 +60,12 @@ def test_removed_dense_algebra_is_gone():
             assert not hasattr(belldet, name), name
     setting = belldet.MeasurementSetting(0.3)
     assert not hasattr(setting, "projector_plus") and not hasattr(setting, "projector_minus")
+
+
+def test_states_module_is_gone():
+    # StateSpec, the factories and make_state live in qstate
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("belldet.states")
 
 
 def test_detmodel_does_not_import_qstate():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldet import DensityMatrix, PureState, bell_phi_plus, cluster4, ghz, preset, quantum_value
+from belldet import DensityMatrix, PureState, cluster4, ghz, preset, quantum_value
 from belldet.detmodel import MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO
 from reference import partial_trace, project_leading
 
@@ -41,7 +41,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_bell_pair_gives_maximally_mixed(self):
-        reduced = partial_trace(bell_phi_plus().density().matrix, [0])
+        reduced = partial_trace(ghz(2).density().matrix, [0])
         np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-15)
 
     def test_trace_preserved(self):
@@ -66,7 +66,7 @@ class TestProject:
         post = project_leading(rho, Z_ZERO.ket())
         weight = np.trace(post).real
         assert abs(weight - 0.5) < 1e-12
-        np.testing.assert_allclose(post / weight, bell_phi_plus().density().matrix, atol=1e-12)
+        np.testing.assert_allclose(post / weight, ghz(2).density().matrix, atol=1e-12)
 
     def test_complete_projector_weights_sum_to_one(self):
         rng = np.random.default_rng(11)
@@ -92,10 +92,10 @@ class TestExpectation:
         )
 
     def test_xx_stabilizer_of_bell(self):
-        assert bell_phi_plus().density().pauli_tensor[1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert ghz(2).density().pauli_tensor[1, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_xz_on_bell_vanishes(self):
-        assert bell_phi_plus().density().pauli_tensor[1, 3] == pytest.approx(0.0, abs=1e-12)
+        assert ghz(2).density().pauli_tensor[1, 3] == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         one_qubit = PureState(1, np.array([1.0, 0.0])).density()

@@ -9,15 +9,12 @@ from belldet import (
     BellTerm,
     ScenarioConfig,
     StateSpec,
-    bell_phi_plus,
-    bell_psi_plus,
     cluster4,
     dicke,
     ghz,
     make_state,
     partial_pair,
     projected_state,
-    w_state,
 )
 from belldet.detmodel import X_PLUS
 from reference import partial_trace, project_leading
@@ -31,10 +28,11 @@ def test_ghz3_amplitudes():
 
 
 def test_w_state_is_one_excitation_dicke():
-    np.testing.assert_allclose(w_state(3).amplitudes, dicke(3, 1).amplitudes, atol=1e-15)
+    w = make_state(StateSpec("W", 3))
+    np.testing.assert_allclose(w.amplitudes, dicke(3, 1).amplitudes, atol=1e-15)
     expected = np.zeros(8)
     expected[0b100] = expected[0b010] = expected[0b001] = 1.0 / math.sqrt(3)
-    np.testing.assert_allclose(w_state(3).amplitudes, expected, atol=1e-15)
+    np.testing.assert_allclose(w.amplitudes, expected, atol=1e-15)
 
 
 def test_partial_pair():
@@ -43,12 +41,14 @@ def test_partial_pair():
 
 
 def test_bell_states():
+    psi_plus = make_state(StateSpec("BellPsiPlus", 2))
     np.testing.assert_allclose(
-        bell_psi_plus().amplitudes, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15
+        psi_plus.amplitudes, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15
     )
     # the partially entangled pair at alpha = pi/4 is the phi+ Bell state
+    phi_plus = make_state(StateSpec("BellPhiPlus", 2))
     np.testing.assert_allclose(
-        partial_pair(math.pi / 4).amplitudes, bell_phi_plus().amplitudes, atol=1e-15
+        partial_pair(math.pi / 4).amplitudes, phi_plus.amplitudes, atol=1e-15
     )
 
 
@@ -96,7 +96,7 @@ def test_ghz_plus_projection_chain(n):
         rho = project_leading(rho, X_PLUS.ket())
     total = np.trace(rho).real
     assert abs(total - 2.0 ** -(n - 2)) < 1e-12
-    np.testing.assert_allclose(rho / total, bell_phi_plus().density().matrix, atol=1e-12)
+    np.testing.assert_allclose(rho / total, ghz(2).density().matrix, atol=1e-12)
 
 
 def noisy(spec, visibility):
