@@ -43,7 +43,6 @@ from .protocol import (
     critical_eta,
     critical_eta_high,
     critical_visibility,
-    default_projectors,
     projected_state,
 )
 from .qstate import (
@@ -86,7 +85,6 @@ __all__ = [
     "critical_eta_high",
     "critical_visibility",
     "damaged_state",
-    "default_projectors",
     "dicke",
     "dicke_loss_mixture",
     "ghz",

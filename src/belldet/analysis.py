@@ -131,8 +131,6 @@ def dicke_loss_mixture(n: int, excitations: int, lost: int) -> list[tuple[float,
     out: list[tuple[float, StateSpec]] = []
     for j in range(max(0, excitations - (n - lost)), min(lost, excitations) + 1):
         weight = math.comb(lost, j) * math.comb(n - lost, excitations - j)
-        if weight == 0:
-            continue
         out.append(
             (weight / total, StateSpec(kind="Dicke", n=n - lost, excitations=excitations - j))
         )

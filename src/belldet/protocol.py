@@ -15,7 +15,7 @@ from .bell import (
     BellExpression, BellForm, OptimizeOptions, _coefficient_tensor, expression_from_json_dict,
     optimize_settings, quantum_value,
 )
-from .detmodel import Convention, MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int
+from .detmodel import Convention, MeasurementSetting, json_float, json_int
 from .detmodel import json_array, json_object, validate_efficiency
 from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, StateSpec, ZeroProjectionError
 from .qstate import make_state
@@ -35,7 +35,8 @@ class ScenarioConfig:
     The first ``lost`` qubits are traced out (vanished detectors), the next
     len(projectors) qubits receive single projectors, and the Bell
     expression acts on the last ``k`` qubits. ``projectors=None`` picks the
-    per-state defaults; ``settings=None`` means AUTO (optimize).
+    state's own (``StateSpec.pair_projectors``, from qubit ``lost`` on), which
+    leave a Bell pair on the last two qubits; ``settings=None`` means AUTO (optimize).
     """
 
     state: StateSpec
@@ -97,7 +98,7 @@ class ScenarioConfig:
     def resolved_projectors(self) -> tuple[MeasurementSetting, ...]:
         if self.projectors is not None:
             return self.projectors
-        return tuple(default_projectors(self.state, self.n_projections, skip=self.lost))
+        return self.state.pair_projectors()[self.lost : self.n_qubits - self.k]
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,35 +190,6 @@ class SolveResult:
             "achieved_residual": self.achieved_residual,
             "diagnostics": self.diagnostics,
         }
-
-
-def default_projectors(spec: StateSpec, count: int, skip: int = 0) -> list[MeasurementSetting]:
-    """Per-state projector defaults for the low-efficiency parties.
-
-    GHZ projects every qubit onto |+>; the four-qubit cluster uses |+> then
-    |0> (which leaves a Bell pair); Dicke states project excitations-1
-    qubits onto |1> and the rest onto |0>. ``skip`` drops the leading
-    entries of the pattern when qubits were lost.
-    """
-    if count < 0:
-        raise ValueError("projector count must be >= 0")
-    if spec.kind in ("GHZ", "BellPhiPlus", "BellPsiPlus", "PartialPair"):
-        pattern = [X_PLUS] * (skip + count)
-    elif spec.kind == "Cluster4":
-        pattern = [X_PLUS, Z_ZERO][: skip + count]
-    elif spec.kind in ("Dicke", "W"):
-        excitations = 1 if spec.kind == "W" else int(spec.excitations or 0)
-        ones = max(excitations - 1, 0)
-        pattern = [Z_ONE] * ones + [Z_ZERO] * (spec.n - 2 - ones)
-    else:
-        raise ValueError(f"no default projectors for state kind {spec.kind!r}")
-    out = pattern[skip : skip + count]
-    if len(out) != count:
-        raise ValueError(
-            f"default projector pattern for {spec.kind} too short: "
-            f"need {count} after skipping {skip}"
-        )
-    return out
 
 
 def projected_state(config: ScenarioConfig) -> tuple[list[float], DensityMatrix]:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detmodel import json_float, json_int, json_object
+from .detmodel import MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO, json_float, json_int, json_object
 
 # Every command's peak working set stays under this; a scenario estimated above
 # it is a config error, rejected before any state is built.
@@ -126,10 +127,6 @@ class DensityMatrix:
         return np.ascontiguousarray(t.real)
 
 
-# Kinds whose qubit count is fixed; used to fill defaults when parsing configs.
-_FIXED_N = {"Cluster4": 4, "BellPhiPlus": 2, "BellPsiPlus": 2, "PartialPair": 2}
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """Declarative description of a state, as it appears in config files.
@@ -146,12 +143,13 @@ class StateSpec:
     def __post_init__(self) -> None:
         if self.kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}; expected one of {STATE_KINDS}")
+        row = _KINDS[self.kind]
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kind in _FIXED_N and self.n != _FIXED_N[self.kind]:
-            raise ValueError(f"{self.kind} requires n = {_FIXED_N[self.kind]}, got {self.n}")
-        if self.kind in ("GHZ", "W") and self.n < 2:
-            raise ValueError(f"{self.kind} requires n >= 2")
+        if row.n is not None and self.n != row.n:
+            raise ValueError(f"{self.kind} requires n = {row.n}, got {self.n}")
+        if self.n < row.least_n:
+            raise ValueError(f"{self.kind} requires n >= {row.least_n}")
         for name, owner in (("excitations", "Dicke"), ("alpha", "PartialPair")):
             if getattr(self, name) is not None and self.kind != owner:
                 raise ValueError(f"{name} is for {owner} states only, not {self.kind}")
@@ -167,12 +165,14 @@ class StateSpec:
     def from_json_dict(cls, doc: dict) -> "StateSpec":
         doc = json_object(doc, "state")
         kind = doc["kind"]
+        # only a kind of fixed count may omit n; a kind that is no STATE_KINDS entry,
+        # hashable or not, is named by __post_init__
+        fixed_n = _KINDS[kind].n if kind in STATE_KINDS else 0
         excitations = doc.get("excitations")
         alpha = doc.get("alpha")
         return cls(
             kind=kind,
-            # a kind that is no STATE_KINDS entry, hashable or not, is named by __post_init__
-            n=json_int(doc.get("n", _FIXED_N.get(kind, 0) if kind in STATE_KINDS else 0), "n"),
+            n=json_int(doc["n"] if fixed_n is None else doc.get("n", fixed_n), "n"),
             excitations=None if excitations is None else json_int(excitations, "excitations"),
             alpha=None if alpha is None else json_float(alpha, "alpha"),
         )
@@ -184,6 +184,10 @@ class StateSpec:
         if self.alpha is not None:
             doc["alpha"] = self.alpha
         return doc
+
+    def pair_projectors(self) -> tuple[MeasurementSetting, ...]:
+        """The n - 2 projectors on qubits 0..n-3 that leave the last two in a Bell pair."""
+        return tuple(_KINDS[self.kind].pair_projectors(self))
 
 
 def ghz(n: int) -> PureState:
@@ -227,22 +231,44 @@ def partial_pair(alpha: float) -> PureState:
     return PureState(2, np.array([math.cos(alpha), 0.0, 0.0, math.sin(alpha)]))
 
 
-# Each kind's factory, on a spec that StateSpec has checked; STATE_KINDS lists its keys.
-# W is one excitation over n qubits, and the Bell pairs are the two-qubit GHZ and W states.
-_FACTORIES = {
-    "GHZ": lambda spec: ghz(spec.n),
-    "Dicke": lambda spec: dicke(spec.n, spec.excitations),
-    "W": lambda spec: dicke(spec.n, 1),
-    "Cluster4": lambda spec: cluster4(),
-    "BellPhiPlus": lambda spec: ghz(2),
-    "BellPsiPlus": lambda spec: dicke(2, 1),
-    "PartialPair": lambda spec: partial_pair(spec.alpha),
+def _dicke_pair_projectors(n: int, excitations: int) -> list[MeasurementSetting]:
+    """|1> on excitations - 1 of the n - 2 qubits and |0> on the rest."""
+    ones = min(max(excitations - 1, 0), n - 2)
+    return [Z_ONE] * ones + [Z_ZERO] * (n - 2 - ones)
+
+
+class _Kind(NamedTuple):
+    """One state kind: its factory and its pair projectors (see
+    StateSpec.pair_projectors), each on a spec that StateSpec has checked, its
+    fixed qubit count (None when the config gives n) and its least count."""
+
+    build: Callable[[StateSpec], PureState]
+    pair_projectors: Callable[[StateSpec], list[MeasurementSetting]]
+    n: int | None = None
+    least_n: int = 1
+
+
+# Every rule of a state kind, one row each; STATE_KINDS lists the keys. W is one
+# excitation over n qubits, and the Bell pairs are the two-qubit GHZ and W states.
+_KINDS = {
+    "GHZ": _Kind(lambda spec: ghz(spec.n), lambda spec: [X_PLUS] * (spec.n - 2), least_n=2),
+    "Dicke": _Kind(
+        lambda spec: dicke(spec.n, spec.excitations),
+        lambda spec: _dicke_pair_projectors(spec.n, spec.excitations),
+    ),
+    "W": _Kind(
+        lambda spec: dicke(spec.n, 1), lambda spec: _dicke_pair_projectors(spec.n, 1), least_n=2
+    ),
+    "Cluster4": _Kind(lambda spec: cluster4(), lambda spec: [X_PLUS, Z_ZERO], n=4),
+    "BellPhiPlus": _Kind(lambda spec: ghz(2), lambda spec: [], n=2),
+    "BellPsiPlus": _Kind(lambda spec: dicke(2, 1), lambda spec: [], n=2),
+    "PartialPair": _Kind(lambda spec: partial_pair(spec.alpha), lambda spec: [], n=2),
 }
-STATE_KINDS = tuple(_FACTORIES)
+STATE_KINDS = tuple(_KINDS)
 
 
 def make_state(spec: StateSpec) -> PureState:
     """Build the state described by ``spec``, at most QUBIT_CAP qubits."""
     if spec.n > QUBIT_CAP:
         raise QubitCapacityError(spec.n)
-    return _FACTORIES[spec.kind](spec)
+    return _KINDS[spec.kind].build(spec)

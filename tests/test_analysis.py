@@ -157,6 +157,11 @@ class TestBernoulliPmf:
         with pytest.raises(ValueError):
             bernoulli_pmf(5, 6, 0.5)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    def test_invalid_p(self, p):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+            bernoulli_pmf(5, 2, p)
+
 
 class TestDamagedState:
     def test_dicke42_one_lost_one_projector(self):
@@ -193,6 +198,19 @@ class TestDamagedState:
         with pytest.raises(ZeroProjectionError):
             damaged_state(dicke(4, 4).density(), 1, [Z_ZERO])
 
+    @pytest.mark.parametrize(
+        "lost,projectors,message",
+        [
+            (-1, [], r"lost must lie in \[0, 3\]"),
+            (4, [], r"lost must lie in \[0, 3\]"),
+            (2, [Z_ONE, Z_ONE], "tracing and projecting would consume every qubit"),
+        ],
+        ids=["negative", "every qubit lost", "every qubit used"],
+    )
+    def test_loss_and_pattern_must_leave_a_qubit(self, lost, projectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            damaged_state(dicke(4, 2).density(), lost, projectors)
+
 
 class TestDickeLossMixture:
     def test_four_two_one(self):
@@ -212,6 +230,20 @@ class TestDickeLossMixture:
             direct = partial_trace(dicke(n, e).density().matrix, range(l))
             mixed = sum(w * make_state(spec).density().matrix for w, spec in dicke_loss_mixture(n, e, l))
             np.testing.assert_allclose(direct, mixed, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "excitations,lost,message",
+        [
+            (5, 1, r"excitations must lie in \[0, 4\]"),
+            (-1, 1, r"excitations must lie in \[0, 4\]"),
+            (2, 4, r"lost must lie in \[0, 3\]"),
+            (2, -1, r"lost must lie in \[0, 3\]"),
+        ],
+        ids=["excitations above n", "negative excitations", "every qubit lost", "negative loss"],
+    )
+    def test_invalid_input(self, excitations, lost, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dicke_loss_mixture(4, excitations, lost)
 
     def test_weights_sum_to_one_exactly_in_rational_arithmetic(self):
         for n in range(2, 9):
@@ -248,6 +280,8 @@ class TestPsiPlusWeight:
             DickeLossSpec(4, 2, 2, 0)  # lost must stay below n - 2
         with pytest.raises(ValueError):
             DickeLossSpec(5, 2, 1, 3)  # too many projectors
+        with pytest.raises(ValueError, match=r"^excitations must lie in \[0, 4\]$"):
+            DickeLossSpec(4, 5, 1, 0)
 
 
 class TestLostDetectorBellReality:

@@ -665,6 +665,21 @@ class TestStateType:
             optimize_settings(preset("CHSH"), matrix, [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "settings,etas,message",
+    [
+        (CHSH_SETTINGS[:1], [1.0, 1.0], "expected settings for 2 parties, got 1"),
+        ([party[:1] for party in CHSH_SETTINGS], [1.0, 1.0], "every party needs 2 settings"),
+        (CHSH_SETTINGS, [1.0], r"expected 2 efficiencies, got \(1,\)"),
+        (CHSH_SETTINGS, [1.0, 1.0, 1.0], r"expected 2 efficiencies, got \(3,\)"),
+    ],
+    ids=["parties", "settings per party", "one efficiency", "three efficiencies"],
+)
+def test_quantum_value_rejects_a_shape_other_than_the_expressions(settings, etas, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        quantum_value(preset("CHSH"), ghz(2).density(), settings, etas)
+
+
 class TestJsonRoundTrip:
     def test_correlation_round_trip(self):
         chsh = preset("CHSH")

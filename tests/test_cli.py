@@ -31,6 +31,7 @@ SCENARIO_CONFIGS = [
     "bell_visibility.json",
     "ghz4_visibility.json",
     "dicke42_damaged.json",
+    "w4.json",
 ]
 SWEEP_CONFIGS = ["fig2.json"]
 EXPRESSION_CONFIGS = ["chsh.json"]
@@ -119,6 +120,24 @@ def test_damaged_command(capsys):
     assert report["result"]["psi_plus_overlap"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert report["result"]["violated"] is False
     assert report["diagnostics"]["lost"] == 1
+
+
+def test_w4_defaults_leave_psi_plus_at_the_closed_forms(capsys):
+    """W_4's defaults put |0> on qubits 0 and 1: p = 3/4, then 2/3, and psi+ on the
+    last two, so every threshold is the Bell pair's at prod p = 1/2 and two projections."""
+    path = str(CONFIG_DIR / "w4.json")
+    reports = {
+        command: run_json(capsys, command, "--config", path, "--restarts", "8")["result"]
+        for command in ("damaged", "critical-eta", "critical-visibility", "duration")
+    }
+    assert reports["damaged"]["projection_probs"] == pytest.approx([0.75, 2.0 / 3.0], abs=1e-15)
+    assert reports["damaged"]["psi_plus_overlap"] == pytest.approx(1.0, abs=1e-12)
+    root2 = math.sqrt(2.0)
+    assert reports["critical-eta"]["critical_value"] == pytest.approx(2.0 / (1.0 + root2), abs=1e-9)
+    assert reports["critical-visibility"]["critical_value"] == pytest.approx(
+        1.0 / (2.0 * root2 - 1.0), abs=1e-9
+    )
+    assert reports["duration"]["trial_ratio"] == pytest.approx(1.0 / (0.5 * 0.1**2), rel=1e-12)
 
 
 def test_damaged_keeps_fixed_settings(capsys, tmp_path):
@@ -909,7 +928,7 @@ def test_terms_that_are_not_objects_are_a_config_error(capsys, tmp_path, terms):
 
 
 # (edit, message): a section the parser indexes by field name or iterates holds another
-# JSON type.
+# JSON type; the last rows lack a field, or hold a value the parser rejects.
 WRONG_JSON_TYPES = {
     "state": (lambda doc: doc.update(state="GHZ"), "state must be a JSON object, got 'GHZ'"),
     "bell": (lambda doc: doc.update(bell="CHSH"), "bell must be a JSON object, got 'CHSH'"),
@@ -946,6 +965,21 @@ WRONG_JSON_TYPES = {
     ),
     "document": (lambda doc: [doc], "scenario must be a JSON object, got an array"),
     "number": (lambda doc: 5, "scenario must be a JSON object, got 5"),
+    # only a kind of fixed qubit count may omit n
+    "GHZ without n": (lambda doc: doc.update(state={"kind": "GHZ"}), "missing field 'n'"),
+    "Dicke without n": (
+        lambda doc: doc.update(state={"kind": "Dicke", "excitations": 2}), "missing field 'n'"
+    ),
+    "W without n": (lambda doc: doc.update(state={"kind": "W"}), "missing field 'n'"),
+    "n_parties 0": (lambda doc: _inline_chsh(doc).update(n_parties=0), "n_parties must be >= 1"),
+    "settings_per_party 0": (
+        lambda doc: _inline_chsh(doc).update(settings_per_party=0),
+        "settings_per_party must be >= 1",
+    ),
+    "correlation outcomes": (
+        lambda doc: _inline_chsh(doc)["terms"][0].update(outcomes=["+", "+"]),
+        "correlation terms carry no outcome labels",
+    ),
 }
 
 
@@ -967,11 +1001,15 @@ def test_a_section_of_the_wrong_json_type_is_named(capsys, tmp_path, case):
     [
         ({"kind": "W", "n": 4, "excitations": 3}, "excitations is for Dicke states only, not W"),
         ({"kind": "GHZ", "n": 4, "alpha": 0.3}, "alpha is for PartialPair states only, not GHZ"),
+        ({"kind": "GHZ", "n": 0}, "n must be >= 1"),
+        ({"kind": "GHZ", "n": 1}, "GHZ requires n >= 2"),
+        ({"kind": "W", "n": 1}, "W requires n >= 2"),
     ],
-    ids=["W excitations", "GHZ alpha"],
+    ids=["W excitations", "GHZ alpha", "n 0", "GHZ n 1", "W n 1"],
 )
 def test_a_state_field_the_kind_ignores_is_a_config_error(capsys, tmp_path, state, message):
-    """No command builds one state and echoes a field that no factory read."""
+    """No command builds one state and echoes a field that no factory read, nor a
+    state with fewer qubits than its kind's least count."""
     doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
     doc["state"] = state
     path = tmp_path / "ignored.json"
@@ -1034,6 +1072,17 @@ def test_a_sweep_grid_of_the_wrong_json_type_is_named(capsys, tmp_path):
     assert err == f"config error: {message}\n"
     violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
     assert violations == [message]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_unreadable_config_is_a_config_error(capsys, tmp_path, command):
+    path = tmp_path / "absent.json"
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        f"config error: cannot read config {path}: "
+        f"[Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_non_utf8_config_is_a_config_error(capsys, tmp_path):

@@ -19,7 +19,6 @@ from belldet import (
     critical_eta_high,
     critical_visibility,
     damaged_state,
-    default_projectors,
     ghz,
     make_state,
     partial_pair,
@@ -663,15 +662,20 @@ class TestConfigValidation:
 
 
 class TestDefaultProjectors:
+    @staticmethod
+    def defaults(state, lost=0):
+        config = ScenarioConfig(state, k=2, eta_L=0.1, eta_H=1.0, bell=preset("CHSH"), lost=lost)
+        return list(config.resolved_projectors())
+
     def test_ghz_all_plus(self):
-        assert default_projectors(StateSpec("GHZ", 5), 3) == [X_PLUS, X_PLUS, X_PLUS]
+        assert self.defaults(StateSpec("GHZ", 5)) == [X_PLUS, X_PLUS, X_PLUS]
 
     def test_cluster_pattern(self):
-        assert default_projectors(StateSpec("Cluster4", 4), 2) == [X_PLUS, Z_ZERO]
-        assert default_projectors(StateSpec("Cluster4", 4), 1, skip=1) == [Z_ZERO]
+        assert self.defaults(StateSpec("Cluster4", 4)) == [X_PLUS, Z_ZERO]
+        assert self.defaults(StateSpec("Cluster4", 4), lost=1) == [Z_ZERO]
 
     def test_dicke_pattern_has_excitations_minus_one_ones(self):
-        assert default_projectors(StateSpec("Dicke", 5, excitations=3), 3) == [
+        assert self.defaults(StateSpec("Dicke", 5, excitations=3)) == [
             Z_ONE,
             Z_ONE,
             Z_ZERO,

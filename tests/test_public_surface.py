@@ -14,19 +14,21 @@ KEPT = {
     "DickeLossSpec", "MeasurementSetting", "OptimizeOptions", "PureState", "QubitCapacityError",
     "ScenarioConfig", "SolveResult", "StateSpec", "TrialStats", "X_PLUS", "Z_ONE", "Z_ZERO",
     "ZeroProjectionError", "bernoulli_pmf", "cluster4", "composite_parts", "critical_eta",
-    "critical_eta_high", "critical_visibility", "damaged_state", "default_projectors", "dicke",
+    "critical_eta_high", "critical_visibility", "damaged_state", "dicke",
     "dicke_loss_mixture", "ghz", "lhv_bound", "make_state", "optimize_settings", "partial_pair",
     "pascal_expected_trials", "preset", "projected_state", "psi_plus_fraction", "psi_plus_weight",
     "quantum_value", "trial_stats",
 }
 
-# The dense algebra that no command ran and the state factories that only forwarded to
-# ghz and dicke, by the module that holds or would hold them.
+# The dense algebra that no command ran, the state factories that only forwarded to
+# ghz and dicke, and the per-kind projector switch that the kind table in qstate
+# replaced, by the module that holds or would hold them.
 REMOVED = {
     "qstate": ["Effect", "embed_operator", "_trace_out_one", "partial_trace", "project",
                "expectation", "basis_state", "_EFFECT_EIG_TOL", "_IMAG_TOL", "add_white_noise",
                "w_state", "bell_phi_plus", "bell_psi_plus"],
     "detmodel": ["_dressed", "dressed_effects", "dressed_observable", "click_probabilities"],
+    "protocol": ["default_projectors"],
 }
 
 # What tests/reference.py may take from belldet: value types, no computation.

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldet import DensityMatrix, PureState, cluster4, ghz, preset, quantum_value
+from belldet import DensityMatrix, PureState, cluster4, dicke, ghz, preset, quantum_value
 from belldet.detmodel import MeasurementSetting, X_PLUS, Z_ONE, Z_ZERO
 from reference import partial_trace, project_leading
 
@@ -169,6 +169,25 @@ class TestValidation:
     def test_density_rejects_negative(self):
         with pytest.raises(ValueError):
             DensityMatrix(1, np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: PureState(0, [1.0]), "n_qubits must be >= 1"),
+            (lambda: PureState(2, np.ones(3)), "amplitude vector has length 3, expected 4"),
+            (lambda: PureState(1, [0.0, 0.0]), "cannot normalize a zero amplitude vector"),
+            (lambda: DensityMatrix(0, [[1.0]]), "n_qubits must be >= 1"),
+            (lambda: DensityMatrix(1, np.eye(4)), r"matrix has shape \(4, 4\), expected \(2, 2\)"),
+            (lambda: DensityMatrix(1, -np.eye(2)), "matrix trace must be positive"),
+            (lambda: dicke(3, 4), r"excitations must lie in \[0, 3\]"),
+            (lambda: dicke(3, -1), r"excitations must lie in \[0, 3\]"),
+        ],
+        ids=["pure n 0", "pure size", "pure zero norm", "density n 0", "density shape",
+             "density trace", "dicke above n", "dicke negative"],
+    )
+    def test_constructors_reject_what_is_no_state(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_arrays_are_immutable(self):
         state = ghz(2)
