@@ -40,13 +40,6 @@ class TrialStats:
             raise ZeroDivisionError("projected-scenario success probability is zero")
         return n_prime_from_ratio(self.p_projections, self.eta_L / self.eta_H, self.n_projections)
 
-    def expected_trials(self, r: int) -> float:
-        """Average trials until the r-th success of the projected scenario."""
-        return pascal_expected_trials(r, self.p_succ)
-
-    def expected_trials_standard(self, r: int) -> float:
-        return pascal_expected_trials(r, self.p_succ_standard)
-
 
 def n_prime_from_ratio(p_projections: float, eta_ratio: float, n_projections: int) -> float:
     """How many times more trials the projected scenario needs: n' = eta_H^N / p_succ

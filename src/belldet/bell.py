@@ -66,20 +66,23 @@ class BellTerm:
 
 @dataclass(frozen=True)
 class BellExpression:
-    """Coefficient table over joint settings (and outcomes) with its
-    classical bound."""
+    """Coefficient table over joint settings (and outcomes) with its classical bound:
+    ``stated_bound`` if given, else ``lhv_bound``'s, enumerated on the first read of
+    ``classical_bound``. The stated bound takes no part in ``==`` or the hash."""
 
     n_parties: int
     settings_per_party: int
     form: BellForm
     terms: tuple[BellTerm, ...]
-    classical_bound: float
+    stated_bound: float | None = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.n_parties < 1:
             raise ValueError("n_parties must be >= 1")
         if self.settings_per_party < 1:
             raise ValueError("settings_per_party must be >= 1")
+        if self.stated_bound is None:
+            _check_strategy_count(self)  # so that classical_bound can be enumerated
         for term in self.terms:
             if len(term.settings) != self.n_parties:
                 raise ValueError(f"term {term} does not cover {self.n_parties} parties")
@@ -117,6 +120,11 @@ class BellExpression:
         tensor.setflags(write=False)
         return tensor
 
+    @functools.cached_property
+    def classical_bound(self) -> float:
+        """The stated bound, or else ``lhv_bound``'s, enumerated on first read and kept."""
+        return lhv_bound(self) if self.stated_bound is None else self.stated_bound
+
     def to_json_dict(self) -> dict:
         terms = []
         for term in self.terms:
@@ -134,6 +142,10 @@ class BellExpression:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BellExpression":
+        """A config's Bell section: ``{"preset": name}`` or an inline expression."""
+        doc = json_object(doc, "bell")
+        if "preset" in doc:
+            return preset(doc["preset"])
         form = BellForm(doc["form"])
         terms = []
         for item in json_array(doc["terms"], "terms"):
@@ -153,17 +165,15 @@ class BellExpression:
                     outcomes=None if outcomes is None else tuple(outcomes),
                 )
             )
-        expr = cls(
+        return cls(
             n_parties=json_int(doc["n_parties"], "n_parties"),
             settings_per_party=json_int(doc["settings_per_party"], "settings_per_party"),
             form=form,
             terms=tuple(terms),
-            classical_bound=json_float(doc.get("classical_bound", 0.0), "classical_bound"),
+            stated_bound=json_float(doc["classical_bound"], "classical_bound")
+            if "classical_bound" in doc
+            else None,
         )
-        if "classical_bound" not in doc:
-            # set in place: dataclasses.replace would check every term again and drop C
-            object.__setattr__(expr, "classical_bound", lhv_bound(expr))
-        return expr
 
 
 def preset(name: str) -> BellExpression:
@@ -189,14 +199,6 @@ def preset(name: str) -> BellExpression:
         )
         return BellExpression(2, 2, BellForm.PROBABILITY, terms, 0.0)
     raise ValueError(f"unknown preset {name!r}")
-
-
-def expression_from_json_dict(doc: dict) -> BellExpression:
-    """A config's Bell section: ``{"preset": name}`` or an inline expression."""
-    doc = json_object(doc, "bell")
-    if "preset" in doc:
-        return preset(doc["preset"])
-    return BellExpression.from_json_dict(doc)
 
 
 @functools.cache

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import analysis, bell, protocol
-from .bell import expression_from_json_dict, lhv_bound
+from .bell import BellExpression, lhv_bound
 from .detmodel import json_float, json_int, json_object
 from .protocol import ScenarioConfig, SolveResult
 from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, QubitCapacityError, ZeroProjectionError
@@ -64,7 +64,7 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # JSONDecodeError, NaN/Infinity, or bytes that are not UTF-8
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -254,8 +254,9 @@ def _run_duration(doc, args) -> tuple[str, int]:
         "trial_ratio": stats.n_prime,
     }
     if r is not None:
-        result["expected_trials"] = stats.expected_trials(r)
-        result["expected_trials_standard"] = stats.expected_trials_standard(r)
+        trials = analysis.pascal_expected_trials
+        result["expected_trials"] = trials(r, stats.p_succ)
+        result["expected_trials_standard"] = trials(r, stats.p_succ_standard)
     diagnostics = {"convention": config.convention.value, "seed": args.seed}
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
 
@@ -302,11 +303,9 @@ def _run_lhv_bound(doc, args) -> tuple[str, int]:
         doc = json_object(doc, "config")
         if "scenario" in doc:
             doc = json_object(doc["scenario"], "scenario")
-        bell_doc = doc["bell"] if "bell" in doc else doc
-        expr = expression_from_json_dict(bell_doc)
-        # An inline expression without a stored bound was given the computed one on parsing.
-        stored = "preset" in bell_doc or "classical_bound" in bell_doc
-        bound = lhv_bound(expr) if stored else expr.classical_bound
+        expr = BellExpression.from_json_dict(doc["bell"] if "bell" in doc else doc)
+        # without a stated bound, the expression's own bound is the enumerated one
+        bound = expr.classical_bound if expr.stated_bound is None else lhv_bound(expr)
     except (KeyError, TypeError, ValueError) as exc:
         reason = _parse_error(exc)
         raise ConfigurationError(f"config does not describe a Bell expression: {reason}") from exc

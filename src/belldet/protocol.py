@@ -12,8 +12,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
 from .bell import (
-    BellExpression, BellForm, OptimizeOptions, _coefficient_tensor, expression_from_json_dict,
-    optimize_settings, quantum_value,
+    BellExpression, BellForm, OptimizeOptions, _coefficient_tensor, optimize_settings,
+    quantum_value,
 )
 from .detmodel import Convention, MeasurementSetting, json_float, json_int
 from .detmodel import json_array, json_object, validate_efficiency
@@ -121,7 +121,7 @@ class ScenarioConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioConfig":
         doc = json_object(doc, "scenario")
-        bell = expression_from_json_dict(doc["bell"])
+        bell = BellExpression.from_json_dict(doc["bell"])
         projectors_doc = doc.get("projectors", "default")
         if projectors_doc == "default" or projectors_doc is None:
             projectors = None

@@ -124,10 +124,11 @@ class TestPascal:
         config = ghz4_config(0.45, 1.0)
         stats = trial_stats(config)
         for r in (10, 20):
-            ratio_via_trials = stats.expected_trials(r) / stats.expected_trials_standard(r)
+            trials = pascal_expected_trials(r, stats.p_succ)
+            ratio_via_trials = trials / pascal_expected_trials(r, stats.p_succ_standard)
             assert ratio_via_trials == pytest.approx(stats.n_prime, rel=1e-12)
-        assert stats.expected_trials(20) == pytest.approx(
-            2 * stats.expected_trials(10), rel=1e-12
+        assert pascal_expected_trials(20, stats.p_succ) == pytest.approx(
+            2 * pascal_expected_trials(10, stats.p_succ), rel=1e-12
         )
 
     def test_trial_stats_ties_the_pieces_together(self):

@@ -707,6 +707,34 @@ class TestJsonRoundTrip:
         assert len(checked) == 1 and checked[0] is expr
         assert len(cell_builds) == 1 and cell_builds[0] is expr
 
+    def test_a_missing_bound_is_enumerated_on_first_read(self, monkeypatch, cell_builds):
+        calls = []
+        monkeypatch.setattr(bell, "lhv_bound", lambda expr: calls.append(expr) or lhv_bound(expr))
+        expr = BellExpression(3, 2, BellForm.CORRELATION, mermin_expression(3).terms, None)
+        assert expr.stated_bound is None and calls == [] and cell_builds == []
+        assert expr.classical_bound == expr.classical_bound == 2.0
+        assert calls == [expr] and cell_builds == [expr]
+
+    def test_a_stated_bound_is_returned_as_given(self, cell_builds):
+        expr = BellExpression(3, 2, BellForm.CORRELATION, mermin_expression(3).terms, 3.5)
+        assert expr.stated_bound == expr.classical_bound == 3.5
+        assert cell_builds == []
+
+    def test_replace_states_a_bound_that_takes_no_part_in_equality(self):
+        chsh = preset("CHSH")
+        loose = dataclasses.replace(chsh, stated_bound=2.5)
+        assert (loose.stated_bound, loose.classical_bound) == (2.5, 2.5)
+        assert loose == chsh and hash(loose) == hash(chsh)
+
+    def test_a_missing_bound_past_the_strategy_limit_is_rejected_at_construction(
+        self, cell_builds
+    ):
+        terms = (BellTerm((0,) * 8, 1.0, ("+",) * 8),)
+        with pytest.raises(ValueError, match="^enumeration would visit 43046721 strategies"):
+            BellExpression(8, 2, BellForm.PROBABILITY, terms, None)
+        assert BellExpression(8, 2, BellForm.PROBABILITY, terms, 1.0).classical_bound == 1.0
+        assert cell_builds == []
+
     def test_bad_outcome_label_rejected(self):
         doc = preset("EBERHARD_CH").to_json_dict()
         doc["terms"][0]["outcomes"] = ["+", "?"]

@@ -32,6 +32,7 @@ SCENARIO_CONFIGS = [
     "ghz4_visibility.json",
     "dicke42_damaged.json",
     "w4.json",
+    "ghz4_inline.json",
 ]
 SWEEP_CONFIGS = ["fig2.json"]
 EXPRESSION_CONFIGS = ["chsh.json"]
@@ -812,6 +813,32 @@ def test_lhv_bound_of_an_inline_expression_without_a_bound_is_computed_once(
     }
 
 
+def test_an_inline_expression_without_a_bound_reports_as_its_preset(capsys):
+    """ghz4_inline.json is ghz4.json with CHSH written out and no classical_bound:
+    every command gives the same exit code, stdout and stderr."""
+    for command in COMMANDS:
+        preset_run, inline_run = (
+            run(capsys, command, "--config", str(CONFIG_DIR / name), "--restarts", "8")
+            for name in ("ghz4.json", "ghz4_inline.json")
+        )
+        assert inline_run == preset_run, command
+
+
+def test_parsing_never_enumerates_the_bound(monkeypatch):
+    """A missing bound is enumerated on first use, never while a document is parsed."""
+    def fail(expr):
+        raise AssertionError("lhv_bound ran while parsing")
+
+    monkeypatch.setattr("belldet.bell.lhv_bound", fail)
+    for path in CONFIG_DIR.glob("*.json"):
+        doc = json.loads(path.read_text())
+        doc = doc.get("scenario", doc)
+        if "bell" in doc:
+            ScenarioConfig.from_json_dict(doc)
+        bell.BellExpression.from_json_dict(doc.get("bell", doc))
+    bell.BellExpression.from_json_dict(_ghz_one_term(12, 1, "probability", bound=None)["bell"])
+
+
 def test_sweep_and_duration_share_the_trial_ratio(capsys, tmp_path):
     report = run_json(capsys, "sweep", "--config", str(CONFIG_DIR / "fig2.json"))
     p_prod = math.prod(report["diagnostics"]["projection_probs"])
@@ -1076,13 +1103,12 @@ def test_a_sweep_grid_of_the_wrong_json_type_is_named(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_an_unreadable_config_is_a_config_error(capsys, tmp_path, command):
-    path = tmp_path / "absent.json"
-    code, out, err = run(capsys, command, "--config", str(path))
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert err == (
-        f"config error: cannot read config {path}: "
-        f"[Errno 2] No such file or directory: '{path}'\n"
-    )
+    """The message names the path once, then the cause."""
+    for path, cause in [(tmp_path / "absent.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")]:
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: cannot read config {path}: {cause}\n"
 
 
 def test_non_utf8_config_is_a_config_error(capsys, tmp_path):
@@ -1108,23 +1134,28 @@ def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
     assert violation.startswith("parse:") and "outcomes" in violation
 
 
-def _ghz_one_term(k, settings_per_party, form="correlation"):
-    """GHZ_k with every qubit in the Bell test and a one-term inline expression."""
+def _ghz_one_term(k, settings_per_party, form="correlation", bound=1.0):
+    """GHZ_k with every qubit in the Bell test and a one-term inline expression,
+    whose bound is ``bound`` or, at None, left out."""
     term = {"settings": [settings_per_party - 1] * k, "weight": 1.0}
     if form == "probability":
         term["outcomes"] = ["+"] * k
     bell = {"form": form, "n_parties": k, "settings_per_party": settings_per_party,
-            "terms": [term], "classical_bound": 1.0}
+            "terms": [term]}
+    if bound is not None:
+        bell["classical_bound"] = bound
     return {"state": {"kind": "GHZ", "n": k}, "k": k, "eta_L": 0.5, "eta_H": 1.0, "bell": bell}
 
 
-# (k, settings per party, form, flags): the k-qubit density matrix alone is 64 GiB
+# (k, settings per party, form, flags, bound): the k-qubit density matrix alone is 64 GiB
 # at k = 16; the optimizer's (starts, D, D) Hessian is several GiB at 1000 settings;
 # the probability-form expression tensor C ((4 s)^k floats) is 1 GiB at k = 9, s = 2.
+# Without a stated bound, GHZ12's C (128 MiB) would be built to enumerate it.
 OVER_BUDGET = {
-    "GHZ16, k = 16": (16, 1, "correlation", []),
-    "1000 settings": (2, 1000, "correlation", ["--restarts", "64"]),
-    "probability, k = 9": (9, 2, "probability", ["--restarts", "0"]),
+    "GHZ16, k = 16": (16, 1, "correlation", [], 1.0),
+    "1000 settings": (2, 1000, "correlation", ["--restarts", "64"], 1.0),
+    "probability, k = 9": (9, 2, "probability", ["--restarts", "0"], 1.0),
+    "probability, k = 12, no bound": (12, 1, "probability", [], None),
 }
 
 
@@ -1136,9 +1167,9 @@ def test_working_set_above_the_memory_budget_is_a_config_error(
         raise AssertionError("the state was built")
 
     monkeypatch.setattr("belldet.protocol.make_state", fail)
-    k, s, form, flags = OVER_BUDGET[case]
+    k, s, form, flags, bound = OVER_BUDGET[case]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(_ghz_one_term(k, s, form)))
+    path.write_text(json.dumps(_ghz_one_term(k, s, form, bound)))
     report = run_json(capsys, "validate", "--config", str(path), *flags)
     [violation] = report["result"]["violations"]
     assert violation.startswith(f"k = {k} with {s} settings per party needs about")

@@ -426,7 +426,7 @@ class TestCriticalVisibility:
 
     def test_value_just_below_the_bound_at_full_visibility_is_a_root_at_one(self):
         # Q - L = -5e-10 at v = 1 is within RESIDUAL_TOL of the bound, so v* = 1 itself
-        bell = replace(preset("CHSH"), classical_bound=TSIRELSON + 5e-10)
+        bell = replace(preset("CHSH"), stated_bound=TSIRELSON + 5e-10)
         result = critical_visibility(self.bell_pair(bell), restarts=8)
         assert result.status == "ok"
         assert result.critical_value == 1.0
@@ -434,7 +434,7 @@ class TestCriticalVisibility:
 
     def test_violation_at_every_visibility_has_no_root(self):
         # L = -10 lies below even the white-noise value Q(I/4) = 0
-        bell = replace(preset("CHSH"), classical_bound=-10.0)
+        bell = replace(preset("CHSH"), stated_bound=-10.0)
         result = critical_visibility(self.bell_pair(bell), restarts=8)
         assert result.status == "not_found"
         assert result.diagnostics["reason"] == "no sign change found below the upper end"

@@ -21,14 +21,16 @@ KEPT = {
 }
 
 # The dense algebra that no command ran, the state factories that only forwarded to
-# ghz and dicke, and the per-kind projector switch that the kind table in qstate
-# replaced, by the module that holds or would hold them.
+# ghz and dicke, the per-kind projector switch that the kind table in qstate
+# replaced, and the Bell-section reader that BellExpression.from_json_dict took
+# over, by the module that holds or would hold them.
 REMOVED = {
     "qstate": ["Effect", "embed_operator", "_trace_out_one", "partial_trace", "project",
                "expectation", "basis_state", "_EFFECT_EIG_TOL", "_IMAG_TOL", "add_white_noise",
                "w_state", "bell_phi_plus", "bell_psi_plus"],
     "detmodel": ["_dressed", "dressed_effects", "dressed_observable", "click_probabilities"],
     "protocol": ["default_projectors"],
+    "bell": ["expression_from_json_dict"],
 }
 
 # What tests/reference.py may take from belldet: value types, no computation.
