@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from io import StringIO
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
@@ -102,9 +101,9 @@ def _parse_error(exc: Exception) -> str:
     return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _parse_scenario(doc, args) -> ScenarioConfig:
+def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
     """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap
-    and the memory budget (``_working_set_bytes``) at ``args.restarts``."""
+    and the memory budget (``_working_set_bytes``) at ``restarts`` optimizer restarts."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -115,7 +114,7 @@ def _parse_scenario(doc, args) -> ScenarioConfig:
     if config.n_qubits > QUBIT_CAP:  # qstate.make_state builds no more than that
         violations.append(str(QubitCapacityError(config.n_qubits)))
     elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
-        needed = _working_set_bytes(config, args.restarts)
+        needed = _working_set_bytes(config, restarts)
         if needed > MEMORY_BUDGET_BYTES:
             violations.append(
                 f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "
@@ -127,11 +126,11 @@ def _parse_scenario(doc, args) -> ScenarioConfig:
     return config
 
 
-def _parse_sweep(doc, args) -> tuple[ScenarioConfig, Iterator[float]]:
+def _parse_sweep(doc) -> tuple[ScenarioConfig, Iterator[float]]:
     """A sweep's scenario and its eta_L/eta_H ratios, which are made only when iterated."""
     if not isinstance(doc, dict) or "scenario" not in doc or "grid" not in doc:
         raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
-    config = _parse_scenario(doc["scenario"], args)
+    config = _parse_scenario(doc["scenario"], 0)  # a sweep never optimizes
     try:
         grid = json_object(doc["grid"], "grid")
         start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
@@ -223,7 +222,7 @@ def _diagnostics(config: ScenarioConfig, args, **extra) -> dict:
 
 
 def _run_eval(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args)
+    config = _parse_scenario(doc, args.restarts)
     lhs, parts = protocol.composite_parts(config, restarts=args.restarts, seed=args.seed)
     diagnostics = _diagnostics(config, args, settings=parts.pop("settings"))
     result = {"composite_lhs": lhs, **parts}
@@ -231,7 +230,7 @@ def _run_eval(doc, args) -> tuple[str, int]:
 
 
 def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args)
+    config = _parse_scenario(doc, args.restarts)
     solve = solver(config, restarts=args.restarts, seed=args.seed)
     report = solve.to_json_dict()
     diagnostics = _diagnostics(config, args, **report.pop("diagnostics"))
@@ -240,7 +239,7 @@ def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int
 
 
 def _run_duration(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args)
+    config = _parse_scenario(doc, 0)  # duration never optimizes
     try:  # the target is read before trial_stats projects the state
         r = None
         if "target_successes" in doc:
@@ -254,15 +253,17 @@ def _run_duration(doc, args) -> tuple[str, int]:
         "trial_ratio": stats.n_prime,
     }
     if r is not None:
+        if stats.p_succ_standard == 0.0:  # a zero p_succ already raised in trial_ratio
+            raise ZeroDivisionError("standard success probability eta_H^N underflows to zero")
         trials = analysis.pascal_expected_trials
         result["expected_trials"] = trials(r, stats.p_succ)
         result["expected_trials_standard"] = trials(r, stats.p_succ_standard)
-    diagnostics = {"convention": config.convention.value, "seed": args.seed}
+    diagnostics = {"convention": config.convention.value}
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
 
 
 def _run_damaged(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args)
+    config = _parse_scenario(doc, args.restarts)
     p_list, rho = protocol.projected_state(config)
     result: dict = {"projection_probs": p_list}
     if config.k == 2:
@@ -281,17 +282,13 @@ def _run_damaged(doc, args) -> tuple[str, int]:
 
 
 def _run_sweep(doc, args) -> tuple[str, int]:
-    config, ratios = _parse_sweep(doc, args)
+    config, ratios = _parse_sweep(doc)
     p_list, _ = protocol.projected_state(config)
     p_prod = float(np.prod(p_list))
     exponent = config.n_projections
     rows = [(r, analysis.n_prime_from_ratio(p_prod, r, exponent)) for r in ratios if r > 0.0]
     if args.output == "csv":
-        buffer = StringIO()
-        buffer.write("ratio,n_prime\n")
-        for ratio, n_prime in rows:
-            buffer.write(f"{ratio!r},{n_prime!r}\n")
-        return buffer.getvalue(), EXIT_OK
+        return "ratio,n_prime\n" + "".join(f"{r!r},{n!r}\n" for r, n in rows), EXIT_OK
     result = {"rows": [{"ratio": r, "n_prime": n} for r, n in rows]}
     diagnostics = {"projection_probs": p_list, "eta_ratio_exponent": exponent}
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
@@ -319,9 +316,9 @@ def _run_validate(doc, args) -> tuple[str, int]:
     """What ``sweep`` (given a ``scenario`` section) or else ``eval`` would exit 2 on."""
     try:
         if isinstance(doc, dict) and "scenario" in doc:
-            config, _ = _parse_sweep(doc, args)
+            config, _ = _parse_sweep(doc)
         else:
-            config = _parse_scenario(doc, args)
+            config = _parse_scenario(doc, args.restarts)
     except ConfigurationError as exc:
         raw = json.loads(json.dumps(doc), parse_constant=str)  # json read 1e400 as inf
         return _json_report({"raw": raw}, {"violations": exc.violations}, {}), EXIT_OK
@@ -339,6 +336,7 @@ _HANDLERS = {
     "validate": _run_validate,
 }
 COMMANDS = tuple(_HANDLERS)
+_OPTIMIZING = ("eval", "critical-eta", "critical-visibility", "damaged")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,13 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell tests with a limited number of efficient detectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in COMMANDS:  # each command takes only the flags its handler reads
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config file")
-        cmd.add_argument("--output", choices=("json", "csv"), default="json")
+        if name == "sweep":
+            cmd.add_argument("--output", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", default=None, help="output path (default: stdout)")
-        cmd.add_argument("--seed", type=non_negative_int, default=0, help="optimizer seed")
-        cmd.add_argument("--restarts", type=non_negative_int, default=64, help="optimizer restarts")
+        if name in _OPTIMIZING:
+            cmd.add_argument("--seed", type=non_negative_int, default=0, help="optimizer seed")
+        if name in _OPTIMIZING or name == "validate":  # validate budgets as eval does
+            cmd.add_argument("--restarts", type=non_negative_int, default=64,
+                             help="optimizer restarts")
     return parser
 
 
@@ -364,9 +366,6 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.output == "csv" and args.command != "sweep":
-        print("csv output is only available for sweep", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         text, code = _HANDLERS[args.command](_load_json(args.config), args)
     except ConfigurationError as exc:

@@ -54,6 +54,25 @@ def run_json(capsys, *argv):
     return json.loads(out, parse_constant=_not_json)
 
 
+# The flags each command takes besides -h/--help, --config and --out: those its handler reads.
+OPTIMIZER_FLAGS = {"--seed", "--restarts"}
+COMMAND_FLAGS = {
+    "eval": OPTIMIZER_FLAGS,
+    "critical-eta": OPTIMIZER_FLAGS,
+    "critical-visibility": OPTIMIZER_FLAGS,
+    "damaged": OPTIMIZER_FLAGS,
+    "validate": {"--restarts"},  # it budgets eval's working set at that count
+    "sweep": {"--output"},
+    "duration": set(),
+    "lhv-bound": set(),
+}
+
+
+def restarts_flags(command, count):
+    """``--restarts count`` for a command that takes it, else nothing."""
+    return ["--restarts", count] if "--restarts" in COMMAND_FLAGS[command] else []
+
+
 def test_lhv_bound_command(capsys):
     report = run_json(capsys, "lhv-bound", "--config", str(CONFIG_DIR / "chsh.json"))
     assert report["result"]["lhv_bound"] == 2.0
@@ -128,7 +147,9 @@ def test_w4_defaults_leave_psi_plus_at_the_closed_forms(capsys):
     last two, so every threshold is the Bell pair's at prod p = 1/2 and two projections."""
     path = str(CONFIG_DIR / "w4.json")
     reports = {
-        command: run_json(capsys, command, "--config", path, "--restarts", "8")["result"]
+        command: run_json(
+            capsys, command, "--config", path, *restarts_flags(command, "8")
+        )["result"]
         for command in ("damaged", "critical-eta", "critical-visibility", "duration")
     }
     assert reports["damaged"]["projection_probs"] == pytest.approx([0.75, 2.0 / 3.0], abs=1e-15)
@@ -349,10 +370,10 @@ class TestExitCodes:
         assert err == f"cannot write report to {path}: No such file or directory\n"
 
     def test_csv_only_for_sweep(self, capsys):
-        code, _, err = run(
-            capsys, "eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--output", "csv"
-        )
-        assert code == EXIT_CONFIG
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--config", str(CONFIG_DIR / "ghz4.json"), "--output", "csv"])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --output csv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -428,14 +449,17 @@ def test_seeded_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_main_reuses_one_parser(capsys, monkeypatch):
+def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path):
     def fail():
         raise AssertionError("main built a parser")
 
     monkeypatch.setattr("belldet.cli.build_parser", fail)
-    path = CONFIG_DIR / "ghz4_duration.json"
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["settings"] = [[{"theta": 0.0}, {"theta": math.pi / 2}]] * 2
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
     for seed in ("5", "7"):
-        report = run_json(capsys, "duration", "--config", str(path), "--seed", seed)
+        report = run_json(capsys, "eval", "--config", str(path), "--seed", seed)
         assert report["diagnostics"]["seed"] == int(seed)
 
 
@@ -457,7 +481,6 @@ MAIN_MESSAGES = (
     "config error: ",
     "zero-weight projection: ",
     "degenerate scenario: ",
-    "csv output is only available for sweep",
 )
 
 
@@ -749,7 +772,9 @@ def test_validate_flags_what_the_reading_command_rejects(capsys, tmp_path, case)
     path.write_text(json.dumps(doc))
     violations = run_json(capsys, "validate", "--config", str(path), *flags)["result"]["violations"]
     command = "sweep" if "scenario" in doc else "eval"
-    code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2", *flags)
+    code, out, err = run(
+        capsys, command, "--config", str(path), *restarts_flags(command, "2"), *flags
+    )
     assert bool(violations) == broken == (code == EXIT_CONFIG), (violations, code, err)
     # each violation is named in the command's one error line
     assert all(v.removeprefix("parse: ") in err for v in violations)
@@ -785,14 +810,16 @@ def test_commands_call_library_functions_patched_after_import(capsys, monkeypatc
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, attr, recorded)
-    run_json(capsys, command, "--config", str(CONFIG_DIR / "ghz4.json"), "--restarts", "2")
+    config = str(CONFIG_DIR / "ghz4.json")
+    run_json(capsys, command, "--config", config, *restarts_flags(command, "2"))
     assert calls == [attr]
 
 
 def test_lhv_bound_of_an_inline_expression_without_a_bound_is_computed_once(
     capsys, monkeypatch, tmp_path
 ):
-    """Parsing already fills in the bound, so the handler does not compute it again."""
+    """The handler reads ``classical_bound``, which enumerates the bound on its first
+    read, so lhv_bound is never called a second time."""
     doc = {"n_parties": 3, "settings_per_party": 2, "form": "probability", "terms": [
         {"settings": [0, 0, 1], "weight": 1.5, "outcomes": ["+", "-", "+"]},
         {"settings": [1, 1, 0], "weight": -0.25, "outcomes": ["*", "+", "0"]},
@@ -818,7 +845,7 @@ def test_an_inline_expression_without_a_bound_reports_as_its_preset(capsys):
     every command gives the same exit code, stdout and stderr."""
     for command in COMMANDS:
         preset_run, inline_run = (
-            run(capsys, command, "--config", str(CONFIG_DIR / name), "--restarts", "8")
+            run(capsys, command, "--config", str(CONFIG_DIR / name), *restarts_flags(command, "8"))
             for name in ("ghz4.json", "ghz4_inline.json")
         )
         assert inline_run == preset_run, command
@@ -865,8 +892,14 @@ def test_duration_with_a_blind_detector_exits_3(capsys, tmp_path, eta_L, eta_H):
 
 @pytest.mark.parametrize(
     "edit",
-    [{"eta_L": 1e-51, "eta_H": 1e-51, "target_successes": 1000}, {"eta_L": 1e-80}],
-    ids=["infinite expected trials", "n-prime overflow"],
+    [
+        {"eta_L": 1e-51, "eta_H": 1e-51, "target_successes": 1000},
+        {"eta_L": 1e-80},
+        {"eta_L": 1.0, "eta_H": 1e-100, "target_successes": 100},
+        {"eta_L": 1e-10, "eta_H": 1e-100, "target_successes": 100},
+    ],
+    ids=["infinite expected trials", "n-prime overflow", "eta_H^N underflow",
+         "eta_H^N underflow at a tiny eta_L"],
 )
 def test_duration_beyond_the_float_range_exits_3(capsys, tmp_path, edit):
     doc = json.loads((CONFIG_DIR / "ghz6.json").read_text())
@@ -924,7 +957,7 @@ def test_non_finite_constants_are_not_json(capsys, tmp_path, case):
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(doc))  # json.dumps writes NaN, Infinity and -Infinity
     for command in commands + ["validate"]:
-        code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2")
+        code, out, err = run(capsys, command, "--config", str(path), *restarts_flags(command, "2"))
         assert (code, out) == (EXIT_CONFIG, ""), (command, err)
         assert err.startswith(f"config error: config {path} is not valid JSON: ")
         assert "is not a JSON number" in err
@@ -948,7 +981,7 @@ def test_terms_that_are_not_objects_are_a_config_error(capsys, tmp_path, terms):
     edit = lambda doc: _inline_chsh(doc).update(terms=terms)  # noqa: E731
     path = TestIntegerFields.write(tmp_path, "ghz4.json", edit)
     for command in ("eval", "lhv-bound"):
-        code, out, err = run(capsys, command, "--config", path, "--restarts", "2")
+        code, out, err = run(capsys, command, "--config", path, *restarts_flags(command, "2"))
         assert (code, out) == (EXIT_CONFIG, ""), (command, err)
     [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
     assert violation.startswith("parse:")
@@ -1042,7 +1075,7 @@ def test_a_state_field_the_kind_ignores_is_a_config_error(capsys, tmp_path, stat
     path = tmp_path / "ignored.json"
     path.write_text(json.dumps(doc))
     for command in ("eval", "critical-eta", "critical-visibility", "duration", "damaged"):
-        code, out, err = run(capsys, command, "--config", str(path), "--restarts", "2")
+        code, out, err = run(capsys, command, "--config", str(path), *restarts_flags(command, "2"))
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert err == f"config error: config does not describe a valid scenario: {message}\n"
     violations = run_json(capsys, "validate", "--config", str(path))["result"]["violations"]
@@ -1127,7 +1160,7 @@ def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
 
     path = TestIntegerFields.write(tmp_path, "eberhard_alpha005.json", edit)
     for command in ("eval", "lhv-bound"):
-        code, out, err = run(capsys, command, "--config", path, "--restarts", "2")
+        code, out, err = run(capsys, command, "--config", path, *restarts_flags(command, "2"))
         assert (code, out) == (EXIT_CONFIG, ""), (command, err)
         assert "outcomes must be a list of labels" in err
     [violation] = run_json(capsys, "validate", "--config", path)["result"]["violations"]
@@ -1174,10 +1207,17 @@ def test_working_set_above_the_memory_budget_is_a_config_error(
     [violation] = report["result"]["violations"]
     assert violation.startswith(f"k = {k} with {s} settings per party needs about")
     assert violation.endswith("MiB, above the budget 1024 MiB")
-    for command in ("eval", "critical-eta", "critical-visibility", "duration", "damaged"):
+    for command in ("eval", "critical-eta", "critical-visibility", "damaged"):
         code, out, err = run(capsys, command, "--config", str(path), *flags)
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert err == f"config error: config violates invariants: {violation}\n"
+    # duration never optimizes, so it budgets at 0 restarts
+    report = run_json(capsys, "validate", "--config", str(path), "--restarts", "0")
+    [violation] = report["result"]["violations"]
+    assert violation.endswith("MiB, above the budget 1024 MiB")
+    code, out, err = run(capsys, "duration", "--config", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: config violates invariants: {violation}\n"
     assert cell_builds == []  # C is (s L)^k floats: never built to check the budget
 
 
@@ -1246,12 +1286,22 @@ def test_qubit_cap_boundary(capsys, monkeypatch, tmp_path, kind):
     assert str(caught.value) == violation  # one text, whether built or validated
 
 
-def test_every_command_takes_the_same_five_flags():
-    """The qubit cap has no flag: argparse rejects any flag not listed here (exit 2)."""
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    """The qubit cap has no flag: argparse rejects any flag not listed here (exit 2),
+    with a usage line, before the config is read."""
     [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_FLAGS)
     for name, parser in commands.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
-        assert flags == {"-h", "--help", "--config", "--output", "--out", "--seed", "--restarts"}, name
+        assert flags == {"-h", "--help", "--config", "--out", *COMMAND_FLAGS[name]}, name
+        for flag, value in (("--seed", "7"), ("--restarts", "8"), ("--output", "csv")):
+            if flag in flags:
+                continue
+            with pytest.raises(SystemExit) as excinfo:
+                main([name, "--config", str(CONFIG_DIR / "missing.json"), flag, value])
+            assert excinfo.value.code == EXIT_CONFIG, (name, flag)
+            err = capsys.readouterr().err
+            assert err.startswith("usage: belldet") and f"arguments: {flag} {value}" in err
 
 
 @pytest.mark.parametrize(
@@ -1288,7 +1338,8 @@ def test_reports_are_what_json_dumps_writes(capsys, monkeypatch, name, command):
         return reports[-1][0]
 
     monkeypatch.setattr(cli, "_json_report", checked)
-    code, out, _ = run(capsys, command, "--config", str(CONFIG_DIR / name), "--restarts", "2")
+    config = str(CONFIG_DIR / name)
+    code, out, _ = run(capsys, command, "--config", config, *restarts_flags(command, "2"))
     assert [text for text, _ in reports] == ([out] if out else [])
     for text, parts in reports:
         assert text == _reference_report(*parts)

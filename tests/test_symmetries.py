@@ -4,10 +4,12 @@ Each test draws seeded random inputs and checks an exact identity:
 ``lhv_bound`` under relabelings and party permutations (Rosset, Bancal & Gisin,
 J. Phys. A 47, 424022 (2014)), the quantum kernel under local unitaries, and
 the settings optimizer over the whole Bloch sphere under local unitaries and a
-party swap. Under FOLD, a "+"/"-" swap is no symmetry once eta < 1, and a test
-pins that too.
+party swap, the critical efficiency under a party swap, and the default x-z optimizer
+on real states under setting permutations and TRINARY "+"/"-" swaps. Under FOLD, a
+"+"/"-" swap is no symmetry once eta < 1, and a test pins that too.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,12 +23,14 @@ from belldet import (
     DensityMatrix,
     MeasurementSetting,
     OptimizeOptions,
+    critical_eta,
     lhv_bound,
     optimize_settings,
     preset,
     quantum_value,
 )
 from belldet.bell import angles_to_settings
+from belldet.protocol import RESIDUAL_TOL
 from test_bell import random_expression, random_mixed_state
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -175,3 +179,52 @@ def test_fold_outcome_swap_is_no_symmetry_below_unit_efficiency():
         ]
     assert optima[1.0][0] == pytest.approx(optima[1.0][1], abs=1e-9)
     assert abs(optima[0.9][0] - optima[0.9][1]) > 1e-3
+
+
+def random_real_state(rng, n, rank):
+    """A random real n-qubit state of the given rank: pure at rank 1."""
+    raw = rng.normal(size=(2**n, rank))
+    return DensityMatrix(n, raw @ raw.T / np.sum(raw**2))
+
+
+@pytest.mark.parametrize(
+    "name,convention", [("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY)]
+)
+def test_critical_eta_is_invariant_under_a_party_swap(name, convention):
+    """Swapping rho's qubits together with the expression's parties keeps the threshold.
+    On real states the default x-z search reaches the optimum, so the solver agrees."""
+    rng = np.random.default_rng(len(name))
+    expr = preset(name)
+    # a relabeling keeps the local bound, which the swapped copy enumerates on first read
+    swapped_expr = dataclasses.replace(relabeled(expr, parties=[1, 0]), stated_bound=None)
+    for seed in range(3):
+        rho = random_real_state(rng, 2, rank=1)
+        kwargs = {"convention": convention, "restarts": 16, "seed": seed}
+        result = critical_eta(expr, rho, **kwargs)
+        swapped = critical_eta(swapped_expr, conjugated(rho, SWAP), **kwargs)
+        assert swapped.status == result.status
+        if result.found:
+            assert swapped.critical_value == pytest.approx(
+                result.critical_value, abs=2 * RESIDUAL_TOL
+            )
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_xz_optimum_is_invariant_under_relabelings_on_real_states(eta):
+    """A permutation of one party's settings, and a TRINARY "+"/"-" swap at one
+    (party, setting), which is n -> -n there, keep the default optimizer's optimum."""
+    rng = np.random.default_rng(int(eta * 10))
+    chsh, ch = preset("CHSH"), preset("EBERHARD_CH")
+    swap = {"+": "-", "-": "+"}
+    for _ in range(3):
+        rho = random_real_state(rng, 2, rank=4)
+        party, setting = int(rng.integers(2)), int(rng.integers(2))
+        permuted = relabeled(chsh, settings=lambda i, j: 1 - j if i == party else j)
+        outcome_swapped = relabeled(
+            ch, outcome=lambda i, j, o: swap.get(o, o) if (i, j) == (party, setting) else o
+        )
+        for expr, copy, convention in [(chsh, permuted, Convention.FOLD),
+                                       (ch, outcome_swapped, Convention.TRINARY)]:
+            _, best = optimize_settings(expr, rho, [eta, eta], convention)
+            _, moved = optimize_settings(copy, rho, [eta, eta], convention)
+            assert moved == pytest.approx(best, abs=1e-12)
