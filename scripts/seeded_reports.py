@@ -9,10 +9,9 @@ The first form runs ``belldet <command> --config configs/<name>.json`` for every
 config and command in this process, with ``--restarts 8`` and ``--seed 0`` for each
 command whose parser takes them (so it also runs on a package whose every command
 takes both), and prints one JSON object mapping "<name>.json <command>" to
-[exit code, stdout, stderr]. The second prints a
-Markdown summary: how many reports are byte-identical, and a unified diff of each
-one that is not. It always exits 0, since a recorded contract change may move a
-report.
+[exit code, stdout, stderr]. The second prints a Markdown summary: how many reports
+are byte-identical, and a unified diff of each one that is not. It always exits 0,
+since a recorded contract change may move a report.
 """
 
 import contextlib
