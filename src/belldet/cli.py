@@ -102,8 +102,8 @@ def _parse_error(exc: Exception) -> str:
 
 
 def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
-    """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap
-    and the memory budget (``_working_set_bytes``) at ``restarts`` optimizer restarts."""
+    """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap and the
+    memory budget (``_working_set_bytes``) at ``restarts``, or 0 if no optimizer runs."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -114,7 +114,7 @@ def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
     if config.n_qubits > QUBIT_CAP:  # qstate.make_state builds no more than that
         violations.append(str(QubitCapacityError(config.n_qubits)))
     elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
-        needed = _working_set_bytes(config, restarts)
+        needed = _working_set_bytes(config, restarts if config.settings is None else 0)
         if needed > MEMORY_BUDGET_BYTES:
             violations.append(
                 f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "
@@ -252,32 +252,13 @@ def _run_duration(doc, args) -> tuple[str, int]:
         "p_succ_standard": stats.p_succ_standard,
         "trial_ratio": stats.n_prime,
     }
+    if stats.p_succ_standard == 0.0:  # a zero p_succ already raised in trial_ratio
+        raise ZeroDivisionError("standard success probability eta_H^N underflows to zero")
     if r is not None:
-        if stats.p_succ_standard == 0.0:  # a zero p_succ already raised in trial_ratio
-            raise ZeroDivisionError("standard success probability eta_H^N underflows to zero")
         trials = analysis.pascal_expected_trials
         result["expected_trials"] = trials(r, stats.p_succ)
         result["expected_trials_standard"] = trials(r, stats.p_succ_standard)
     diagnostics = {"convention": config.convention.value}
-    return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
-
-
-def _run_damaged(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, args.restarts)
-    p_list, rho = protocol.projected_state(config)
-    result: dict = {"projection_probs": p_list}
-    if config.k == 2:
-        t = rho.pauli_tensor  # |psi+><psi+| = (II + XX + YY - ZZ) / 4
-        result["psi_plus_overlap"] = float((1.0 + t[1, 1] + t[2, 2] - t[3, 3]) / 4.0)
-    settings, value = protocol.resolve_settings(
-        config.bell, rho, [config.eta_H] * config.k, config.convention, config.settings,
-        args.restarts, args.seed,
-    )
-    result["bell_value"] = value
-    result["classical_bound"] = config.bell.classical_bound
-    result["violated"] = bool(value > config.bell.classical_bound)
-    settings_doc = [[s.to_json_dict() for s in party] for party in settings]
-    diagnostics = _diagnostics(config, args, lost=config.lost, settings=settings_doc)
     return _json_report(config.to_json_dict(), result, diagnostics), EXIT_OK
 
 
@@ -330,7 +311,7 @@ _HANDLERS = {
     "critical-eta": lambda doc, args: _run_solver(protocol.critical_eta_high, doc, args),
     "critical-visibility": lambda doc, args: _run_solver(protocol.critical_visibility, doc, args),
     "duration": _run_duration,
-    "damaged": _run_damaged,
+    "damaged": _run_eval,  # a lost-detector scenario is judged as eval judges any other
     "sweep": _run_sweep,
     "lhv-bound": _run_lhv_bound,
     "validate": _run_validate,

@@ -278,8 +278,8 @@ def composite_parts(
     parties and Q the Bell value on the projected state at eta_H-dressed
     settings. Its scale is positive for any eta_L > 0, so the low efficiencies
     need only be nonzero, but may round to 0.0: the verdict ``violated`` is
-    Q > L at eta_L > 0 (or m = 0). The dict carries it, the probabilities,
-    Q, L, the eta_L exponent and the settings, for reports.
+    Q > L at eta_L > 0 (or m = 0). The dict carries it, the probabilities, Q,
+    L, the eta_L exponent, the settings and, at k = 2, ``psi_plus_overlap``.
     """
     p_list, rho_prime = projected_state(config)
     settings, q = resolve_settings(
@@ -296,6 +296,9 @@ def composite_parts(
         "violated": q > config.bell.classical_bound and (config.eta_L > 0.0 or not m),
         "settings": [[s.to_json_dict() for s in party] for party in settings],
     }
+    if config.k == 2:
+        t = rho_prime.pauli_tensor  # |psi+><psi+| = (II + XX + YY - ZZ) / 4
+        parts["psi_plus_overlap"] = float((1.0 + t[1, 1] + t[2, 2] - t[3, 3]) / 4.0)
     return lhs, parts
 
 

@@ -139,7 +139,36 @@ def test_damaged_command(capsys):
     )
     assert report["result"]["psi_plus_overlap"] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert report["result"]["violated"] is False
-    assert report["diagnostics"]["lost"] == 1
+    assert report["inputs"]["lost"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_damaged_is_eval_under_a_second_name(capsys, name):
+    """One handler resolves and judges a scenario for both commands."""
+    path = str(CONFIG_DIR / name)
+    evaluated = run(capsys, "eval", "--config", path, "--restarts", "8")
+    assert run(capsys, "damaged", "--config", path, "--restarts", "8") == evaluated
+
+
+def test_a_blind_low_detector_violates_under_neither_command(capsys, tmp_path):
+    """At eta_L = 0 no trial counts, whatever Q - L is, and both commands say so."""
+    doc = json.loads((CONFIG_DIR / "cluster4_blind.json").read_text())
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps({**doc, "eta_L": 0.0}))
+    for command in ("eval", "damaged"):
+        result = run_json(capsys, command, "--config", str(path), "--restarts", "8")["result"]
+        assert result["bell_value"] > result["classical_bound"], command
+        assert result["violated"] is False, command
+
+
+@pytest.mark.parametrize(
+    "name,overlap", [("dicke42_damaged.json", 2.0 / 3.0), ("w4.json", 1.0), ("ghz4.json", 0.0)]
+)
+def test_eval_reports_the_psi_plus_overlap(capsys, name, overlap):
+    """The projected pair's overlap with psi+: Dicke(4, 2) with one qubit lost, W_4's
+    defaults leave psi+ itself, and GHZ_4's leave phi+, which is orthogonal to it."""
+    report = run_json(capsys, "eval", "--config", str(CONFIG_DIR / name), "--restarts", "8")
+    assert report["result"]["psi_plus_overlap"] == pytest.approx(overlap, abs=1e-12)
 
 
 def test_w4_defaults_leave_psi_plus_at_the_closed_forms(capsys):
@@ -431,6 +460,28 @@ def test_each_call_reports_its_own_flags(capsys, tmp_path):
         report = run_json(capsys, "eval", "--config", str(path), *flags)
         assert report["diagnostics"]["seed"] == seed
         assert report["diagnostics"]["optimizer_restarts"] == restarts
+
+
+def test_fixed_settings_are_budgeted_without_the_optimizer(capsys, tmp_path):
+    """With every setting fixed no optimizer runs, so a restart count whose Hessians
+    alone would need about 48892 MiB neither fails the budget nor reaches the report's
+    numbers; the report still echoes the flags it was given."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["settings"] = [[{"theta": 0.0}, {"theta": math.pi / 2}],
+                       [{"theta": math.pi / 4}, {"theta": -math.pi / 4}]]
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--config", str(path), "--restarts", "100000000"]
+    assert run_json(capsys, "validate", *flags)["result"]["violations"] == []
+    for command in ("eval", "damaged"):
+        report = run_json(capsys, command, *flags)
+        assert report["result"]["bell_value"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+        assert report["diagnostics"]["optimizer_restarts"] == 100000000
+    for command, critical in (("critical-eta", 2.0 / (1.0 + math.sqrt(2.0))),
+                              ("critical-visibility", 1.0 / math.sqrt(2.0))):
+        result = run_json(capsys, command, *flags)["result"]
+        assert result["status"] == "ok", command
+        assert result["critical_value"] == pytest.approx(critical, abs=1e-9), command
 
 
 def test_seeded_runs_are_byte_identical(capsys):
@@ -897,9 +948,10 @@ def test_duration_with_a_blind_detector_exits_3(capsys, tmp_path, eta_L, eta_H):
         {"eta_L": 1e-80},
         {"eta_L": 1.0, "eta_H": 1e-100, "target_successes": 100},
         {"eta_L": 1e-10, "eta_H": 1e-100, "target_successes": 100},
+        {"eta_L": 1.0, "eta_H": 1e-100},
     ],
     ids=["infinite expected trials", "n-prime overflow", "eta_H^N underflow",
-         "eta_H^N underflow at a tiny eta_L"],
+         "eta_H^N underflow at a tiny eta_L", "eta_H^N underflow without a target"],
 )
 def test_duration_beyond_the_float_range_exits_3(capsys, tmp_path, edit):
     doc = json.loads((CONFIG_DIR / "ghz6.json").read_text())
