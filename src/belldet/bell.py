@@ -32,7 +32,7 @@ _BLOCK_FLOATS = 2**22  # floats in each array the quantum kernel makes per block
 # until one gains at most _SWEEP_GAIN, then Newton steps until the gradient
 # or the step is negligible, or the step's predicted rise is within rounding
 # (_RISE_TOL relative to the value) on curvature concave to rounding
-# (_CONCAVE_TOL relative to the largest eigenvalue).
+# (_CONCAVE_TOL relative to the largest eigenvalue) and to the gradient's size.
 _MAX_SWEEPS = 10
 _SWEEP_GAIN = 1e-15
 _MAX_NEWTON = 100
@@ -347,19 +347,16 @@ class _Evaluator:
         """The expression's value at each start, shape (S,)."""
         return self._partial(units)
 
-    def sweep(self, units: np.ndarray, plane: bool) -> np.ndarray:
+    def sweep(self, units: np.ndarray) -> np.ndarray:
         """One see-saw sweep on ``units`` in place, returning the value after it, (S,).
         With the other parties fixed, the value is the identity corner of party i's
         one-party partial plus sum_j c_j . n_ij over its Bloch fields c_j (the
         setting units' block), so each party in turn takes n_ij = c_j / |c_j|
         and the value after the last one is that corner plus sum_j |c_j|. A
-        setting no term reaches (c_j = 0) keeps its unit. In the x-z ``plane``
-        the fields' y parts are dropped."""
+        setting no term reaches (c_j = 0) keeps its unit."""
         for i in range(self.n_parties):
             part = self._partial(units, (i,))
             c = part[:, 1:, 1:].transpose(0, 2, 1)  # (S, s, 3)
-            if plane:  # x-z
-                c[..., 1] = 0.0
             norm = np.sqrt(np.einsum("sjx,sjx->sj", c, c))
             np.divide(c, norm[..., None], out=units[:, i, 1:, 1:], where=norm[..., None] > 0.0)
         return part[:, 0, 0] + norm.sum(axis=1)
@@ -416,18 +413,16 @@ def _units(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return units
 
 
-def _tangents(bloch: np.ndarray, plane: bool) -> np.ndarray:
-    """Orthonormal directions (..., 3, A) tangent to the unit Bloch vectors n (..., 3):
-    in the x-z ``plane`` the one direction (n_z, 0, -n_x) = dn/dtheta, on the sphere
-    the branch-free frame of Duff et al., J. Comput. Graph. Tech. 6(1), 1 (2017)."""
-    if plane:  # x-z
-        return (bloch[..., ::-1] * (1.0, 0.0, -1.0))[..., None]
+def _tangents(bloch: np.ndarray) -> np.ndarray:
+    """Orthonormal directions (..., 3, 2) tangent to the unit Bloch vectors n (..., 3),
+    the branch-free frame of Duff et al., J. Comput. Graph. Tech. 6(1), 1 (2017). At
+    n = (x, 0, z) they are +-dn/dtheta = +-(z, 0, -x) and +-(0, 1, 0), exactly."""
     x, y, z = np.moveaxis(bloch, -1, 0)
     sign = np.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    first = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=-1)
-    return np.stack([first, np.stack([b, sign + y * y * a, -y], axis=-1)], axis=-1)
+    frame = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], -1)
+    return frame.reshape(bloch.shape[:-1] + (2, 3)).swapaxes(-1, -2)
 
 
 def quantum_value(
@@ -481,7 +476,8 @@ def chsh_seed_angles(n_parties: int, settings_per_party: int) -> np.ndarray:
 
 @dataclass
 class OptimizeOptions:
-    """Knobs for the multistart settings optimizer."""
+    """Knobs for the multistart settings optimizer; ``include_phi`` draws the random
+    starts' phi too, where they would otherwise start in the x-z plane."""
 
     restarts: int = 64
     seed: int = 0
@@ -500,7 +496,7 @@ def optimize_settings(
 
     Every start (the CHSH seed, any warm starts and ``restarts`` random
     starts) becomes units once, and the search runs on each setting's unit
-    Bloch vector. See-saw sweeps come first (Liang & Doherty, PRA 75, 042103
+    Bloch vector, over the whole sphere. See-saw sweeps come first (Liang & Doherty, PRA 75, 042103
     (2007)): the value is affine in each projector, so each party in turn
     takes the exact best projector for every setting given the others, the
     unit vector c/|c| of the setting's Bloch field c (``_Evaluator.sweep``).
@@ -511,8 +507,8 @@ def optimize_settings(
     Hessian in each setting's tangent plane, a step along great circles,
     then one sweep back onto the crest of a curved ridge. A start's polish
     stops once its gradient or its step is negligible, or once the quadratic
-    model predicts a rise g . s - s . C s / 2 within rounding of the value
-    on curvature C (minus the Hessian) positive semidefinite to rounding,
+    model predicts a rise g . s - s . C s / 2 within rounding of the value on
+    curvature C (minus the Hessian) positive semidefinite to rounding and |g|,
     the Newton decrement test (Boyd & Vandenberghe, Convex Optimization,
     section 9.5.1). All starts advance together along a leading start axis,
     each with its own stopping rules, damping and step count, so a start
@@ -520,20 +516,20 @@ def optimize_settings(
     maximum over every start's own evaluation and end point, in start order,
     so it never falls below the value at the seed. Angles are read once,
     from the winning units; a setting whose unit never moved keeps its start
-    angles. Settings stay in the real (x-z) Bloch plane unless
-    ``include_phi`` is set; there a great-circle step by t is theta + t.
+    angles; a Bloch vector with y = 0 reads back as a signed theta at phi = 0.
+    On a real state, fields, gradients and x-z/y Hessian blocks are exactly 0
+    in y on the x-z plane, so a search from x-z starts stays there.
     """
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
     evaluator = _Evaluator(expr, rho, etas, convention)
-    plane = not opts.include_phi  # the x-z search: every site that reads it is marked x-z
-    width = 1 if plane else 2  # x-z: the angles and tangent directions of one setting
     seed = chsh_seed_angles(n, s)
     given = [(seed, np.zeros_like(seed)), *map(settings_to_angles, opts.warm_starts)]
-    # The seed, the warm starts, then the random starts: thetas, and phis only if searched.
+    # The seed, the warm starts, then the random starts: thetas, and phis only if drawn.
     rng = np.random.default_rng(opts.seed)
     angles = np.zeros((len(given) + opts.restarts, 2, n, s))
-    angles[: len(given), :width] = np.array(given)[:, :width]
+    angles[: len(given)] = given
+    width = 2 if opts.include_phi else 1
     angles[len(given) :, :width] = rng.uniform(0.0, 2.0 * math.pi, (opts.restarts, width, n, s))
     start_units = _units(angles[:, 0], angles[:, 1])
     start_vals = evaluator.value(start_units)
@@ -544,7 +540,7 @@ def optimize_settings(
     for _ in range(_MAX_SWEEPS):
         rows = np.flatnonzero(active)
         moved = units[rows]
-        swept = evaluator.sweep(moved, plane)
+        swept = evaluator.sweep(moved)
         active[rows] = swept - v[rows] > _SWEEP_GAIN
         units[rows], v[rows] = moved, swept
         if not active.any():
@@ -553,16 +549,16 @@ def optimize_settings(
     # Levenberg-Marquardt polish on the exact gradient and Hessian, each step
     # accepted only when the value rises; a start's tangent frame and
     # derivatives are rebuilt only after it accepted a step.
-    dim = n * s * width
+    dim = n * s * 2
     damping = np.full(len(units), _INITIAL_DAMPING)
     newton_steps = np.zeros(len(units), dtype=int)
     gradient, curvature = np.zeros((len(units), dim)), np.zeros((len(units), dim, dim))
-    tangents = np.zeros((len(units), n, s, 3, width))
+    tangents = np.zeros((len(units), n, s, 3, 2))
     active, fresh = np.ones((2, len(units)), dtype=bool)
     while active.any():
         rows = np.flatnonzero(fresh)
         if rows.size:
-            tangents[rows] = _tangents(units[rows, :, 1:, 1:], plane)
+            tangents[rows] = _tangents(units[rows, :, 1:, 1:])
             g, hessian = evaluator.derivatives(units[rows], tangents[rows])
             gradient[rows], curvature[rows] = g, -hessian
             newton_steps[rows] += 1
@@ -574,23 +570,26 @@ def optimize_settings(
         step = np.linalg.solve(c + damping[rows, None, None] * np.eye(dim), g[..., None])[..., 0]
         # The Newton decrement test: a start is done when its model predicts a
         # rise g . s - s . C s / 2 within rounding and no direction curves upward.
+        # Along a symmetry of rho (Rz(p) x Rz(-p) on the GHZ pair) the value is flat,
+        # and the curvature there is g against the orbit's acceleration, about -0.7|g|.
         rise = np.einsum("sd,sd->s", g, step) - 0.5 * np.einsum("sd,sde,se->s", step, c, step)
         done = np.abs(rise) <= _RISE_TOL * np.maximum(1.0, np.abs(v[rows]))
         if done.any():
             eig = np.linalg.eigvalsh(c[done])
-            done[done] = eig[:, 0] >= -_CONCAVE_TOL * np.maximum(1.0, eig[:, -1])
+            slack = np.linalg.norm(g[done], axis=1) + _CONCAVE_TOL * np.maximum(1.0, eig[:, -1])
+            done[done] = eig[:, 0] >= -slack
         moving = (np.abs(step).max(axis=1) > _STEP_TOL) & ~done
         if not moving.any():  # every step is negligible or promises no rise
             break
         active[rows[~moving]] = False
         rows, moved = rows[moving], units[rows[moving]]
         # Each unit n turns along its great circle to n cos|t| + xi sin|t| / |t|, xi = t . e.
-        t = step[moving].reshape(-1, n, s, width)
+        t = step[moving].reshape(-1, n, s, 2)
         turn = np.sqrt(np.einsum("sija,sija->sij", t, t))[..., None]
         t *= np.divide(np.sin(turn), turn, out=np.zeros_like(turn), where=turn > 0.0)
         xi = np.einsum("sija,sijxa->sijx", t, tangents[rows])
         moved[:, :, 1:, 1:] = moved[:, :, 1:, 1:] * np.cos(turn) + xi
-        trial = evaluator.sweep(moved, plane)  # back onto the crest of a curved ridge
+        trial = evaluator.sweep(moved)  # back onto the crest of a curved ridge
         rises = trial > v[rows]
         up, down = rows[rises], rows[~rises]
         units[up], v[up] = moved[rises], trial[rises]
@@ -607,9 +606,7 @@ def optimize_settings(
     bloch = (start_units, units)[best % 2][best // 2, :, 1:, 1:]
     moved = np.any(bloch != start_units[best // 2, :, 1:, 1:], axis=-1)
     x, y, z = np.moveaxis(bloch, -1, 0)
-    if plane:  # x-z: a signed theta, and phi stays 0
-        np.copyto(thetas, np.arctan2(x, z), where=moved)
-    else:
-        np.copyto(thetas, np.arctan2(np.hypot(x, y), z), where=moved)
-        np.copyto(phis, np.arctan2(y, x), where=moved)
+    in_plane = y == 0.0
+    np.copyto(thetas, np.arctan2(np.where(in_plane, x, np.hypot(x, y)), z), where=moved)
+    np.copyto(phis, np.where(in_plane, 0.0, np.arctan2(y, x)), where=moved)
     return angles_to_settings(thetas, phis), float(values[best])

@@ -76,14 +76,15 @@ def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
     from its first use to the end of the command, its first contraction
     ((s + 1) (s L)^(k-1) floats) and the coefficient tensor W ((s + 1)^k floats), two
     arrays of one block of starts (bell._BLOCK_FLOATS floats, or one start's
-    max(s + 1, 4)^k), and the optimizer's (starts, D, D) Hessian over D = 2 k s tangent
-    directions, which outweighs its (starts, k, s, 3, 2) tangent frames for k s >= 2.
-    The threshold solvers re-optimize from protocol._REFINE_RESTARTS random starts;
+    max(s + 1, 4)^k), and, unless the config fixes every setting, the optimizer's
+    (starts, D, D) Hessian over D = 2 k s tangent directions, which outweighs its
+    (starts, k, s, 3, 2) tangent frames for k s >= 2. The threshold solvers
+    re-optimize from protocol._REFINE_RESTARTS random starts, even at 0 ``restarts``;
     each run adds two more starts."""
     k, s = config.k, config.bell.settings_per_party
     cells = s * len(bell._CELL_LABELS[config.bell.form])
     tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k
-    starts = max(restarts, protocol._REFINE_RESTARTS) + 2
+    starts = 0 if config.settings is not None else max(restarts, protocol._REFINE_RESTARTS) + 2
     block = 2 * max(bell._BLOCK_FLOATS, max(s + 1, 4) ** k)
     return _STATE_COPIES * 16 * 4**k + 8 * (tensors + block + starts * (2 * k * s) ** 2)
 
@@ -103,7 +104,8 @@ def _parse_error(exc: Exception) -> str:
 
 def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
     """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap and the
-    memory budget (``_working_set_bytes``) at ``restarts``, or 0 if no optimizer runs."""
+    memory budget (``_working_set_bytes``) at ``restarts``, 0 for a command that never
+    optimizes."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -114,7 +116,7 @@ def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
     if config.n_qubits > QUBIT_CAP:  # qstate.make_state builds no more than that
         violations.append(str(QubitCapacityError(config.n_qubits)))
     elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
-        needed = _working_set_bytes(config, restarts if config.settings is None else 0)
+        needed = _working_set_bytes(config, restarts)
         if needed > MEMORY_BUDGET_BYTES:
             violations.append(
                 f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "

@@ -555,26 +555,24 @@ class TestOptimizeSettings:
     def test_two_qubit_optimum_is_the_horodecki_value(self, seed):
         """At eta = 1 the CHSH maximum over all settings is 2 sqrt(m1 + m2),
         m1, m2 the two largest eigenvalues of T^T T (Horodecki, Horodecki &
-        Horodecki, Phys. Lett. A 200, 340 (1995)); in the x-z plane it is
-        2 ||T_xz||_F, the Frobenius norm of T's x-z block."""
+        Horodecki, Phys. Lett. A 200, 340 (1995)). On a complex state the search
+        reaches it from the default x-z starts as well as from starts on the sphere."""
         rho = random_mixed_state(np.random.default_rng(seed), 2)
         t = correlation_matrix(rho)
         eig = np.linalg.eigvalsh(t.T @ t)
-        _, full = optimize_settings(
-            preset("CHSH"), rho, [1, 1], options=OptimizeOptions(restarts=8, include_phi=True)
-        )
-        assert full == pytest.approx(2.0 * math.sqrt(eig[-1] + eig[-2]), abs=1e-9)
-        _, plane = optimize_settings(
-            preset("CHSH"), rho, [1, 1], options=OptimizeOptions(restarts=8)
-        )
-        assert plane == pytest.approx(2.0 * np.linalg.norm(t[np.ix_((0, 2), (0, 2))]), abs=1e-9)
+        for include_phi in (False, True):
+            opts = OptimizeOptions(restarts=8, include_phi=include_phi)
+            _, value = optimize_settings(preset("CHSH"), rho, [1, 1], options=opts)
+            assert value == pytest.approx(2.0 * math.sqrt(eig[-1] + eig[-2]), abs=1e-9)
 
     def test_x_z_optimum_is_the_horodecki_value_of_the_x_z_block(self):
-        """In the x-z plane the CHSH maximum at eta = 1 is 2 sqrt(l1 + l2), l1, l2
-        the eigenvalues of B^T B for T's x-z block B, and every phi stays 0."""
+        """On a real state, from the default x-z starts, the search stays in the
+        plane: the CHSH maximum at eta = 1 is 2 sqrt(l1 + l2), l1, l2 the
+        eigenvalues of B^T B for T's x-z block B, and every phi is 0."""
         misses = []
         for seed in range(40):
-            rho = random_mixed_state(np.random.default_rng(1000 + seed), 2)
+            raw = np.random.default_rng(1000 + seed).normal(size=(4, 4))
+            rho = DensityMatrix(2, raw @ raw.T / np.trace(raw @ raw.T))
             block = correlation_matrix(rho)[np.ix_((0, 2), (0, 2))]
             oracle = 2.0 * math.sqrt(np.linalg.eigvalsh(block.T @ block).sum())
             settings, value = optimize_settings(
@@ -812,9 +810,9 @@ def random_units(rng, evaluator, starts, include_phi, low=0.0, high=2.0 * math.p
     return bell._units(thetas, phis)
 
 
-def frames(units, include_phi):
-    """The optimizer's tangent frames (S, n, s, 3, A) at the units' Bloch vectors."""
-    return bell._tangents(units[:, :, 1:, 1:], not include_phi)
+def frames(units):
+    """The optimizer's tangent frames (S, n, s, 3, 2) at the units' Bloch vectors."""
+    return bell._tangents(units[:, :, 1:, 1:])
 
 
 def along_great_circles(units, tangents, t):
@@ -896,15 +894,16 @@ class TestExactDerivatives:
         ],
     )
     def test_hessian_matches_central_second_differences(self, expr, convention, include_phi):
-        """Second differences of the value along great circles n cos t + e sin t."""
+        """Second differences of the value along great circles n cos t + e sin t,
+        at Bloch vectors in the x-z plane or anywhere on the sphere."""
         rng = np.random.default_rng(5)
         n, s = expr.n_parties, expr.settings_per_party
         evaluator = _Evaluator(expr, random_mixed_state(rng, n), rng.uniform(0.6, 1.0, n), convention)
-        dim = n * s * (2 if include_phi else 1)
+        dim = n * s * 2
         h = 1e-4
         for _ in range(2):
             units = random_units(rng, evaluator, 1, include_phi)
-            tangents = frames(units, include_phi)
+            tangents = frames(units)
             gradient, hessian = evaluator.derivatives(units, tangents)
             shifts = h * np.eye(dim)
             corners = [
@@ -923,21 +922,26 @@ class TestExactDerivatives:
 
     @pytest.mark.parametrize("include_phi", [False, True])
     def test_tangent_frames_are_orthonormal_and_tangent(self, include_phi):
-        """The sphere's frame has no pole: the axes and their negatives are
-        among the Bloch vectors. The x-z plane's one direction is dn/dtheta."""
+        """The frame has no pole: the axes and their negatives are among the
+        Bloch vectors. In the x-z plane its first direction is +-dn/dtheta and its
+        second +-y, exactly 0 in y and in x and z, so a step stays in the plane
+        unless it moves along the second."""
         rng = np.random.default_rng(7)
         thetas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (40,))
         phis = rng.uniform(0.0, 2.0 * math.pi, (40,)) if include_phi else np.zeros(40)
         bloch = bell._units(thetas[None, :, None], phis[None, :, None])[0, :, 1, 1:]
         if include_phi:
             bloch = np.vstack([bloch, np.eye(3), -np.eye(3)])
-        e = bell._tangents(bloch, not include_phi)
+        e = bell._tangents(bloch)
         gram = np.einsum("sxa,sxb->sab", e, e)
-        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(e.shape[-1]), gram.shape), atol=1e-15)
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), atol=1e-15)
         np.testing.assert_allclose(np.einsum("sx,sxa->sa", bloch, e), 0.0, atol=1e-15)
         if not include_phi:
             d_theta = np.stack([np.cos(thetas), np.zeros(40), -np.sin(thetas)], axis=-1)
-            np.testing.assert_allclose(e[..., 0], d_theta, rtol=0, atol=1e-15)
+            sign = np.sign(np.cos(thetas))[:, None]
+            np.testing.assert_allclose(e[..., 0], sign * d_theta, rtol=0, atol=1e-15)
+            assert np.all(e[:, 1, 0] == 0.0) and np.all(e[:, ::2, 1] == 0.0)
+            np.testing.assert_array_equal(np.abs(e[:, 1, 1]), 1.0)
 
 
 class TestSeeSaw:
@@ -949,7 +953,7 @@ class TestSeeSaw:
         evaluator = random_evaluator(rng, form, k, 2, 12)
         units = random_units(rng, evaluator, 6, include_phi)
         before = evaluator.value(units)
-        swept = evaluator.sweep(units, not include_phi)
+        swept = evaluator.sweep(units)
         np.testing.assert_allclose(swept, evaluator.value(units), rtol=0, atol=1e-14)
         assert np.all(swept >= before - 1e-14)  # each best response keeps or raises the value
         np.testing.assert_allclose(np.linalg.norm(units[:, :, 1:, 1:], axis=-1), 1.0, atol=1e-15)
@@ -964,7 +968,7 @@ class TestSeeSaw:
         evaluator = _Evaluator(expr, random_mixed_state(rng, 2), [0.9, 0.8], Convention.FOLD)
         start = random_units(rng, evaluator, 5, include_phi, 2.0 * math.pi, 4.0 * math.pi)
         units = start.copy()
-        evaluator.sweep(units, not include_phi)
+        evaluator.sweep(units)
         np.testing.assert_array_equal(units[:, 0, 2], start[:, 0, 2])
         assert not np.any(np.all(units[:, 0, 1] == start[:, 0, 1], axis=-1))
 
@@ -976,7 +980,7 @@ class TestSeeSaw:
         s = 3 if k <= 3 else 2
         evaluator = random_evaluator(rng, form, k, s, 16)
         units = random_units(rng, evaluator, 4, include_phi)
-        tangents = frames(units, include_phi)
+        tangents = frames(units)
         got = evaluator.derivatives(units, tangents)
         for g, w in zip(got, chained_derivatives(evaluator, units, tangents)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -998,10 +1002,10 @@ class TestSeeSaw:
         monkeypatch.setattr(_Evaluator, "_partial", counting)
         monkeypatch.setattr(_Evaluator, "value", no_value)
         units = random_units(np.random.default_rng(k), evaluator, 3, include_phi=True)
-        evaluator.sweep(units, False)
+        evaluator.sweep(units)
         assert calls == [(i,) for i in range(k)]
         calls.clear()
-        evaluator.derivatives(units, frames(units, include_phi=True))
+        evaluator.derivatives(units, frames(units))
         assert calls == list(itertools.combinations(range(k), 2))
 
 
@@ -1052,7 +1056,7 @@ class TestBatchedStarts:
         args = THREE_PARTY_PROBABILITY, random_mixed_state(rng, 3), [0.9, 0.8, 0.7]
         evaluator = _Evaluator(*args, Convention.TRINARY)
         units = random_units(rng, evaluator, 5, include_phi=True)
-        tangents = frames(units, include_phi=True)
+        tangents = frames(units)
         batch = [evaluator.value(units), *evaluator.derivatives(units, tangents)]
         monkeypatch.setattr(bell, "_BLOCK_FLOATS", 1)
         blocked = _Evaluator(*args, Convention.TRINARY)
@@ -1060,16 +1064,15 @@ class TestBatchedStarts:
         for got, want in zip([blocked.value(units), *blocked.derivatives(units, tangents)], batch):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         assert blocked.value(units[:0]).shape == (0,)
-        assert blocked.sweep(units[:0], False).shape == (0,)
+        assert blocked.sweep(units[:0]).shape == (0,)
 
-    @pytest.mark.parametrize("include_phi", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_derivatives_of_no_starts_are_empty(self, k, include_phi):
+    def test_derivatives_of_no_starts_are_empty(self, k):
         rho = random_mixed_state(np.random.default_rng(k), k)
         evaluator = _Evaluator(mermin_expression(k), rho, [0.9] * k, Convention.FOLD)
-        dim = 2 * k * (2 if include_phi else 1)
-        units = random_units(np.random.default_rng(k), evaluator, 0, include_phi)
-        gradient, hessian = evaluator.derivatives(units, frames(units, include_phi))
+        dim = 2 * k * 2
+        units = random_units(np.random.default_rng(k), evaluator, 0, include_phi=True)
+        gradient, hessian = evaluator.derivatives(units, frames(units))
         assert (gradient.shape, hessian.shape) == ((0, dim), (0, dim, dim))
 
     def test_einsum_calls_do_not_grow_with_the_starts(self, monkeypatch):

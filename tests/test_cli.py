@@ -33,6 +33,7 @@ SCENARIO_CONFIGS = [
     "dicke42_damaged.json",
     "w4.json",
     "ghz4_inline.json",
+    "ghz4_phase.json",
 ]
 SWEEP_CONFIGS = ["fig2.json"]
 EXPRESSION_CONFIGS = ["chsh.json"]
@@ -477,6 +478,31 @@ def test_fixed_settings_are_budgeted_without_the_optimizer(capsys, tmp_path):
         report = run_json(capsys, command, *flags)
         assert report["result"]["bell_value"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert report["diagnostics"]["optimizer_restarts"] == 100000000
+    for command, critical in (("critical-eta", 2.0 / (1.0 + math.sqrt(2.0))),
+                              ("critical-visibility", 1.0 / math.sqrt(2.0))):
+        result = run_json(capsys, command, *flags)["result"]
+        assert result["status"] == "ok", command
+        assert result["critical_value"] == pytest.approx(critical, abs=1e-9), command
+
+
+# X-Y-plane projectors on GHZ4 (phi 0.7, and |+i>) leave Phi+ up to a relative phase.
+PHASE_PROJECTORS = {
+    "phi 0.7": [{"theta": math.pi / 2, "phi": 0.7}, {"theta": math.pi / 2, "phi": 0.0}],
+    "+i": [{"theta": math.pi / 2, "phi": math.pi / 2}, {"theta": math.pi / 2, "phi": 0.0}],
+}
+
+
+@pytest.mark.parametrize("projectors", list(PHASE_PROJECTORS))
+def test_phase_projectors_leave_the_maximally_entangled_thresholds(capsys, tmp_path, projectors):
+    """The pair's phase needs y settings: in the x-z plane these gave a wrong "ok" at
+    0.8853626638843985 (phi 0.7) and "not_found" with a critical visibility of 1 (+i)."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc["projectors"] = PHASE_PROJECTORS[projectors]
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps(doc))
+    flags = ["--config", str(path), "--restarts", "8"]
+    value = run_json(capsys, "eval", *flags)["result"]["bell_value"]
+    assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
     for command, critical in (("critical-eta", 2.0 / (1.0 + math.sqrt(2.0))),
                               ("critical-visibility", 1.0 / math.sqrt(2.0))):
         result = run_json(capsys, command, *flags)["result"]
@@ -1284,6 +1310,18 @@ def test_working_set_beyond_the_float_range_is_a_config_error(capsys, tmp_path, 
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == f"config error: config violates invariants: {violation}\n"
     assert cell_builds == []
+
+
+def test_fixed_settings_budget_no_optimizer_hessian(capsys, tmp_path):
+    """1000 settings per party, every one fixed: the optimizer's Hessian for 18 starts
+    would need about 2.2 GiB, but no optimizer runs, and eval peaks near 74 MiB."""
+    doc = json.loads((CONFIG_DIR / "ghz4.json").read_text())
+    doc.update(bell=_ghz_one_term(2, 1000)["bell"], settings=[[{"theta": 0.0}] * 1000] * 2)
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(doc))
+    assert run_json(capsys, "validate", "--config", str(path))["result"]["violations"] == []
+    report = run_json(capsys, "eval", "--config", str(path), "--restarts", "0")
+    assert report["result"]["bell_value"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_bytes", [2**19, 2**19 + 1, 10**300, 2**1043])

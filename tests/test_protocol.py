@@ -332,6 +332,23 @@ def test_critical_eta_high_is_critical_eta_on_the_projected_state(filename):
     assert adapted == direct
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_random_phase_projectors_on_ghz_keep_the_pair_thresholds(n):
+    """An X-Y-plane projector on each of GHZ_n's first n - 2 qubits leaves Phi+ up to a
+    relative phase, so both thresholds are the maximally entangled pair's. In the x-z
+    plane all 12 of these cases gave a wrong "ok"."""
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        phis = rng.uniform(0.1, 2.0 * math.pi - 0.1, n - 2)
+        projectors = tuple(MeasurementSetting(math.pi / 2, phi) for phi in phis)
+        config = ghz_chsh_config(n, projectors=projectors)
+        for solve, critical in ((critical_eta_high, 2.0 / (1.0 + math.sqrt(2.0))),
+                                (critical_visibility, 1.0 / math.sqrt(2.0))):
+            result = solve(config, restarts=8, seed=int(rng.integers(100)))
+            assert result.status == "ok", (solve.__name__, phis)
+            assert result.critical_value == pytest.approx(critical, abs=1e-9), phis
+
+
 class TestCriticalVisibility:
     def test_bell_pair_threshold(self):
         config = ScenarioConfig(

@@ -2,11 +2,12 @@
 
 Each test draws seeded random inputs and checks an exact identity:
 ``lhv_bound`` under relabelings and party permutations (Rosset, Bancal & Gisin,
-J. Phys. A 47, 424022 (2014)), the quantum kernel under local unitaries, and
-the settings optimizer over the whole Bloch sphere under local unitaries and a
-party swap, the critical efficiency under a party swap, and the default x-z optimizer
-on real states under setting permutations and TRINARY "+"/"-" swaps. Under FOLD, a
-"+"/"-" swap is no symmetry once eta < 1, and a test pins that too.
+J. Phys. A 47, 424022 (2014)), the quantum kernel under local unitaries, the
+settings optimizer from starts on the sphere under local unitaries and a party
+swap, the critical efficiency with AUTO settings under local unitaries and a party
+swap, and the optimizer from the default x-z starts on real states under setting
+permutations and TRINARY "+"/"-" swaps. Under FOLD, a "+"/"-" swap is no symmetry
+once eta < 1, and a test pins that too.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from belldet import (
     MeasurementSetting,
     OptimizeOptions,
     critical_eta,
+    ghz,
     lhv_bound,
     optimize_settings,
     preset,
@@ -191,8 +193,8 @@ def random_real_state(rng, n, rank):
     "name,convention", [("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY)]
 )
 def test_critical_eta_is_invariant_under_a_party_swap(name, convention):
-    """Swapping rho's qubits together with the expression's parties keeps the threshold.
-    On real states the default x-z search reaches the optimum, so the solver agrees."""
+    """Swapping rho's qubits together with the expression's parties keeps the threshold,
+    on random real pure states."""
     rng = np.random.default_rng(len(name))
     expr = preset(name)
     # a relabeling keeps the local bound, which the swapped copy enumerates on first read
@@ -209,10 +211,27 @@ def test_critical_eta_is_invariant_under_a_party_swap(name, convention):
             )
 
 
+@pytest.mark.parametrize(
+    "name,convention", [("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY)]
+)
+def test_critical_eta_is_invariant_under_local_unitaries(name, convention):
+    """Phi+ turned by Haar-random local unitaries keeps its threshold 2/(1 + sqrt 2): the
+    AUTO settings turn with the state, off the x-z plane. In the x-z plane every one of
+    these cases gave a wrong "ok", at 0.830-0.99988."""
+    rng = np.random.default_rng(len(name) + 24)
+    phi_plus = ghz(2).density()
+    for seed in range(5):
+        _, total = local_unitary(rng, 2)
+        result = critical_eta(preset(name), conjugated(phi_plus, total), convention=convention,
+                              restarts=8, seed=seed)
+        assert result.status == "ok", seed
+        assert result.critical_value == pytest.approx(2.0 / (1.0 + math.sqrt(2.0)), abs=1e-9)
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 def test_xz_optimum_is_invariant_under_relabelings_on_real_states(eta):
     """A permutation of one party's settings, and a TRINARY "+"/"-" swap at one
-    (party, setting), which is n -> -n there, keep the default optimizer's optimum."""
+    (party, setting), which is n -> -n there, keep the optimum from x-z starts."""
     rng = np.random.default_rng(int(eta * 10))
     chsh, ch = preset("CHSH"), preset("EBERHARD_CH")
     swap = {"+": "-", "-": "+"}
