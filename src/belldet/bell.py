@@ -417,12 +417,14 @@ def _tangents(bloch: np.ndarray) -> np.ndarray:
     """Orthonormal directions (..., 3, 2) tangent to the unit Bloch vectors n (..., 3),
     the branch-free frame of Duff et al., J. Comput. Graph. Tech. 6(1), 1 (2017). At
     n = (x, 0, z) they are +-dn/dtheta = +-(z, 0, -x) and +-(0, 1, 0), exactly."""
-    x, y, z = np.moveaxis(bloch, -1, 0)
+    x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
     sign = np.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
-    frame = np.stack([1.0 + sign * x * x * a, sign * b, -sign * x, b, sign + y * y * a, -y], -1)
-    return frame.reshape(bloch.shape[:-1] + (2, 3)).swapaxes(-1, -2)
+    e = np.empty(bloch.shape + (2,))  # e[..., :, 0] and e[..., :, 1], the two directions
+    e[..., 0, 0], e[..., 1, 0], e[..., 2, 0] = 1.0 + sign * x * x * a, sign * b, -sign * x
+    e[..., 0, 1], e[..., 1, 1], e[..., 2, 1] = b, sign + y * y * a, -y
+    return e
 
 
 def quantum_value(
@@ -606,7 +608,6 @@ def optimize_settings(
     bloch = (start_units, units)[best % 2][best // 2, :, 1:, 1:]
     moved = np.any(bloch != start_units[best // 2, :, 1:, 1:], axis=-1)
     x, y, z = np.moveaxis(bloch, -1, 0)
-    in_plane = y == 0.0
-    np.copyto(thetas, np.arctan2(np.where(in_plane, x, np.hypot(x, y)), z), where=moved)
-    np.copyto(phis, np.where(in_plane, 0.0, np.arctan2(y, x)), where=moved)
+    np.copyto(thetas, np.arctan2(np.where(y == 0.0, x, np.hypot(x, y)), z), where=moved)
+    np.copyto(phis, np.where(y == 0.0, 0.0, np.arctan2(y, x)), where=moved)
     return angles_to_settings(thetas, phis), float(values[best])
