@@ -498,26 +498,26 @@ def optimize_settings(
 
     Every start (the CHSH seed, any warm starts and ``restarts`` random
     starts) becomes units once, and the search runs on each setting's unit
-    Bloch vector, over the whole sphere. See-saw sweeps come first (Liang & Doherty, PRA 75, 042103
-    (2007)): the value is affine in each projector, so each party in turn
-    takes the exact best projector for every setting given the others, the
-    unit vector c/|c| of the setting's Bloch field c (``_Evaluator.sweep``).
-    Where the optimum is ill-conditioned (Eberhard's CH optimum below
-    eta = 1) the sweeps crawl, so a damped Newton polish finishes every
-    start on the product of spheres (Absil, Mahony & Sepulchre, Optimization
-    Algorithms on Matrix Manifolds (2008), ch. 6): the exact gradient and
-    Hessian in each setting's tangent plane, a step along great circles,
-    then one sweep back onto the crest of a curved ridge. A start's polish
-    stops once its gradient or its step is negligible, or once the quadratic
-    model predicts a rise g . s - s . C s / 2 within rounding of the value on
-    curvature C (minus the Hessian) positive semidefinite to rounding and |g|,
-    the Newton decrement test (Boyd & Vandenberghe, Convex Optimization,
-    section 9.5.1). All starts advance together along a leading start axis,
-    each with its own stopping rules, damping and step count, so a start
-    ends exactly where it would alone. The returned value is the first
+    Bloch vector, over the whole sphere. See-saw sweeps come first (Liang &
+    Doherty, PRA 75, 042103 (2007)): the value is affine in each projector, so
+    each party in turn takes the exact best projector for every setting given
+    the others, the unit vector c/|c| of the setting's Bloch field c
+    (``_Evaluator.sweep``). Where the optimum is ill-conditioned (Eberhard's
+    CH optimum below eta = 1) the sweeps crawl, so a damped Newton polish
+    finishes every start on the product of spheres (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds (2008), ch. 6): the exact
+    gradient and Hessian in each setting's tangent plane, a step along great
+    circles, then one sweep back onto the crest of a curved ridge. A start's
+    polish stops once its gradient or its step is negligible, or once the
+    quadratic model predicts a rise g . s - s . C s / 2 within rounding of the
+    value on curvature C (minus the Hessian) positive semidefinite to rounding
+    and |g|, the Newton decrement test (Boyd & Vandenberghe, Convex
+    Optimization, section 9.5.1). All starts advance together along a leading
+    start axis, each with its own stopping rules, damping and step count, so a
+    start ends exactly where it would alone. The returned value is the first
     maximum over every start's own evaluation and end point, in start order,
-    so it never falls below the value at the seed. Angles are read once,
-    from the winning units; a setting whose unit never moved keeps its start
+    so it never falls below the value at the seed. Angles are read once, from
+    the winning units; a setting whose unit never moved keeps its start
     angles; a Bloch vector with y = 0 reads back as a signed theta at phi = 0.
     On a real state, fields, gradients and x-z/y Hessian blocks are exactly 0
     in y on the x-z plane, so a search from x-z starts stays there.
