@@ -103,8 +103,8 @@ class BellExpression:
         L = len(_CELL_LABELS[form]): the expression's weights, free of any detector
         model, each term's weight added to exactly one cell. Built on first use, never
         at construction, and kept, read-only, as long as the expression: it has
-        (s L)^n floats, so the strategy limit (``lhv_bound``) and the CLI's memory
-        budget must be able to reject the expression before it exists."""
+        (s L)^n floats, so the strategy limit (``lhv_bound``) and the memory budget
+        (``ScenarioConfig.validate``) must be able to reject the expression before it exists."""
         n, labels = self.n_parties, _CELL_LABELS[self.form]
         width = len(labels)
         size = self.settings_per_party * width  # cells per party
@@ -142,9 +142,11 @@ class BellExpression:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BellExpression":
-        """A config's Bell section: ``{"preset": name}`` or an inline expression."""
+        """A config's Bell section: ``{"preset": name}`` alone, or an inline expression."""
         doc = json_object(doc, "bell")
         if "preset" in doc:
+            if extra := sorted(doc.keys() - {"preset"}):  # a preset fixes every other field
+                raise ValueError(f"a preset Bell section takes no other field, got {extra}")
             return preset(doc["preset"])
         form = BellForm(doc["form"])
         terms = []

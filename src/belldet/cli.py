@@ -19,11 +19,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import analysis, bell, protocol
+from . import analysis, protocol
 from .bell import BellExpression, lhv_bound
 from .detmodel import json_float, json_int, json_object
 from .protocol import ScenarioConfig, SolveResult
-from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, QubitCapacityError, ZeroProjectionError
+from .qstate import ZeroProjectionError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,11 +31,6 @@ EXIT_NOT_FOUND = 3
 
 # A sweep grid with more rows than this is a config error, rejected before any row is built.
 MAX_SWEEP_ROWS = 100_000
-
-# Copies of the k-qubit density matrix alive at once while states are built,
-# checked and turned into Pauli tensors: GHZ_10 and GHZ_11 with one-term expressions
-# grow peak RSS by 4.3-4.4 copies in eval and 4.6-4.9 in critical-visibility.
-_STATE_COPIES = 5
 
 
 class ConfigurationError(Exception):
@@ -68,62 +63,22 @@ def _load_json(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def _working_set_bytes(config: ScenarioConfig, restarts: int) -> int:
-    """Peak bytes a command may hold for ``config`` (k parties, s settings each):
-    copies of the k-qubit complex density matrix (16 * 4^k bytes each), the expression's
-    cell tensor C (``bell.BellExpression.cells``, (s L)^k floats, L = 1 cell label per
-    setting in correlation form or 4 in probability form), which the expression keeps
-    from its first use to the end of the command, its first contraction
-    ((s + 1) (s L)^(k-1) floats) and the coefficient tensor W ((s + 1)^k floats), two
-    arrays of one block of starts (bell._BLOCK_FLOATS floats, or one start's
-    max(s + 1, 4)^k), and, unless the config fixes every setting, the optimizer's
-    (starts, D, D) Hessian over D = 2 k s tangent directions, which outweighs its
-    (starts, k, s, 3, 2) tangent frames for k s >= 2. The threshold solvers
-    re-optimize from protocol._REFINE_RESTARTS random starts, even at 0 ``restarts``;
-    each run adds two more starts."""
-    k, s = config.k, config.bell.settings_per_party
-    cells = s * len(bell._CELL_LABELS[config.bell.form])
-    tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k
-    starts = 0 if config.settings is not None else max(restarts, protocol._REFINE_RESTARTS) + 2
-    block = 2 * max(bell._BLOCK_FLOATS, max(s + 1, 4) ** k)
-    return _STATE_COPIES * 16 * 4**k + 8 * (tensors + block + starts * (2 * k * s) ** 2)
-
-
-def _mebibytes(n_bytes: int) -> str:
-    """``n_bytes`` in MiB to the nearest integer; beyond the float range, as a power of ten."""
-    try:
-        return f"{n_bytes / 2**20:.0f}"
-    except OverflowError:
-        return f"10^{math.log10(n_bytes) - 20 * math.log10(2):.0f}"
-
-
 def _parse_error(exc: Exception) -> str:
     """A config parser's error as text; a KeyError's names the missing field, not a bare key."""
     return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
-def _parse_scenario(doc, restarts: int) -> ScenarioConfig:
-    """The scenario of ``doc``, within ``ScenarioConfig.validate``, the qubit cap and the
-    memory budget (``_working_set_bytes``) at ``restarts``, 0 for a command that never
-    optimizes."""
+def _parse_scenario(doc, restarts: int | None) -> ScenarioConfig:
+    """The scenario of ``doc``, admitted by ``ScenarioConfig.validate(restarts)``: the
+    invariants, the qubit cap and the memory budget of a run whose optimizer takes
+    ``restarts`` starts, None for a command that never optimizes."""
     try:
         config = ScenarioConfig.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         reason = _parse_error(exc)
         message = f"config does not describe a valid scenario: {reason}"
         raise ConfigurationError(message, [f"parse: {reason}"]) from exc
-    violations = config.validate()
-    if config.n_qubits > QUBIT_CAP:  # qstate.make_state builds no more than that
-        violations.append(str(QubitCapacityError(config.n_qubits)))
-    elif config.k <= config.n_qubits:  # so 4^k stays small enough to compute
-        needed = _working_set_bytes(config, restarts)
-        if needed > MEMORY_BUDGET_BYTES:
-            violations.append(
-                f"k = {config.k} with {config.bell.settings_per_party} settings per party needs "
-                f"about {_mebibytes(needed)} MiB, above the budget "
-                f"{_mebibytes(MEMORY_BUDGET_BYTES)} MiB"
-            )
-    if violations:
+    if violations := config.validate(restarts):
         raise ConfigurationError("config violates invariants: " + "; ".join(violations), violations)
     return config
 
@@ -132,7 +87,7 @@ def _parse_sweep(doc) -> tuple[ScenarioConfig, Iterator[float]]:
     """A sweep's scenario and its eta_L/eta_H ratios, which are made only when iterated."""
     if not isinstance(doc, dict) or "scenario" not in doc or "grid" not in doc:
         raise ConfigurationError('sweep config needs "scenario" and "grid" sections')
-    config = _parse_scenario(doc["scenario"], 0)  # a sweep never optimizes
+    config = _parse_scenario(doc["scenario"], None)
     try:
         grid = json_object(doc["grid"], "grid")
         start, stop, step = (json_float(grid[name], name) for name in ("start", "stop", "step"))
@@ -241,7 +196,7 @@ def _run_solver(solver: Callable[..., SolveResult], doc, args) -> tuple[str, int
 
 
 def _run_duration(doc, args) -> tuple[str, int]:
-    config = _parse_scenario(doc, 0)  # duration never optimizes
+    config = _parse_scenario(doc, None)
     try:  # the target is read before trial_stats projects the state
         r = None
         if "target_successes" in doc:

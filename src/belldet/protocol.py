@@ -4,6 +4,7 @@ state, and the critical-efficiency / critical-visibility solvers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -11,19 +12,22 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
 
-from .bell import (
-    BellExpression, BellForm, OptimizeOptions, _coefficient_tensor, optimize_settings,
-    quantum_value,
-)
+from .bell import _BLOCK_FLOATS, _CELL_LABELS, BellExpression, BellForm, OptimizeOptions
+from .bell import _coefficient_tensor, optimize_settings, quantum_value
 from .detmodel import Convention, MeasurementSetting, json_float, json_int
 from .detmodel import json_array, json_object, validate_efficiency
-from .qstate import ZERO_WEIGHT_THRESHOLD, DensityMatrix, StateSpec, ZeroProjectionError
-from .qstate import make_state
+from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, ZERO_WEIGHT_THRESHOLD, DensityMatrix, StateSpec
+from .qstate import QubitCapacityError, ZeroProjectionError, make_state
 
 RESIDUAL_TOL = 1e-9
 _MAX_ROUNDS = 20
 _ROOT_FLOOR = 1e-4  # roots below this fraction of the upper end count as none
 _REFINE_RESTARTS = 16  # random starts of each re-optimization, besides the warm start
+
+# Copies of the k-qubit density matrix alive at once while states are built,
+# checked and turned into Pauli tensors: GHZ_10 and GHZ_11 with one-term expressions
+# grow peak RSS by 4.3-4.4 copies in eval and 4.6-4.9 in critical-visibility.
+_STATE_COPIES = 5
 
 SettingsAssignment = list[list[MeasurementSetting]]
 
@@ -58,8 +62,10 @@ class ScenarioConfig:
     def n_projections(self) -> int:
         return self.n_qubits - self.k - self.lost
 
-    def validate(self) -> list[str]:
-        """Return every invariant violation, naming field and rule."""
+    def validate(self, restarts: int | None = None) -> list[str]:
+        """Return every invariant violation, naming field and rule, then the qubit cap and
+        the memory budget (``_working_set_bytes``) of a run whose optimizer takes ``restarts``
+        starts (None: it never optimizes). Every command and library projection admits by it."""
         issues: list[str] = []
         n = self.n_qubits
         if not 2 <= self.k <= n:
@@ -88,11 +94,19 @@ class ScenarioConfig:
                 issues.append("settings: shape does not match the Bell expression")
         if self.bell.form == BellForm.CORRELATION and self.convention != Convention.FOLD:
             issues.append("convention: correlation-form expressions require FOLD")
+        if n > QUBIT_CAP:  # qstate.make_state builds no more than that
+            issues.append(str(QubitCapacityError(n)))
+        elif self.k <= n:  # so 4^k stays small enough to compute
+            needed = _working_set_bytes(self, restarts)
+            if needed > MEMORY_BUDGET_BYTES:
+                issues.append(f"k = {self.k} with {self.bell.settings_per_party} settings per "
+                              f"party needs about {_mebibytes(needed)} MiB, above the budget "
+                              f"{_mebibytes(MEMORY_BUDGET_BYTES)} MiB")
         return issues
 
     def require_valid(self) -> None:
-        issues = self.validate()
-        if issues:
+        """Raise ValueError naming every violation of ``validate()``, before any state is built."""
+        if issues := self.validate():
             raise ValueError("invalid scenario config: " + "; ".join(issues))
 
     def resolved_projectors(self) -> tuple[MeasurementSetting, ...]:
@@ -153,6 +167,35 @@ class ScenarioConfig:
             convention=Convention(doc.get("convention", "fold")),
             lost=json_int(doc.get("lost", 0), "lost"),
         )
+
+
+def _working_set_bytes(config: ScenarioConfig, restarts: int | None) -> int:
+    """Peak bytes a command may hold for ``config`` (k parties, s settings each):
+    copies of the k-qubit complex density matrix (16 * 4^k bytes each), the expression's
+    cell tensor C (``bell.BellExpression.cells``, (s L)^k floats, L = 1 cell label per
+    setting in correlation form or 4 in probability form), which the expression keeps
+    from its first use to the end of the command, its first contraction
+    ((s + 1) (s L)^(k-1) floats) and the coefficient tensor W ((s + 1)^k floats), two
+    arrays of one block of starts (bell._BLOCK_FLOATS floats, or one start's
+    max(s + 1, 4)^k), and, if ``restarts`` is not None and the settings are AUTO, the
+    optimizer's (starts, D, D) Hessian over D = 2 k s tangent directions, which outweighs
+    its (starts, k, s, 3, 2) tangent frames for k s >= 2. The threshold solvers re-optimize
+    from _REFINE_RESTARTS random starts, even at 0 ``restarts``; each run adds two more."""
+    k, s = config.k, config.bell.settings_per_party
+    cells = s * len(_CELL_LABELS[config.bell.form])
+    tensors = cells**k + (s + 1) * cells ** (k - 1) + (s + 1) ** k
+    optimizes = restarts is not None and config.settings is None
+    starts = max(restarts, _REFINE_RESTARTS) + 2 if optimizes else 0
+    block = 2 * max(_BLOCK_FLOATS, max(s + 1, 4) ** k)
+    return _STATE_COPIES * 16 * 4**k + 8 * (tensors + block + starts * (2 * k * s) ** 2)
+
+
+def _mebibytes(n_bytes: int) -> str:
+    """``n_bytes`` in MiB to the nearest integer; beyond the float range, as a power of ten."""
+    try:
+        return f"{n_bytes / 2**20:.0f}"
+    except OverflowError:
+        return f"10^{math.log10(n_bytes) - 20 * math.log10(2):.0f}"
 
 
 @dataclass

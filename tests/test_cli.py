@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from belldet import QubitCapacityError, ScenarioConfig, StateSpec, make_state, preset
-from belldet import bell, cli
+from belldet import bell, cli, protocol
 from belldet.analysis import n_prime_from_ratio
 from belldet.cli import (
     COMMANDS, EXIT_CONFIG, EXIT_NOT_FOUND, EXIT_OK, MAX_SWEEP_ROWS, build_parser, main,
@@ -1245,6 +1245,20 @@ def test_outcome_labels_must_be_a_list_of_strings(capsys, tmp_path, outcomes):
     assert violation.startswith("parse:") and "outcomes" in violation
 
 
+def test_a_preset_takes_no_other_field(capsys, tmp_path):
+    """A stated bound beside a preset was dropped: eval reported classical_bound 2.0
+    and a violation, and lhv-bound no mismatch, under a claimed bound of 5."""
+    bell = {"preset": "CHSH", "classical_bound": 5.0}
+    path = TestIntegerFields.write(tmp_path, "ghz4.json", lambda doc: doc.update(bell=bell))
+    text = "a preset Bell section takes no other field, got ['classical_bound']"
+    for command in ("eval", "lhv-bound"):
+        code, out, err = run(capsys, command, "--config", path, *restarts_flags(command, "2"))
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert err.endswith(f": {text}\n"), err
+    violations = run_json(capsys, "validate", "--config", path)["result"]["violations"]
+    assert violations == [f"parse: {text}"]
+
+
 def _ghz_one_term(k, settings_per_party, form="correlation", bound=1.0):
     """GHZ_k with every qubit in the Bell test and a one-term inline expression,
     whose bound is ``bound`` or, at None, left out."""
@@ -1289,13 +1303,18 @@ def test_working_set_above_the_memory_budget_is_a_config_error(
         code, out, err = run(capsys, command, "--config", str(path), *flags)
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert err == f"config error: config violates invariants: {violation}\n"
-    # duration never optimizes, so it budgets at 0 restarts
+    # --restarts 0 still refines from 16 starts; duration never optimizes, so it budgets no
+    # optimizer Hessian, which alone puts 1000 settings per party over the budget
     report = run_json(capsys, "validate", "--config", str(path), "--restarts", "0")
     [violation] = report["result"]["violations"]
     assert violation.endswith("MiB, above the budget 1024 MiB")
-    code, out, err = run(capsys, "duration", "--config", str(path))
-    assert (code, out) == (EXIT_CONFIG, "")
-    assert err == f"config error: config violates invariants: {violation}\n"
+    if case == "1000 settings":
+        with pytest.raises(AssertionError, match="the state was built"):  # admitted
+            main(["duration", "--config", str(path)])
+    else:
+        code, out, err = run(capsys, "duration", "--config", str(path))
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: config violates invariants: {violation}\n"
     assert cell_builds == []  # C is (s L)^k floats: never built to check the budget
 
 
@@ -1326,7 +1345,26 @@ def test_fixed_settings_budget_no_optimizer_hessian(capsys, tmp_path):
 
 @pytest.mark.parametrize("n_bytes", [2**19, 2**19 + 1, 10**300, 2**1043])
 def test_mebibytes_match_float_division_where_it_fits(n_bytes):
-    assert cli._mebibytes(n_bytes) == f"{n_bytes / 2**20:.0f}"
+    assert protocol._mebibytes(n_bytes) == f"{n_bytes / 2**20:.0f}"
+
+
+@pytest.mark.parametrize(
+    "command,name", [("duration", "ghz4_duration.json"), ("sweep", "fig2.json"),
+                     ("validate", "fig2.json")],
+)
+def test_commands_that_never_optimize_budget_no_optimizer(capsys, tmp_path, cell_builds,
+                                                          command, name):
+    """duration, sweep and validate on a sweep document run no optimizer, so they admit
+    what fits without its Hessian: with AUTO settings and 1000 settings per party, each
+    exited 2 with "needs about 2284 MiB" when the budget counted 18 optimizer starts."""
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    doc.get("scenario", doc).update(bell=_ghz_one_term(2, 1000)["bell"], settings="auto")
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    report = run_json(capsys, command, "--config", str(path))
+    if command == "validate":
+        assert report["result"]["violations"] == []
+    assert cell_builds == []  # neither command evaluates the expression
 
 
 @pytest.mark.parametrize("name", ["eberhard_alpha005.json", "ghz4.json"])

@@ -25,9 +25,11 @@ from belldet import (
     preset,
     projected_state,
     quantum_value,
+    trial_stats,
 )
 from belldet.bell import BellExpression, BellForm, BellTerm
 from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
+from belldet.qstate import QUBIT_CAP
 from belldet.protocol import (
     _REFINE_RESTARTS, RESIDUAL_TOL, SettingsAssignment, _not_found, _solve_threshold,
     resolve_settings,
@@ -642,6 +644,22 @@ def test_fixed_settings_never_reach_the_optimizer(monkeypatch, eta_H):
     )
 
 
+# A scenario over the qubit cap, and GHZ16 with every qubit in a one-term Bell test, whose
+# 16-qubit density matrix alone is 64 GiB, with the texts the CLI prints for them.
+OVER_CAPACITY = {
+    "over the cap": (
+        ghz_chsh_config(n=QUBIT_CAP + 1),
+        f"state uses {QUBIT_CAP + 1} qubits, above the cap {QUBIT_CAP}",
+    ),
+    "GHZ16, k = 16": (
+        ghz_chsh_config(n=16, k=16, bell=BellExpression(
+            16, 1, BellForm.CORRELATION, (BellTerm((0,) * 16, 1.0),), 1.0
+        )),
+        "k = 16 with 1 settings per party needs about 393217 MiB, above the budget 1024 MiB",
+    ),
+}
+
+
 class TestConfigValidation:
     def test_k_exceeds_n(self):
         config = ghz_chsh_config(k=5)
@@ -672,6 +690,29 @@ class TestConfigValidation:
 
     def test_valid_config_has_no_issues(self):
         assert ghz_chsh_config().validate() == []
+
+    @pytest.mark.parametrize("case", list(OVER_CAPACITY))
+    def test_cap_and_budget_are_the_clis_violations(self, case):
+        config, text = OVER_CAPACITY[case]
+        assert config.validate() == [text]
+
+    @pytest.mark.parametrize(
+        "solve", [projected_state, trial_stats, composite_parts, critical_eta_high,
+                  critical_visibility], ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("case", list(OVER_CAPACITY))
+    def test_library_rejects_before_building_a_state(self, monkeypatch, case, solve):
+        """The library admits by the CLI's rule: no state is built for a scenario over
+        the qubit cap or the memory budget, which raises the CLI's text."""
+        def fail(spec):
+            raise AssertionError("the state was built")
+
+        monkeypatch.setattr("belldet.protocol.make_state", fail)
+        config, text = OVER_CAPACITY[case]
+        with pytest.raises(ValueError) as caught:
+            solve(config)
+        assert type(caught.value) is ValueError  # not make_state's QubitCapacityError
+        assert str(caught.value) == f"invalid scenario config: {text}"
 
     def test_json_round_trip(self):
         config = ghz_chsh_config(projectors=(MeasurementSetting(0.2), X_PLUS))

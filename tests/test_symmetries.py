@@ -189,18 +189,26 @@ def random_real_state(rng, n, rank):
     return DensityMatrix(n, raw @ raw.T / np.sum(raw**2))
 
 
+def random_pure_state(rng, n):
+    """A random complex pure n-qubit state."""
+    ket = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return DensityMatrix(n, np.outer(ket, ket.conj()) / np.vdot(ket, ket).real)
+
+
 @pytest.mark.parametrize(
     "name,convention", [("CHSH", Convention.FOLD), ("EBERHARD_CH", Convention.TRINARY)]
 )
 def test_critical_eta_is_invariant_under_a_party_swap(name, convention):
     """Swapping rho's qubits together with the expression's parties keeps the threshold,
-    on random real pure states."""
+    or its absence, on random real and complex pure states and random mixed states."""
     rng = np.random.default_rng(len(name))
     expr = preset(name)
     # a relabeling keeps the local bound, which the swapped copy enumerates on first read
     swapped_expr = dataclasses.replace(relabeled(expr, parties=[1, 0]), stated_bound=None)
-    for seed in range(3):
-        rho = random_real_state(rng, 2, rank=1)
+    states = [random_real_state(rng, 2, rank=1) for _ in range(3)]
+    states += [random_pure_state(rng, 2) for _ in range(3)]
+    states += [random_mixed_state(rng, 2) for _ in range(3)]
+    for seed, rho in enumerate(states):
         kwargs = {"convention": convention, "restarts": 16, "seed": seed}
         result = critical_eta(expr, rho, **kwargs)
         swapped = critical_eta(swapped_expr, conjugated(rho, SWAP), **kwargs)
