@@ -96,7 +96,7 @@ class ScenarioConfig:
             issues.append("convention: correlation-form expressions require FOLD")
         if n > QUBIT_CAP:  # qstate.make_state builds no more than that
             issues.append(str(QubitCapacityError(n)))
-        elif self.k <= n:  # so 4^k stays small enough to compute
+        elif 2 <= self.k <= n:  # a k the first check admits, so 4^k stays small enough
             needed = _working_set_bytes(self, restarts)
             if needed > MEMORY_BUDGET_BYTES:
                 issues.append(f"k = {self.k} with {self.bell.settings_per_party} settings per "

@@ -691,6 +691,14 @@ class TestConfigValidation:
     def test_valid_config_has_no_issues(self):
         assert ghz_chsh_config().validate() == []
 
+    @pytest.mark.parametrize("k", [-10**6, 0, 1])
+    def test_k_below_two_adds_no_budget_violation(self, k):
+        """A k below 2 is one violation: at k = -10^6 the Hessian term (2 k s)^2 once
+        added "needs about 8056640689 MiB" whenever an optimizer width was given."""
+        config = ghz_chsh_config(k=k)
+        assert config.validate(64) == config.validate()
+        assert config.validate()[0] == f"k: must satisfy 2 <= k <= N, got k={k}, N=4"
+
     @pytest.mark.parametrize("case", list(OVER_CAPACITY))
     def test_cap_and_budget_are_the_clis_violations(self, case):
         config, text = OVER_CAPACITY[case]
