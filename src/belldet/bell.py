@@ -270,7 +270,7 @@ def lhv_bound(expr: BellExpression) -> float:
 
 
 def _coefficient_tensor(
-    expr: BellExpression, etas: Sequence[float], convention: Convention
+    expr: BellExpression, etas: Sequence[float | None], convention: Convention
 ) -> np.ndarray:
     """W[q_1, ..., q_n]: the expression as a sum of products of per-party units,
     q = 0 the identity and q = j + 1 the Pauli vector n_j . sigma of setting j.
@@ -278,15 +278,43 @@ def _coefficient_tensor(
     party's eta, is (b + a/2) I + (a/2) n_j . sigma, so each party's cells
     (j, l) of the expression's tensor C (``BellExpression.cells``, built once
     per expression) map to its units by the dressing matrix D[(j, l), q], which
-    ``_contract`` applies. W[0, ..., 0] is the value on white noise."""
+    ``_contract`` applies. W[0, ..., 0] is the value on white noise.
+
+    A party whose eta is None is free, and W[q_1, ..., q_n, d] is then the eta^d
+    coefficient of W in the free parties' shared eta. Every dressing is affine in eta,
+    D = D0 + eta D1 (``detmodel._DRESSING``), so a free party's cells map to the
+    stacked (D0 | D1): the D1 half raises the degree of what it multiplies by one, and
+    the degree axis, last, grows by one per free party, to pins.count(None) + 1."""
     n, s = expr.n_parties, expr.settings_per_party
-    # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
-    a, b = _coefficients(convention, np.array(_CELL_LABELS[expr.form])[:, None], etas)
-    a, b = a.T[:, None, :, None], b.T[:, None, :, None]  # (parties, 1, labels, 1)
-    units = np.eye(s + 1)  # row 0 the identity, row j + 1 setting j's Pauli vector
-    # dressing[i, j, l, q]: party i's cell (j, l) on its unit q
-    dressing = (b + 0.5 * a) * units[0] + 0.5 * a * units[1:, None]
-    return _contract(expr.cells, dressing.reshape(n, -1, s + 1)).reshape((s + 1,) * n)
+    labels = np.array(_CELL_LABELS[expr.form])[:, None]
+
+    def dressing(values: Sequence[float]) -> np.ndarray:
+        """The (s L, s + 1) dressing matrix at each efficiency in ``values``."""
+        # Correlation terms need the folded row, which only FOLD has (ConventionError otherwise).
+        a, b = _coefficients(convention, labels, values)
+        a, b = a.T[:, None, :, None], b.T[:, None, :, None]  # (values, 1, labels, 1)
+        units = np.eye(s + 1)  # row 0 the identity, row j + 1 setting j's Pauli vector
+        # dressing[i, j, l, q]: cell (j, l) on unit q at efficiency i
+        dressed = (b + 0.5 * a) * units[0] + 0.5 * a * units[1:, None]
+        return dressed.reshape(len(values), -1, s + 1)
+
+    matrices = dressing([0.0 if eta is None else eta for eta in etas])
+    if None not in etas:
+        return _contract(expr.cells, matrices).reshape((s + 1,) * n)
+    one, zero = dressing([1.0, 0.0])  # D1 = D(1) - D(0), exactly: the rows are small halves
+    matrices = [m if eta is not None else np.hstack([m, one - zero])
+                for m, eta in zip(matrices, etas)]
+    x, degrees = expr.cells, 1
+    for matrix in matrices:
+        halves = len(matrix[0]) // (s + 1)  # 2 for a free party's (D0 | D1)
+        y = _contract(x, [matrix]).reshape(-1, degrees, halves, s + 1).transpose(0, 3, 1, 2)
+        x = y[..., 0]  # (rest, q, degree): the degree axis stays last
+        if halves == 2:  # the D1 half raises the degree by one
+            x = np.zeros(y.shape[:2] + (degrees + 1,))
+            x[..., :-1] = y[..., 0]
+            x[..., 1:] += y[..., 1]
+            degrees += 1
+    return x.reshape((s + 1,) * n + (degrees,))
 
 
 class _Evaluator:
@@ -300,7 +328,10 @@ class _Evaluator:
     n its unit Bloch vector. Every result keeps the start axis first. The
     settings optimizer also runs see-saw sweeps on the units in place
     (``sweep``) and reads the exact derivatives along great circles
-    (``derivatives``).
+    (``derivatives``). An efficiency of None frees its party: W then carries the
+    eta-degree axis (``_coefficient_tensor``), and ``value`` gives each start's
+    coefficients of the value as a polynomial in the free parties' eta, which is
+    all such an evaluator is for.
     """
 
     def __init__(
@@ -313,9 +344,9 @@ class _Evaluator:
         n = expr.n_parties
         if not isinstance(rho, DensityMatrix):  # the one checked state input
             raise TypeError(f"the state must be a DensityMatrix, got {type(rho).__name__}")
-        etas = np.array([validate_efficiency(e) for e in etas], dtype=float)
-        if etas.shape != (n,):
-            raise ValueError(f"expected {n} efficiencies, got {etas.shape}")
+        etas = [None if e is None else validate_efficiency(e) for e in etas]
+        if len(etas) != n:
+            raise ValueError(f"expected {n} efficiencies, got {(len(etas),)}")
         if rho.n_qubits != n:
             raise ValueError(f"a state of {rho.n_qubits} qubits does not match {n} parties")
         self.tensor = rho.pauli_tensor
@@ -325,9 +356,11 @@ class _Evaluator:
     def _partial(self, units: np.ndarray, open_parties: tuple[int, ...] = ()) -> np.ndarray:
         """T contracted with every party's units but ``open_parties``', then with W
         over the contracted unit axes: (S, mu_i, ..., q_i, ...) over the open
-        parties i, the value's derivative in Pauli component mu_i of unit q_i.
+        parties i, the value's derivative in Pauli component mu_i of unit q_i,
+        with W's eta-degree axis last if it has one.
         The starts run in blocks whose arrays hold about _BLOCK_FLOATS floats."""
         n, width = self.n_parties, units.shape[2]
+        degree = [2 * n + 1] * (self.coefficients.ndim - n)  # W's eta-degree axis, if any
         sizes = [4 if i in open_parties else width for i in range(n)]
         # einsum sublists: 0 the starts, i + 1 party i's units, n + 1 + i its Pauli axis
         axes = [0] + [n + 1 + i if i in open_parties else i + 1 for i in range(n)]
@@ -342,11 +375,13 @@ class _Evaluator:
             if len(x) != len(block):  # every party open: T (x) W at every start
                 x = np.broadcast_to(x, (len(block),) + x.shape[1:])
             x = x.reshape(len(block), *sizes)
-            parts.append(np.einsum(x, axes, self.coefficients, list(range(1, n + 1)), kept))
+            w_axes = list(range(1, n + 1)) + degree
+            parts.append(np.einsum(x, axes, self.coefficients, w_axes, kept + degree))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def value(self, units: np.ndarray) -> np.ndarray:
-        """The expression's value at each start, shape (S,)."""
+        """The expression's value at each start, shape (S,); with free parties, its
+        coefficients in their eta, lowest degree first, shape (S, free parties + 1)."""
         return self._partial(units)
 
     def sweep(self, units: np.ndarray) -> np.ndarray:
@@ -524,6 +559,53 @@ def optimize_settings(
     On a real state, fields, gradients and x-z/y Hessian blocks are exactly 0
     in y on the x-z plane, so a search from x-z starts stays there.
     """
+    angles, start_units, start_vals, units, v = _search(expr, rho, etas, convention, options)
+    # Start 0, end 0, start 1, end 1, ...: the order a start-by-start run meets them.
+    values = np.stack([start_vals, v], axis=1).ravel()
+    best = int(np.argmax(values))
+    start, bloch = start_units[best // 2], (start_units, units)[best % 2][best // 2]
+    thetas, phis = _read_angles(angles[best // 2], start[:, 1:, 1:], bloch[:, 1:, 1:])
+    return angles_to_settings(thetas, phis), float(values[best])
+
+
+def _end_points(
+    expr: BellExpression,
+    rho: DensityMatrix,
+    etas: Sequence[float],
+    convention: Convention,
+    options: OptimizeOptions,
+) -> tuple[np.ndarray, float]:
+    """Every start's end point of ``optimize_settings``' search, as angles (S, 2, n, s)
+    read back as it reads its winner's, and the value it returns. The threshold engine
+    roots each end point: at eta = 1 Eberhard's CH optimum is a continuous family whose
+    points tie to 1e-12 while their thresholds differ by more than 0.1."""
+    angles, start_units, start_vals, units, v = _search(expr, rho, etas, convention, options)
+    ends = _read_angles(angles, start_units[..., 1:, 1:], units[..., 1:, 1:])
+    return ends, float(max(start_vals.max(), v.max()))
+
+
+def _read_angles(angles: np.ndarray, start: np.ndarray, bloch: np.ndarray) -> np.ndarray:
+    """Angles (..., 2, n, s) of the unit Bloch vectors ``bloch`` (..., n, s, 3): a vector
+    with y == 0 as a signed theta at phi = 0, any other on the sphere; a vector equal to
+    its ``start`` keeps its start ``angles``."""
+    angles = angles.copy()
+    moved = np.any(bloch != start, axis=-1)
+    x, y, z = np.moveaxis(bloch, -1, 0)
+    np.copyto(angles[..., 0, :, :], np.arctan2(np.where(y == 0.0, x, np.hypot(x, y)), z),
+              where=moved)
+    np.copyto(angles[..., 1, :, :], np.where(y == 0.0, 0.0, np.arctan2(y, x)), where=moved)
+    return angles
+
+
+def _search(
+    expr: BellExpression,
+    rho: DensityMatrix,
+    etas: Sequence[float],
+    convention: Convention,
+    options: OptimizeOptions | None,
+) -> tuple[np.ndarray, ...]:
+    """``optimize_settings``' search over every start at once: the start angles
+    (S, 2, n, s), the start units and values, and each start's end units and value."""
     opts = options or OptimizeOptions()
     n, s = expr.n_parties, expr.settings_per_party
     evaluator = _Evaluator(expr, rho, etas, convention)
@@ -603,13 +685,4 @@ def optimize_settings(
         fresh[:] = False
         fresh[up] = active[up]
 
-    # Start 0, end 0, start 1, end 1, ...: the order a start-by-start run meets them.
-    values = np.stack([start_vals, v], axis=1).ravel()
-    best = int(np.argmax(values))
-    thetas, phis = angles[best // 2]
-    bloch = (start_units, units)[best % 2][best // 2, :, 1:, 1:]
-    moved = np.any(bloch != start_units[best // 2, :, 1:, 1:], axis=-1)
-    x, y, z = np.moveaxis(bloch, -1, 0)
-    np.copyto(thetas, np.arctan2(np.where(y == 0.0, x, np.hypot(x, y)), z), where=moved)
-    np.copyto(phis, np.where(y == 0.0, 0.0, np.arctan2(y, x)), where=moved)
-    return angles_to_settings(thetas, phis), float(values[best])
+    return angles, start_units, start_vals, units, v

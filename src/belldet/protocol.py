@@ -10,10 +10,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebroots, chebval
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .bell import _BLOCK_FLOATS, _CELL_LABELS, BellExpression, BellForm, OptimizeOptions
-from .bell import _coefficient_tensor, optimize_settings, quantum_value
+from .bell import _coefficient_tensor, _end_points, _Evaluator, _units, angles_to_settings
+from .bell import optimize_settings, quantum_value, settings_to_angles
 from .detmodel import Convention, MeasurementSetting, json_float, json_int
 from .detmodel import json_array, json_object, validate_efficiency
 from .qstate import MEMORY_BUDGET_BYTES, QUBIT_CAP, ZERO_WEIGHT_THRESHOLD, DensityMatrix, StateSpec
@@ -300,7 +301,7 @@ def resolve_settings(
     ``fixed`` settings come back as they are, with their quantum value;
     None (AUTO) runs the optimizer from ``restarts`` random starts, plus
     ``warm`` when given. Every choice between configured and optimized
-    settings goes through here.
+    settings goes through here or, for the threshold engine, ``_candidates``.
     """
     if fixed is not None:
         settings = [list(party) for party in fixed]
@@ -308,6 +309,27 @@ def resolve_settings(
     warm_starts = () if warm is None else (warm,)
     opts = OptimizeOptions(restarts=restarts, seed=seed, warm_starts=warm_starts)
     return optimize_settings(expr, rho, etas, convention, opts)
+
+
+def _candidates(
+    expr: BellExpression,
+    rho: DensityMatrix,
+    etas: Sequence[float],
+    convention: Convention,
+    fixed: Sequence[Sequence[MeasurementSetting]] | None,
+    restarts: int,
+    seed: int,
+    warm: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """``resolve_settings``' choice for the threshold engine, which roots every candidate:
+    angles (S, 2, n, s) of the ``fixed`` settings alone, or of every optimizer start's end
+    point (``bell._end_points``), and the best value. ``warm`` is one candidate's angles."""
+    if fixed is not None:
+        angles = np.array(settings_to_angles(fixed))[None]
+        return angles, quantum_value(expr, rho, fixed, etas, convention)
+    warm_starts = () if warm is None else (angles_to_settings(*warm),)
+    options = OptimizeOptions(restarts=restarts, seed=seed, warm_starts=warm_starts)
+    return _end_points(expr, rho, etas, convention, options)
 
 
 def composite_parts(
@@ -349,57 +371,66 @@ def _not_found(reason: str, iterations: int = 0, **diagnostics) -> SolveResult:
     return SolveResult("not_found", None, iterations, None, None, {"reason": reason, **diagnostics})
 
 
-def _upper_root(f: Callable[[float], float], degree: int, hi: float) -> tuple[float, float] | None:
-    """Largest root of f in [1e-4 hi, hi) where f turns from negative to
-    non-negative, read off the exact degree-``degree`` interpolant of f
-    through Chebyshev nodes on [0, hi], with the interpolant's slope there.
-
-    Roots below 1e-4 hi count as none: CHSH under FOLD and CH under TRINARY
-    vanish identically at eta = 0. An f already negative at hi puts the
-    root at hi: the engine's hi is the previous round's root, where the
-    re-optimized value may sit just below the bound.
-    """
-    coef = chebinterpolate(lambda ts: np.array([f(0.5 * hi * (t + 1.0)) for t in ts]), degree)
-    slope = chebder(coef) * (2.0 / hi)  # df/dx as a series in t
-    if chebval(1.0, coef) < 0.0:
-        return hi, chebval(1.0, slope)
-    roots = chebroots(coef)
-    roots = np.sort(roots[roots.imag == 0.0].real)
-    floor = 2.0 * _ROOT_FLOOR - 1.0
-    # From the top down: the first root in range with f < 0 just below it.
-    for i in reversed(range(len(roots))):
-        t = roots[i]
-        below = roots[i - 1] if i else t - 1.0
-        if floor <= t < 1.0 and chebval(0.5 * (below + t), coef) < 0.0:
-            return 0.5 * hi * (t + 1.0), chebval(t, slope)
-    return None
+def _upper_roots(coef: np.ndarray, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's upper root of the polynomial f = sum_d coef[:, d] x^d on (0, hi], with
+    f' there, or NaN for both: hi where f(hi) < 0, since the engine's hi is the previous
+    round's root, where a re-optimized value may sit just below the bound; else the
+    largest real root in [1e-4 hi, hi) with f < 0 just below it, which it reads at the
+    midpoint to the next real root down. Roots below 1e-4 hi count as none: CHSH under
+    FOLD and CH under TRINARY vanish identically at eta = 0. The roots are the
+    eigenvalues of each row's companion matrix, for all rows of one degree at once; a
+    zero leading coefficient lowers a row's degree."""
+    rows, width = coef.shape
+    nonzero = coef != 0.0
+    degree = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    roots = np.full((rows, width), 2.0 * hi)  # 2 hi: no real root in range
+    for d in set(degree.tolist()) - {0}:  # not np.unique: its first call in a process takes 10 ms
+        at = degree == d
+        companion = np.zeros((np.count_nonzero(at), d, d))
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, :, -1] = -coef[at, :d] / coef[at, d, None]
+        eig = np.linalg.eigvals(companion)
+        roots[at, :d] = np.where(eig.imag == 0.0, eig.real, 2.0 * hi)
+    roots.sort(axis=1)
+    below = np.concatenate([roots[:, :1] - hi, roots[:, :-1]], axis=1)
+    crossing = (roots >= _ROOT_FLOOR * hi) & (roots < hi)
+    crossing &= polyval(0.5 * (below + roots).T, coef.T, tensor=False).T < 0.0
+    upper = np.where(crossing, roots, 0.0).max(axis=1)
+    upper[polyval(hi, coef.T) < 0.0] = hi
+    upper[upper == 0.0] = np.nan
+    return upper, polyval(upper, polyder(coef.T), tensor=False)
 
 
 def _solve_threshold(
-    value_at: Callable[[float, SettingsAssignment], float],
-    degree: int,
-    optimize_at: Callable[[float, SettingsAssignment], tuple[SettingsAssignment, float]],
-    settings: SettingsAssignment,
+    polynomial: Callable[[np.ndarray], np.ndarray],
+    optimize_at: Callable[[float, np.ndarray], tuple[np.ndarray, float]],
+    candidates: Sequence,
     bound: float,
 ) -> SolveResult:
     """The threshold engine behind the eta solvers.
 
-    At fixed settings value_at(x, settings) is a polynomial of the given
-    degree in x, so each round takes the exact root of value_at - bound on
-    (0, hi] and re-optimizes the settings there. Optimizing can only raise
-    the value, so each root is an upper bound on the true threshold and the
-    roots decrease; the solve is "ok" once the optimized value at the root
-    sits on the bound to within RESIDUAL_TOL times min(1, slope there), so
-    that a shallow crossing too leaves the root within RESIDUAL_TOL.
+    At fixed settings the value is a polynomial in x: ``polynomial(candidates)`` gives
+    each candidate's coefficients, lowest degree first, as rows. Each round takes every
+    candidate's upper root of value - bound on (0, hi] (``_upper_roots``) and keeps the
+    smallest: that candidate's settings violate just above it, so it is an upper bound on
+    the true threshold, and the roots decrease. A candidate with no root there gives no
+    bound, and the solve is "not_found" when none does. optimize_at(root, candidate)
+    re-optimizes from that candidate and returns the next round's candidates with the
+    optimized value at the root. The solve is "ok" once that value sits on the bound to
+    within RESIDUAL_TOL times min(1, slope there), the exact derivative of the root's
+    polynomial, so that a shallow crossing too leaves the root within RESIDUAL_TOL.
     """
     hi = 1.0
     for rounds in range(1, _MAX_ROUNDS + 1):
         bracket = (0.0, hi)
-        found = _upper_root(lambda x: value_at(x, settings) - bound, degree, hi)
-        if found is None:
+        gap = polynomial(candidates)
+        gap[:, 0] -= bound
+        roots, slopes = _upper_roots(gap, hi)
+        if np.isnan(roots).all():
             return _not_found("no sign change found below the upper end", rounds)
-        root, slope = found
-        settings, q_root = optimize_at(root, settings)
+        best = int(np.nanargmin(roots))
+        root, slope = float(roots[best]), float(slopes[best])
+        candidates, q_root = optimize_at(root, candidates[best])
         residual = abs(q_root - bound)
         if residual < RESIDUAL_TOL * min(1.0, abs(slope)):
             return SolveResult("ok", root, rounds, bracket, residual)
@@ -422,32 +453,32 @@ def critical_eta(
     ``pins`` lists one efficiency per party; parties pinned to None share
     the solved eta, so Q(eta) has degree pins.count(None). ``pins=None``
     frees every party. ``fixed`` settings skip the optimizer. NOT_FOUND when
-    there is no violation with the free parties at eta = 1.
+    there is no violation with the free parties at eta = 1. The engine roots
+    Q's exact coefficients (``bell._Evaluator`` with the free parties' eta None)
+    at every end point of each optimization.
     """
     n = expr.n_parties
     pins = [None] * n if pins is None else list(pins)
-    degree = pins.count(None)
     if len(pins) != n:
         raise ValueError(f"pins must list {n} entries, one per party, got {len(pins)}")
-    if not degree:
+    if None not in pins:
         raise ValueError("pins must leave at least one party free (None)")
     pins = [None if pin is None else validate_efficiency(pin) for pin in pins]
 
-    def etas(eta: float) -> list[float]:
-        return [eta if pin is None else pin for pin in pins]
+    def candidates_at(eta: float, restarts: int, seed: int, warm: np.ndarray | None = None):
+        etas = [eta if pin is None else pin for pin in pins]
+        return _candidates(expr, state, etas, convention, fixed, restarts, seed, warm)
 
-    def value_at(eta: float, settings: SettingsAssignment) -> float:
-        return quantum_value(expr, state, settings, etas(eta), convention)
-
-    def optimize_at(eta: float, warm: SettingsAssignment):
-        return resolve_settings(
-            expr, state, etas(eta), convention, fixed, _REFINE_RESTARTS, seed + 1, warm
-        )
-
-    settings, q_one = resolve_settings(expr, state, etas(1.0), convention, fixed, restarts, seed)
+    candidates, q_one = candidates_at(1.0, restarts, seed)
     if q_one - expr.classical_bound <= 1e-11:
         return _not_found("no violation at eta_H = 1", value_at_one=q_one)
-    result = _solve_threshold(value_at, degree, optimize_at, settings, expr.classical_bound)
+    polynomial = _Evaluator(expr, state, pins, convention)
+    result = _solve_threshold(
+        lambda angles: polynomial.value(_units(angles[:, 0], angles[:, 1])),
+        lambda eta, warm: candidates_at(eta, _REFINE_RESTARTS, seed + 1, warm),
+        candidates,
+        expr.classical_bound,
+    )
     result.diagnostics["value_at_one"] = q_one
     return result
 

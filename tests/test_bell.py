@@ -496,6 +496,52 @@ class TestQuantumValue:
             assert value <= 2.0 + 1e-9
 
 
+def eta_coefficients(expr, rho, settings, pins, convention=Convention.FOLD):
+    """The kernel's coefficients of the value in the free (None) parties' eta at
+    ``settings``, lowest degree first."""
+    thetas, phis = bell.settings_to_angles(settings)
+    units = bell._units(thetas[None], phis[None])
+    return _Evaluator(expr, rho, pins, convention).value(units)[0]
+
+
+X_Y = (MeasurementSetting(math.pi / 2), MeasurementSetting(math.pi / 2, math.pi / 2))
+
+
+class TestEtaPolynomial:
+    def test_chsh_on_phi_plus_at_tsirelson_settings(self):
+        # 2 sqrt(2) eta^2 + 2 (1 - eta)^2
+        coef = eta_coefficients(preset("CHSH"), ghz(2).density(), CHSH_SETTINGS, [None, None])
+        np.testing.assert_allclose(coef, [2.0, -4.0, 2.0 + TSIRELSON], rtol=0.0, atol=1e-14)
+
+    def test_folded_mermin_on_ghz3_at_x_and_y(self):
+        # 4 eta^3 + 2 (1 - eta)^3: only the three-body correlators survive on GHZ3
+        coef = eta_coefficients(mermin_expression(3), ghz(3).density(), [X_Y] * 3, [None] * 3)
+        np.testing.assert_allclose(coef, [2.0, -6.0, 6.0, 2.0], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "form,convention",
+        [(BellForm.CORRELATION, Convention.FOLD), (BellForm.PROBABILITY, Convention.FOLD),
+         (BellForm.PROBABILITY, Convention.TRINARY)],
+    )
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_coefficients_match_the_quantum_value(self, n, form, convention, pinned):
+        rng = np.random.default_rng([n, pinned, len(form.value), len(convention.value)])
+        expr = random_expression(rng, form, n, 2, 3 * n)
+        rho = random_mixed_state(rng, n)
+        settings = [[MeasurementSetting(*rng.uniform(0.0, [math.pi, 2 * math.pi])) for _ in "ab"]
+                    for _ in range(n)]
+        pins = [None] * n
+        if pinned:
+            pins[int(rng.integers(n))] = float(rng.uniform())
+        coef = eta_coefficients(expr, rho, settings, pins, convention)
+        assert coef.shape == (pins.count(None) + 1,)
+        for eta in rng.uniform(size=4):
+            etas = [eta if pin is None else pin for pin in pins]
+            value = quantum_value(expr, rho, settings, etas, convention)
+            assert np.polynomial.polynomial.polyval(eta, coef) == pytest.approx(value, abs=1e-12)
+
+
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),

@@ -27,7 +27,7 @@ from belldet import (
     quantum_value,
     trial_stats,
 )
-from belldet.bell import BellExpression, BellForm, BellTerm
+from belldet.bell import BellExpression, BellForm, BellTerm, OptimizeOptions, angles_to_settings
 from belldet.detmodel import X_PLUS, Z_ONE, Z_ZERO
 from belldet.qstate import QUBIT_CAP
 from belldet.protocol import (
@@ -539,9 +539,10 @@ def engine_critical_visibility(
         """composite / eta_L^m at v = 0 and at v = 1."""
         return 2.0**-m * (q(noise, settings) - bound), p_prod * (q(rho_prime, settings) - bound)
 
-    def gap_at(v: float, settings: SettingsAssignment) -> float:
-        at_zero, at_one = endpoints(settings)
-        return (1.0 - v) * at_zero + v * at_one
+    def gap_coefficients(candidates: list[SettingsAssignment]) -> np.ndarray:
+        """(1 - v) at_zero + v at_one, lowest degree first, for each candidate."""
+        ends = [endpoints(settings) for settings in candidates]
+        return np.array([[at_zero, at_one - at_zero] for at_zero, at_one in ends])
 
     def mixed(v: float) -> DensityMatrix:
         pure_weight, noise_weight = v * p_prod, (1.0 - v) * 2.0**-m
@@ -556,7 +557,7 @@ def engine_critical_visibility(
             warm,
         )
         optimized.append(settings)
-        return settings, q_v - bound
+        return [settings], q_v - bound
 
     settings, q_pure = resolve_settings(
         expr, rho_prime, etas, config.convention, config.settings, restarts, seed
@@ -566,7 +567,7 @@ def engine_critical_visibility(
     at_zero, at_one = endpoints(settings)
     if at_zero == at_one:
         return _not_found("composite does not depend on v")
-    result = _solve_threshold(gap_at, 1, optimize_at, settings, 0.0)
+    result = _solve_threshold(gap_coefficients, optimize_at, [settings], 0.0)
     settings = optimized[-1] if optimized else settings
     result.diagnostics["bell_value_pure"] = q(rho_prime, settings)
     result.diagnostics["bell_value_noise"] = q(noise, settings)
@@ -624,6 +625,7 @@ def test_fixed_settings_never_reach_the_optimizer(monkeypatch, eta_H):
         raise AssertionError("fixed settings were optimized")
 
     monkeypatch.setattr(protocol, "optimize_settings", optimizer)
+    monkeypatch.setattr(protocol, "_end_points", optimizer)  # the threshold engine's optimizer
     config = ScenarioConfig(
         state=StateSpec("BellPhiPlus", 2), k=2, eta_L=0.5, eta_H=eta_H, bell=preset("CHSH"),
         settings=TSIRELSON_SETTINGS,
@@ -762,19 +764,25 @@ class TestDefaultProjectors:
         np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
 
 
+def _lines(intercepts) -> np.ndarray:
+    """x - c for each c: the coefficients the engine roots, lowest degree first."""
+    intercepts = np.atleast_1d(np.asarray(intercepts, dtype=float))
+    return np.stack([-intercepts, np.ones_like(intercepts)], axis=1)
+
+
 class TestThresholdEngine:
     def test_not_converged_when_rounds_run_out(self):
         # each re-optimization lowers the root but never closes the residual
-        def value_at(x, n):
-            return x - 0.5 * 0.9**n
+        def polynomial(ns):
+            return _lines(0.5 * 0.9**ns)
 
         calls = []
 
         def optimize_at(x, n):
             calls.append(n)
-            return n + 1, 1.0
+            return np.array([n + 1]), 1.0
 
-        result = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
+        result = protocol._solve_threshold(polynomial, optimize_at, np.array([0]), 0.0)
         assert result.status == "not_converged"
         assert not result.found
         assert result.iterations == protocol._MAX_ROUNDS
@@ -785,16 +793,18 @@ class TestThresholdEngine:
     def test_ok_bounds_the_threshold_error_on_a_shallow_crossing(self):
         # Eberhard's gap rises about 5e-3 per unit eta: a root 1e-7 above the
         # threshold leaves an optimized residual of 5e-10, under RESIDUAL_TOL.
-        # The settings stand for the root of their own fixed-settings line.
+        # The candidates stand for the root of their own fixed-settings line.
         slope, threshold = 5e-3, 0.6742959781982696
 
-        def value_at(x, root):
-            return slope * (x - root)
+        def polynomial(roots):
+            return slope * _lines(roots)
 
         def optimize_at(x, root):
-            return threshold, slope * (x - threshold)
+            return np.array([threshold]), slope * (x - threshold)
 
-        result = protocol._solve_threshold(value_at, 1, optimize_at, threshold + 1e-7, 0.0)
+        result = protocol._solve_threshold(
+            polynomial, optimize_at, np.array([threshold + 1e-7]), 0.0
+        )
         assert result.status == "ok"
         assert result.critical_value == pytest.approx(threshold, abs=1e-9)
         assert result.iterations == 2
@@ -802,13 +812,13 @@ class TestThresholdEngine:
     def test_round_that_starts_below_the_bound_roots_at_its_upper_end(self):
         # Round 1 roots at 0.5; the settings it returns put the value at 0.5 below
         # the bound, so round 2 takes hi = 0.5 itself and the optimum there closes.
-        def value_at(x, settings):
-            return x - (0.5 if settings == 0 else 0.6)
+        def polynomial(settings):
+            return _lines(np.where(settings == 0, 0.5, 0.6))
 
         def optimize_at(x, settings):
-            return settings + 1, 1.0 if settings == 0 else 0.0
+            return np.array([settings + 1]), 1.0 if settings == 0 else 0.0
 
-        result = protocol._solve_threshold(value_at, 1, optimize_at, 0, 0.0)
+        result = protocol._solve_threshold(polynomial, optimize_at, np.array([0]), 0.0)
         assert result.status == "ok"
         assert result.iterations == 2
         assert result.critical_value == pytest.approx(0.5, abs=1e-12)
@@ -817,13 +827,100 @@ class TestThresholdEngine:
 
     def test_root_below_the_floor_counts_as_none(self):
         # f turns non-negative at 1e-6, below the floor of 1e-4 of the upper end
-        def value_at(x, settings):
-            return x - 1e-6
+        def optimize_at(x, settings):
+            raise AssertionError("no root to re-optimize at")
 
-        result = protocol._solve_threshold(
-            value_at, 1, lambda x, s: (s, value_at(x, s)), None, 0.0
-        )
+        result = protocol._solve_threshold(_lines, optimize_at, np.array([1e-6]), 0.0)
         assert result.status == "not_found"
+
+    def test_the_smallest_root_over_the_candidates_warm_starts_the_next_round(self):
+        # 0.9, 0.7 and 0.8 are roots; a gap that vanishes identically gives no bound,
+        # and one below the bound at hi roots at hi
+        def polynomial(candidates):
+            return _lines(candidates) * (candidates != 0.0)[:, None]
+
+        warm = []
+
+        def optimize_at(x, candidate):
+            warm.append(candidate)
+            return np.array([x]), 0.0
+
+        candidates = np.array([0.9, 0.0, 2.0, 0.7, 0.8])  # 0: f = 0; 2: f(1) < 0
+        assert protocol._upper_roots(polynomial(candidates), 1.0)[0][2] == 1.0
+        result = protocol._solve_threshold(polynomial, optimize_at, candidates, 0.0)
+        assert result.status == "ok"
+        assert result.critical_value == pytest.approx(0.7, abs=1e-15)
+        assert warm == [0.7]
+
+    def test_no_candidate_with_a_root_is_not_found(self):
+        result = protocol._solve_threshold(
+            lambda c: np.zeros((len(c), 3)), lambda x, c: (c, 0.0), np.zeros(4), 0.0
+        )
+        assert (result.status, result.diagnostics["reason"]) == (
+            "not_found", "no sign change found below the upper end"
+        )
+
+
+# (coefficients lowest degree first, hi, upper root, slope there); None: no root
+UPPER_ROOTS = {
+    "line": ((-0.5, 1.0), 1.0, 0.5, 1.0),
+    "complex pair only": ((1.0, 0.0, 1.0), 1.0, None, None),
+    "one real root of three": ((-0.6, 1.0, -0.6, 1.0), 1.0, 0.6, 1.36),  # (x - 0.6)(x^2 + 1)
+    "zero leading coefficient": ((-0.5, 1.0, 0.0), 1.0, 0.5, 1.0),
+    "two zero leading coefficients": ((-0.25, 0.0, 0.0), 0.5, 0.5, 0.0),
+    "vanishes identically": ((0.0, 0.0, 0.0), 1.0, None, None),
+    "double root, no sign change": ((0.25, -1.0, 1.0), 1.0, None, None),  # (x - 0.5)^2
+    "largest crossing": ((0.06, -0.5, 1.0), 1.0, 0.3, 0.1),  # (x - 0.2)(x - 0.3)
+    "root above hi": ((-0.8, 1.0), 0.5, 0.5, 1.0),
+    "CH at eta = 0": ((0.0, -1.0, 1.5), 1.0, 2.0 / 3.0, 1.0),  # eta (1.5 eta - 1)
+}
+
+
+@pytest.mark.parametrize("case", list(UPPER_ROOTS))
+def test_upper_roots_against_closed_forms(case):
+    coef, hi, root, slope = UPPER_ROOTS[case]
+    # every case alone and in one batch with the others of its width
+    batch = [c for c, *_ in UPPER_ROOTS.values() if len(c) == len(coef)]
+    for rows, row in ((np.array([coef]), 0), (np.array(batch), batch.index(coef))):
+        roots, slopes = protocol._upper_roots(rows.copy(), hi)
+        if root is None:
+            assert np.isnan(roots[row]) and np.isnan(slopes[row])
+        else:
+            assert roots[row] == pytest.approx(root, abs=1e-15)
+            assert slopes[row] == pytest.approx(slope, abs=1e-14)
+
+
+def test_first_root_on_eberhard_is_the_smallest_over_the_end_points(monkeypatch):
+    """At eta = 1 the CH optimum is a continuous family: every end point ties, but their
+    thresholds differ, and the engine's first root is the smallest, each found here by
+    bisection on quantum_value."""
+    config = ScenarioConfig.from_json_dict(
+        json.loads((CONFIG_DIR / "eberhard_alpha005.json").read_text())
+    )
+    calls = []
+    original = protocol._end_points
+
+    def recording(*args):
+        calls.append(args[2][0])  # the efficiency each optimization runs at
+        return original(*args)
+
+    monkeypatch.setattr(protocol, "_end_points", recording)
+    critical_eta_high(config, restarts=8)
+    _, rho = projected_state(config)
+    expr, convention = config.bell, config.convention
+    ends, _ = original(expr, rho, [1.0, 1.0], convention, OptimizeOptions(restarts=8, seed=0))
+    roots = []
+    for thetas, phis in ends:
+        settings = angles_to_settings(thetas, phis)
+
+        def f(eta):
+            return quantum_value(expr, rho, settings, [eta, eta], convention)
+
+        assert f(1.0) > 0.0
+        roots.append(_bisect(f, _scan_bracket_low(f, 1.0), 1.0)[0])
+    assert calls[0] == 1.0
+    assert calls[1] == pytest.approx(min(roots), abs=1e-10)
+    assert max(roots) - min(roots) > 0.1  # the family's thresholds spread
 
 
 def _random_settings(rng, n_parties):
@@ -921,13 +1018,13 @@ def test_critical_eta_matches_reference_bisection(filename, monkeypatch):
     config = ScenarioConfig.from_json_dict(json.loads((CONFIG_DIR / filename).read_text()))
     # the settings a round's root is taken at are the next optimization's warm start
     warm = []
-    original = protocol.optimize_settings
+    original = protocol._end_points
 
     def recording(*args, **kwargs):
         warm.extend(args[4].warm_starts)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "optimize_settings", recording)
+    monkeypatch.setattr(protocol, "_end_points", recording)
     result = critical_eta_high(config, restarts=8)
     expected = _EXPECTED_ETA.get(filename, ETA_CRIT)
     if expected is None:
