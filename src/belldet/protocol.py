@@ -273,7 +273,7 @@ def _project_factor(
     weight = v * float(np.vdot(factor, factor).real) + (1.0 - v)
     p_list: list[float] = []
     for i, setting in enumerate(projectors):
-        factor = np.tensordot(factor.reshape(rows, 2, -1), setting.ket().conj(), axes=([1], [0]))
+        factor = setting.ket().conj() @ factor.reshape(rows, 2, -1)  # one matmul on a view
         new_weight = v * float(np.vdot(factor, factor).real) + (1.0 - v) * 2.0 ** -(i + 1)
         p = new_weight / weight
         if p < ZERO_WEIGHT_THRESHOLD:

@@ -39,8 +39,13 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 
-# sigma_mu for mu = I, X, Y, Z.
-_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# [(a, b), mu] = sigma_mu[b, a] for mu = I, X, Y, Z: a (row a, column b) pair times
+# this table is Tr(rho sigma_mu) = sum_ab rho[a, b] sigma_mu[b, a] on one qubit.
+_PAULI_TRACE = (
+    np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    .transpose(2, 1, 0)
+    .reshape(4, 4)
+)
 
 
 class QubitCapacityError(ValueError):
@@ -59,7 +64,8 @@ class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits.
 
     Amplitudes are renormalized on construction, so the state always
-    satisfies sum |amplitude|^2 = 1 to within 1e-12.
+    satisfies sum |amplitude|^2 = 1 to within 1e-12; their norm must be
+    finite and nonzero.
     """
 
     n_qubits: int
@@ -73,7 +79,10 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amp.size}, expected {2**self.n_qubits}"
             )
-        norm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # an overflow reads inf, judged below
+            norm = float(np.linalg.norm(amp))
+        if not math.isfinite(norm):  # a non-finite amplitude, or a norm past the float range
+            raise ValueError("amplitude vector norm is not finite")
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero amplitude vector")
         if abs(norm - 1.0) > 1e-12:
@@ -90,8 +99,9 @@ class PureState:
 class DensityMatrix:
     """Hermitian, PSD, trace-one operator on ``n_qubits`` qubits.
 
-    Construction checks Hermiticity (1e-12 elementwise) and positivity
-    (lowest eigenvalue >= -1e-10) and renormalizes the trace to one.
+    Construction rejects a non-finite entry, then checks Hermiticity (1e-12
+    elementwise), a finite positive trace and positivity (lowest eigenvalue
+    >= -1e-10), and renormalizes the trace to one.
     """
 
     n_qubits: int
@@ -104,9 +114,15 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)  # the state's own copy
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
-        if not np.allclose(mat, mat.conj().T, atol=_HERMITICITY_TOL, rtol=0.0):
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
+        with np.errstate(over="ignore"):  # a result past the float range reads inf, judged below
+            asymmetry = np.abs(mat - mat.conj().T).max()  # elementwise |rho - rho^dagger|
+            tr = complex(np.trace(mat))
+        if asymmetry > _HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        tr = complex(np.trace(mat))
+        if not math.isfinite(tr.real):
+            raise ValueError("matrix trace is not finite")
         if tr.real <= 0.0:
             raise ValueError("matrix trace must be positive")
         if abs(tr - 1.0) > _TRACE_TOL:
@@ -121,10 +137,11 @@ class DensityMatrix:
     def pauli_tensor(self) -> np.ndarray:
         """T[mu_1, ..., mu_n] = Tr(rho sigma_mu_1 (x) ... (x) sigma_mu_n), computed once:
         the real coordinates of rho = 2^-n sum_mu T_mu sigma_mu (Horodecki's T for n = 2)."""
-        t = self.matrix.reshape([2] * (2 * self.n_qubits))
+        t = self.matrix
         for left in range(self.n_qubits, 0, -1):  # trace the leading qubit against each sigma
-            t = np.tensordot(t, _PAULI, axes=([0, left], [2, 1]))  # mu goes last
-        return np.ascontiguousarray(t.real)
+            a_x_b_rest = t.reshape(2, 2 ** (left - 1), 2, -1)  # rest: other columns, then mu so far
+            t = a_x_b_rest.transpose(1, 3, 0, 2).reshape(-1, 4) @ _PAULI_TRACE  # mu goes last
+        return np.ascontiguousarray(t.real.reshape((4,) * self.n_qubits))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,31 @@ def test_damaged_state_matches_dense_reference_on_a_complex_mixed_state(lost):
     np.testing.assert_allclose(damaged.matrix, rho_ref, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("visibility", [0.37, 1.0])
+def test_ghz_plus_projection_at_large_n_is_closed_form(n, visibility):
+    """GHZ_N with X+ projectors: every p_i = 1/2 at any v, and the pair is
+    v Phi+ + (1 - v) I/4; with the first qubit lost, v (|00><00| + |11><11|)/2 + (1 - v) I/4."""
+    mixed = np.eye(4) / 4
+    for lost, pair in ((0, ghz(2).density().matrix), (1, np.diag([0.5, 0.0, 0.0, 0.5]))):
+        config = ghz_chsh_config(n, visibility=visibility, lost=lost)
+        p_list, rho = projected_state(config)
+        np.testing.assert_allclose(p_list, [0.5] * (n - 2 - lost), rtol=0.0, atol=1e-12)
+        expected = visibility * pair + (1.0 - visibility) * mixed
+        np.testing.assert_allclose(rho.matrix, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_half_filled_dicke_projection_at_large_n_is_closed_form(n):
+    """Dicke(N, N/2) with its default projectors keeps the 2 of C(N, N/2) basis
+    states that match them, so prod p = 2/C(N, N/2) and the pair is psi+."""
+    config = ghz_chsh_config(state=StateSpec("Dicke", n, excitations=n // 2))
+    p_list, rho = projected_state(config)
+    assert math.prod(p_list) == pytest.approx(2.0 / math.comb(n, n // 2), rel=0.0, abs=1e-12)
+    psi_plus = np.array([[0, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 0]])
+    np.testing.assert_allclose(rho.matrix, psi_plus, rtol=0.0, atol=1e-12)
+
+
 class TestComposite:
     def test_ghz4_reference_value(self):
         lhs = composite_parts(ghz_chsh_config())[0]

@@ -111,7 +111,7 @@ class TestExpectation:
 
 
 class TestPauliTensor:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_reconstructs_the_state(self, n):
         """rho = 2^-n sum_mu T_mu sigma_mu, T real with T_0...0 = Tr(rho) = 1."""
         rho = random_density(n, np.random.default_rng(40 + n))
@@ -179,11 +179,16 @@ class TestValidation:
             (lambda: DensityMatrix(0, [[1.0]]), "n_qubits must be >= 1"),
             (lambda: DensityMatrix(1, np.eye(4)), r"matrix has shape \(4, 4\), expected \(2, 2\)"),
             (lambda: DensityMatrix(1, -np.eye(2)), "matrix trace must be positive"),
+            (lambda: PureState(1, [np.nan, 1.0]), "amplitude vector norm is not finite"),
+            (lambda: PureState(1, [1e200, 1e200]), "amplitude vector norm is not finite"),
+            (lambda: DensityMatrix(1, [[np.inf, 0.0], [0.0, 0.0]]), "matrix entries must be finite"),
+            (lambda: DensityMatrix(1, np.diag([1e308, 1e308])), "matrix trace is not finite"),
             (lambda: dicke(3, 4), r"excitations must lie in \[0, 3\]"),
             (lambda: dicke(3, -1), r"excitations must lie in \[0, 3\]"),
         ],
         ids=["pure n 0", "pure size", "pure zero norm", "density n 0", "density shape",
-             "density trace", "dicke above n", "dicke negative"],
+             "density trace", "pure nan", "pure norm overflow", "density inf", "density trace overflow",
+             "dicke above n", "dicke negative"],
     )
     def test_constructors_reject_what_is_no_state(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
